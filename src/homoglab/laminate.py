@@ -164,12 +164,13 @@ def homogenize_laminate(spec: LaminateSpec, a_tol: float | None = None) -> Homog
         branch = "degenerate_average"
     tensor = q.T @ tensor @ q
     tensor = 0.5 * (tensor + tensor.T)
+    kernel = kernel_basis(tensor)
     return HomogenizedLaminate(
         a_value=a,
         tensor=tensor,
         branch=branch,
-        pd=is_positive_definite(tensor),
-        kernel=kernel_basis(tensor),
+        pd=not kernel,
+        kernel=kernel,
     )
 
 
@@ -264,25 +265,6 @@ def _unit_complement(n: np.ndarray) -> list[np.ndarray]:
     return [q.T[:, k].copy() for k in range(1, n.shape[0])]
 
 
-def _null_space_of_row(row: np.ndarray) -> list[np.ndarray]:
-    """Orthonormal basis of the kernel of a single linear form on R^m."""
-    m = row.shape[0]
-    nr = np.linalg.norm(row)
-    basis: list[np.ndarray] = []
-    unit = row / nr if nr > 0 else None
-    for k in range(m):
-        v = np.zeros(m)
-        v[k] = 1.0
-        if unit is not None:
-            v -= (v @ unit) * unit
-        for b in basis:
-            v -= (v @ b) * b
-        nv = np.linalg.norm(v)
-        if nv > 1e-12:
-            basis.append(v / nv)
-    return basis
-
-
 def _range_basis(m: np.ndarray, tol: float = RANK_TOL) -> list[np.ndarray]:
     """Orthonormal eigenvectors spanning the range of a PSD matrix."""
     dec = sym_eig(m)
@@ -323,8 +305,12 @@ def v_space_basis(spec: LaminateSpec, xi=None) -> list[np.ndarray]:
     if not p or not q:
         raise ValidationError("both phases must be nonzero to carry a flux field")
     row = np.array([v @ n for v in p] + [-(v @ n) for v in q])
+    nr = np.linalg.norm(row)
+    # A zero row (both ranges orthogonal to n, the a = 0 branch) leaves
+    # every pair admissible.
+    pairs = _unit_complement(row / nr) if nr > 0 else list(np.eye(len(row)))
     gens = []
-    for coeff in _null_space_of_row(row):
+    for coeff in pairs:
         xi1 = sum(coeff[k] * p[k] for k in range(len(p)))
         xi2 = sum(coeff[len(p) + k] * q[k] for k in range(len(q)))
         gens.append(th * xi1 + (1.0 - th) * xi2)

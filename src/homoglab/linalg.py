@@ -1,7 +1,7 @@
 """Small-dimension symmetric linear algebra (d = 2 or 3).
 
-Self-contained eigendecompositions: closed form in 2D, cyclic Jacobi
-rotations in 3D.  Everything downstream (kernel detection, positive
+Eigendecompositions come from LAPACK (``numpy.linalg.eigh``) and span
+ranks from an SVD.  Everything downstream (kernel detection, positive
 definiteness, PSD square roots, span comparisons) is built on these, with
 scale-aware thresholds relative to max(1, spectral radius) so that exact
 degenerate matrices and grid-rounded ones are treated alike.
@@ -64,72 +64,13 @@ class EigenDecomp:
         return self.rotation @ np.diag(self.eigenvalues) @ self.rotation.T
 
 
-def _eig2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a, b, c = m[0, 0], m[0, 1], m[1, 1]
-    if b == 0.0:
-        w = np.array([a, c])
-        r = np.eye(2)
-        order = np.argsort(w)
-        return w[order], r[:, order]
-    half_tr = 0.5 * (a + c)
-    rad = np.hypot(0.5 * (a - c), b)
-    lo, hi = half_tr - rad, half_tr + rad
-    # Eigenvector for hi from the better-conditioned row of (m - hi I);
-    # max-normalize before the 2-norm so subnormal entries cannot underflow.
-    v1 = np.array([b, hi - a])
-    v2 = np.array([hi - c, b])
-    v = v1 if np.abs(v1).max() >= np.abs(v2).max() else v2
-    v = v / np.abs(v).max()
-    v = v / np.linalg.norm(v)
-    r = np.column_stack([np.array([-v[1], v[0]]), v])
-    return np.array([lo, hi]), r
-
-
-def _eig3_jacobi(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Cyclic Jacobi; converges quadratically, 6-10 sweeps suffice at fp64.
-    a = m.copy()
-    r = np.eye(3)
-    for _ in range(60):
-        off = np.sqrt(a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2)
-        if off <= 1e-15 * max(1.0, np.abs(np.diag(a)).max()):
-            break
-        for p in range(2):
-            for q in range(p + 1, 3):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau == 0.0:
-                    t = 1.0
-                elif abs(tau) > 1e150:  # avoid overflow in tau*tau
-                    t = 0.5 / tau
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                cth = 1.0 / np.sqrt(1.0 + t * t)
-                sth = t * cth
-                g = np.eye(3)
-                g[p, p] = g[q, q] = cth
-                g[p, q] = sth
-                g[q, p] = -sth
-                a = g.T @ a @ g
-                a[p, q] = a[q, p] = 0.0
-                r = r @ g
-    w = np.diag(a).copy()
-    order = np.argsort(w)
-    return w[order], r[:, order]
-
-
 def sym_eig(m) -> EigenDecomp:
     """Eigendecomposition of a symmetric 2x2 or 3x3 matrix.
 
     Returns ascending eigenvalues and an orthogonal matrix of eigenvectors
     satisfying the reconstruction identity to 1e-10 relative.
     """
-    a = as_sym_matrix(m)
-    if a.shape[0] == 2:
-        w, r = _eig2(a)
-    else:
-        w, r = _eig3_jacobi(a)
+    w, r = np.linalg.eigh(as_sym_matrix(m))
     return EigenDecomp(rotation=r, eigenvalues=w)
 
 
@@ -184,22 +125,17 @@ def sqrt_psd(m) -> np.ndarray:
 
 
 def _span_rank(vectors, dim: int, tol: float) -> tuple[int, np.ndarray]:
-    """Rank of the span and an orthonormal basis, via Gram-Schmidt."""
-    basis: list[np.ndarray] = []
-    for v in vectors:
-        w = v.astype(float).copy()
-        nv = np.linalg.norm(w)
-        if nv <= tol:
-            continue
-        w /= nv
-        for b in basis:
-            w -= (w @ b) * b
-        nw = np.linalg.norm(w)
-        if nw > tol:
-            basis.append(w / nw)
-    if basis:
-        return len(basis), np.array(basis)
-    return 0, np.zeros((0, dim))
+    """Rank of the span and an orthonormal basis, via SVD of the unit vectors.
+
+    Vectors of norm at most ``tol`` are dropped; the rank counts singular
+    values above ``tol``.
+    """
+    units = [v / nv for v in vectors if (nv := np.linalg.norm(v)) > tol]
+    if not units:
+        return 0, np.zeros((0, dim))
+    _, sv, vt = np.linalg.svd(np.array(units))
+    rank = int(np.count_nonzero(sv > tol))
+    return rank, vt[:rank]
 
 
 def span_equals_orthocomplement(spanners, kernel, tol: float = DEFAULT_TOL) -> bool:

@@ -219,6 +219,35 @@ def test_verify_kernel_identity_examples():
     assert laminate.verify_kernel_identity(spec2(I2, I2))
 
 
+def test_v_space_near_orthogonal_rank_one_range():
+    # Both phases are rank one and phase2's range is within ~1e-5 of
+    # orthogonal to n.  The pair space is 1 + 1 - 1 = 1 dimensional, so
+    # exactly one generator may come back.
+    spec = spec2(
+        np.array([[0.5400858168342109, -0.48190281286687875],
+                  [-0.48190281286687875, 0.4299878163997358]]),
+        np.array([[1.4454308516338876, -0.28477178178357815],
+                  [-0.28477178178357815, 0.056104356433602925]]),
+        theta=0.23748307106313968,
+        direction=np.array([0.19329186354175434, 0.9811413025087445]),
+    )
+    assert len(laminate.v_space_basis(spec)) == 1
+    assert laminate.verify_kernel_identity(spec)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_v_space_zero_cross_coefficient(dim):
+    # Both ranges are orthogonal to n (a = 0): every pair is admissible and
+    # the generators span the common range e2.
+    e2 = np.eye(dim)[1]
+    spec = laminate.LaminateSpec(phase1=np.outer(e2, e2), phase2=2.0 * np.outer(e2, e2),
+                                 theta=0.3, direction=np.eye(dim)[0])
+    rank, basis = linalg._span_rank(laminate.v_space_basis(spec), dim, 1e-10)
+    assert rank == 1
+    assert abs(abs(basis[0] @ e2) - 1.0) < 1e-12
+    assert laminate.verify_kernel_identity(spec)
+
+
 def test_parallel_flux_with_pd_phase2_keeps_definiteness():
     # xi parallel to A2 e1 forces xi.e1 != 0 when A2 is PD, and the explicit
     # formula then yields a positive definite tensor even though the

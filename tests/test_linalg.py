@@ -1,5 +1,7 @@
 """Unit and property tests for the small symmetric linear algebra kernel."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,6 +47,17 @@ def test_sym_eig_3d_matches_numpy():
                                    rtol=1e-9, atol=1e-11)
         np.testing.assert_allclose(dec.reconstruct(), m,
                                    atol=1e-10 * max(1.0, np.abs(m).max()))
+
+
+def test_sym_eig_3d_subnormal_off_diagonal():
+    # A subnormal coupling next to an O(1) one must neither overflow a
+    # rotation angle nor warn.
+    m = np.array([[1.0, 1e-310, 0.5], [1e-310, 2.0, 0.0], [0.5, 0.0, 3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dec = linalg.sym_eig(m)
+    assert np.all(np.diff(dec.eigenvalues) >= 0.0)
+    assert np.abs(dec.reconstruct() - m).max() <= 1e-10
 
 
 def test_kernel_basis_examples():
