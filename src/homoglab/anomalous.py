@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .errors import (AdmissibilityError, CrossValidationError, GridTooSmallError,
                      ValidationError)
@@ -32,6 +31,9 @@ TWO_PI_SQ = 4.0 * np.pi ** 2
 H_TAIL_RTOL = 1e-4
 LEAKAGE_RTOL = 1e-6
 MEAN_IDENTITY_TOL = 1e-4
+# Smallest Sturm-Liouville coefficient the Green-kernel check supports:
+# sinh(1/sqrt(a)) overflows a double beyond 1/sqrt(a) = 710.47.
+SL_MIN_A = 1.0 / 710.0 ** 2
 
 
 @dataclass(frozen=True)
@@ -394,6 +396,9 @@ def solve_b(params: SpectralParams, u: SampledField,
 
 def _sl_matrix_solve(a_value: float, rhs: np.ndarray, h: float) -> np.ndarray:
     """Dirichlet solve of -a u'' + u = rhs on the interior nodes."""
+    # imported here, its only use, so that `import homoglab` does not load scipy
+    from scipy.linalg import solveh_banded
+
     n = rhs.shape[0]
     interior = n - 2
     main = np.full(interior, 2.0 * a_value / h ** 2 + 1.0)
@@ -422,13 +427,29 @@ def green_kernel(a_value: float, x, s) -> np.ndarray:
 
 
 def _sl_green_solve(a_value: float, rhs: np.ndarray, h: float) -> np.ndarray:
+    """Trapezoid quadrature of int G(x, s) rhs(s) ds at the nodes, in O(n).
+
+    With r = sqrt(a) and S = r sinh(1/r), G(x, s) is
+    sinh(s/r) sinh((1 - x)/r) / S for s <= x and sinh(x/r) sinh((1 - s)/r) / S
+    for s > x, so the quadrature splits into a prefix and a strict suffix
+    running sum (the kernel is semiseparable).  Dividing by S before
+    multiplying by the sums keeps every factor finite wherever
+    ``green_kernel`` is.
+    """
     n = rhs.shape[0]
     x = np.linspace(0.0, 1.0, n)
-    g = green_kernel(a_value, x, x)
+    r = math.sqrt(a_value)
+    s_norm = r * math.sinh(1.0 / r)
     w = np.full(n, h)
     w[0] *= 0.5
     w[-1] *= 0.5
-    return g @ (w * rhs)
+    wf = w * rhs
+    left = np.sinh(x / r)
+    right = np.sinh((1.0 - x) / r)
+    below = np.cumsum(wf * left)
+    above = np.zeros(n)
+    above[:-1] = np.cumsum((wf * right)[:0:-1])[::-1]
+    return (right / s_norm) * below + (left / s_norm) * above
 
 
 def solve_sturm_liouville(a_value: float, b: SampledField) -> SampledField:
@@ -440,6 +461,10 @@ def solve_sturm_liouville(a_value: float, b: SampledField) -> SampledField:
     """
     if a_value <= 0:
         raise ValidationError(f"a_value must be positive, got {a_value}")
+    if a_value < SL_MIN_A:
+        raise ValidationError(
+            f"a_value = {a_value:.3g} is below {SL_MIN_A:.3g}, the smallest the "
+            "Green-kernel check supports (sinh(1/sqrt(a)) overflows)")
     if b.values.ndim != 1:
         raise ValidationError("b must be a 1D field on [0, 1]")
     if abs(b.origin) > 1e-12 or abs(b.origin + b.spacing * (b.n - 1) - 1.0) > 1e-9:
@@ -541,13 +566,15 @@ def recovery_energy(params: SpectralParams, u, eps: float, n_fine: int) -> Recov
     w1, wc, _ = two_scale_profile(params, field)
     dx = field.spacing
     # x2 midpoint sampling keeps the phase fractions exact whenever
-    # theta * (points per period) is an integer.
+    # theta * (points per period) is an integer.  Every x2 row of
+    # u0(x1, x2/eps) is one of the two branches, so the energy is the
+    # phase-fraction-weighted sum of the two 1D branch energies.
     x2 = (np.arange(n_fine) + 0.5) / n_fine
-    a_vals = params.conductivity(x2 / eps)
-    rows = np.where((a_vals == 1.0)[:, None], w1.values[None, :], wc.values[None, :])
-    du = _derivative(rows, dx)
-    density = a_vals[:, None] * du ** 2 + rows ** 2
-    energy = float(np.mean(_trapz(density, dx)))
+    frac1 = float(np.mean(params.conductivity(x2 / eps) == 1.0))
+    branches = np.stack([w1.values, wc.values])
+    a_vals = np.array([1.0, params.c])[:, None]
+    e1, ec = _trapz(a_vals * _derivative(branches, dx) ** 2 + branches ** 2, dx)
+    energy = float(frac1 * e1 + (1.0 - frac1) * ec)
     limit = gamma_limit_fourier(params, field)
     gap = abs(energy - limit) / limit
     return RecoveryResult(eps=eps, energy_eps=energy, limit_energy=limit, gap=gap)

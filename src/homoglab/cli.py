@@ -423,7 +423,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default=None, help="output directory override")
     parser.add_argument("--seed", type=int, default=None,
-                        help="seed recorded in the report (randomized suites)")
+                        help="seed recorded in the report as metadata only; "
+                             "no command draws random numbers")
     args = parser.parse_args(argv)
     try:
         text = Path(args.config).read_text(encoding="utf-8")

@@ -1,13 +1,19 @@
 """Tests for the anomalous-limit machinery: kernels, limit forms, profiles."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import homoglab
 from homoglab import anomalous as an
-from homoglab.errors import (AdmissibilityError, GridTooSmallError,
-                             ValidationError)
+from homoglab.errors import (AdmissibilityError, CrossValidationError,
+                             GridTooSmallError, ValidationError)
 
 P = an.SpectralParams(c=2.0, theta=0.5)
 
@@ -224,6 +230,31 @@ def test_sturm_liouville_validates_inputs():
         an.solve_sturm_liouville(-1.0, b)
 
 
+@pytest.mark.parametrize("a_value", [1e-3, 1.0, 2.0, 10.0])
+@pytest.mark.parametrize("n", [17, 1025])
+def test_sl_green_solve_matches_dense_quadrature(a_value, n):
+    rng = np.random.default_rng(n)
+    f = rng.standard_normal(n)
+    x = np.linspace(0.0, 1.0, n)
+    h = 1.0 / (n - 1)
+    w = np.full(n, h)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    dense = an.green_kernel(a_value, x, x) @ (w * f)
+    fast = an._sl_green_solve(a_value, f, h)
+    assert np.abs(fast - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+def test_sturm_liouville_small_coefficient():
+    b = field_of("sin_1", 257)
+    # sinh(1/sqrt(a)) overflows a double: rejected as an input, not leaked
+    with pytest.raises(ValidationError, match="smallest"):
+        an.solve_sturm_liouville(1e-6, b)
+    # representable but unresolved by h = 1/256: the FD/Green gate trips
+    with pytest.raises(CrossValidationError):
+        an.solve_sturm_liouville(1e-5, b)
+
+
 def test_build_u0_zero():
     zeros = an.SampledField.on_unit_interval(np.zeros(64))
     u1, uc = an.build_u0(P, zeros)
@@ -267,6 +298,57 @@ def test_recovery_no_contrast_gap_vanishes():
     p1 = an.SpectralParams(c=1.0, theta=0.5)
     res = an.recovery_energy(p1, an.test_function("bump"), 0.125, 8192)
     assert res.gap <= 1e-6
+
+
+@pytest.mark.parametrize("c, theta, eps", [(2.0, 0.5, 1.0 / 8),
+                                           (5.0, 0.25, 1.0 / 16),
+                                           (1.0, 0.75, 1.0 / 4)])
+def test_recovery_energy_matches_explicit_field(c, theta, eps):
+    # the n_fine x n_fine field u0(x1, x2/eps), differentiated along x1 and
+    # integrated over both axes, is what the two branch energies regroup
+    p = an.SpectralParams(c=c, theta=theta)
+    n = 256
+    fn = an.test_function("sin_1")
+    res = an.recovery_energy(p, fn, eps, n)
+    u = an.SampledField.from_function(fn, n)
+    u1, uc = an.build_u0(p, u)
+    x2 = (np.arange(n) + 0.5) / n
+    a = p.conductivity(x2 / eps)
+    rows = np.where((a == 1.0)[:, None], u1.values[None, :], uc.values[None, :])
+    du = np.gradient(rows, u.spacing, axis=1, edge_order=2)
+    density = a[:, None] * du ** 2 + rows ** 2
+    explicit = float(np.mean(np.trapezoid(density, dx=u.spacing, axis=1)))
+    assert res.energy_eps == pytest.approx(explicit, rel=1e-13)
+
+
+def _traced_peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_sturm_liouville_and_recovery_memory_is_linear():
+    fn = an.test_function("sin_1")
+    # warm-up at small n so lazy imports do not count against the peak
+    an.solve_sturm_liouville(2.0, field_of("sin_1", 65))
+    an.recovery_energy(P, fn, 0.25, 64)
+    b = field_of("sin_1", 8193)
+    assert _traced_peak_mb(an.solve_sturm_liouville, 2.0, b) < 16.0
+    assert _traced_peak_mb(an.recovery_energy, P, fn, 1.0 / 256, 8192) < 16.0
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(homoglab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, homoglab; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_recovery_coercivity_and_gap():

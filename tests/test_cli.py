@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import homoglab
 from homoglab import cell, cli
 from homoglab.errors import ValidationError
 
@@ -69,6 +74,21 @@ def test_main_homogenize_laminate(tmp_path, capsys):
     rows = (tmp_path / "out" / "tensor.csv").read_text().splitlines()
     assert rows[0] == "i,j,value"
     assert len(rows) == 5
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    doc = dict(LAMINATE_DOC, output_dir=str(tmp_path / "out"))
+    cfg = write_config(tmp_path, doc)
+    src = str(Path(homoglab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "homoglab", "homogenize_laminate",
+         "--config", str(cfg)],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["results"]["pd"] is False
 
 
 def test_main_command_mismatch(tmp_path):
