@@ -394,21 +394,26 @@ def solve_b(params: SpectralParams, u: SampledField,
     return SampledField(values=bvals, spacing=dx, origin=origin, zero_extended=False)
 
 
-def _sl_matrix_solve(a_value: float, rhs: np.ndarray, h: float) -> np.ndarray:
-    """Dirichlet solve of -a u'' + u = rhs on the interior nodes."""
-    # imported here, its only use, so that `import homoglab` does not load scipy
-    from scipy.linalg import solveh_banded
+def _dst1(f: np.ndarray) -> np.ndarray:
+    """Type-I sine transform sum_j f_j sin(pi j k / (m + 1)), k = 1..m, by rfft."""
+    m = f.shape[0]
+    odd = np.zeros(2 * (m + 1))
+    odd[1:m + 1] = f
+    odd[m + 2:] = -f[::-1]
+    return -0.5 * np.fft.rfft(odd).imag[1:m + 1]
 
-    n = rhs.shape[0]
-    interior = n - 2
-    main = np.full(interior, 2.0 * a_value / h ** 2 + 1.0)
-    off = np.full(interior, -a_value / h ** 2)
-    ab = np.zeros((2, interior))
-    ab[0, 1:] = off[:-1]
-    ab[1, :] = main
-    sol = solveh_banded(ab, rhs[1:-1])
-    out = np.zeros(n)
-    out[1:-1] = sol
+
+def _sl_matrix_solve(a_value: float, rhs: np.ndarray, h: float) -> np.ndarray:
+    """Dirichlet solve of -a u'' + u = rhs on the interior nodes.
+
+    The type-I sine transform diagonalizes the constant-coefficient
+    finite-difference matrix and is its own inverse up to 2 / (m + 1).
+    """
+    m = rhs.shape[0] - 2
+    k = np.arange(1, m + 1)
+    eig = 1.0 + (4.0 * a_value / h ** 2) * np.sin(k * np.pi / (2 * (m + 1))) ** 2
+    out = np.zeros(m + 2)
+    out[1:-1] = (2.0 / (m + 1)) * _dst1(_dst1(rhs[1:-1]) / eig)
     return out
 
 

@@ -5,8 +5,11 @@ be degenerate:  A is replaced by A + delta I, the corrector problem
 
     min over periodic v of  sum_cells  (lam + grad v) . A_delta (lam + grad v) h^d
 
-is solved for a schedule of shrinking delta, and the delta -> 0 limit is
-estimated by a linear Richardson fit through the two smallest delta.
+is solved once per axis e_i for a schedule of shrinking delta: the energy
+gives A*_delta[i, i] and the mean flux A_delta (e_i + grad v) gives column i
+(the classical cell formula A* e_i = mean A (e_i + grad v_i)).  The
+delta -> 0 limit is estimated by a linear Richardson fit through the two
+smallest delta.
 
 Discretization: corrector values live on the periodic node grid, the
 gradient is the edge-averaged first-order difference per cell (exact under
@@ -105,6 +108,8 @@ class ExtrapolationResult:
     fit_residual: float
     monotone: bool
     stalled: bool
+    iterations: np.ndarray  # CG iterations, shape (n_delta, dim)
+    residuals: np.ndarray  # relative CG residuals at exit, shape (n_delta, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -330,55 +335,40 @@ def solve_cell_problem(coeff: PeriodicCoefficient, delta: float, direction,
                         residual=rel, iterations=it)
 
 
-def _unit_directions(dim: int) -> list[np.ndarray]:
-    dirs = [np.eye(dim)[i] for i in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            v = np.zeros(dim)
-            v[i] = v[j] = 1.0 / np.sqrt(2.0)
-            dirs.append(v)
-    return dirs
-
-
-def _assemble_tensor(dim: int, energies: dict) -> np.ndarray:
-    """Diagonal entries from axis directions, off-diagonals by polarization."""
-    t = np.zeros((dim, dim))
-    for i in range(dim):
-        t[i, i] = energies[(i, i)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            t[i, j] = t[j, i] = energies[(i, j)] - 0.5 * (t[i, i] + t[j, j])
-    return t
-
-
 def homogenize_general(coeff: PeriodicCoefficient,
                        cfg: SolverConfig = SolverConfig()) -> ExtrapolationResult:
     """Effective tensor of a grid coefficient via the vanishing-delta schedule.
 
-    Solves every unit direction e_i and (e_i + e_j)/sqrt(2) for each delta
-    (warm-starting along the schedule), assembles A*_delta, and estimates
-    the delta -> 0 limit by the straight line through the two smallest
-    delta.  ``fit_residual`` is the largest relative deviation of the
-    remaining schedule points from that line; ``monotone`` flags whether
+    Solves one corrector v_i per axis e_i for each delta (warm-starting
+    along the schedule).  A*_delta[i, i] is that solve's energy and column i
+    is the mean flux mean A_delta (e_i + grad v_i), symmetrized.  The
+    delta -> 0 limit is estimated by the straight line through the two
+    smallest delta.  ``fit_residual`` is the largest relative deviation of
+    the remaining schedule points from that line; ``monotone`` flags whether
     A*_delta decreased as quadratic forms along the schedule; ``stalled``
     (estimate withheld) flags a clearly non-PSD extrapolation.
     """
     deltas = cfg.deltas()
     dim = coeff.dim
-    dirs = _unit_directions(dim)
-    keys = [(i, i) for i in range(dim)] + [(i, j) for i in range(dim)
-                                           for j in range(i + 1, dim)]
-    energy_table = np.zeros((len(deltas), len(dirs)))
-    for d_idx, lam in enumerate(dirs):
+    flat = coeff.samples.reshape(-1, dim, dim)
+    cells = flat.shape[0]
+    mean_a = flat.mean(axis=0)
+    table = np.zeros((len(deltas), dim, dim))
+    iterations = np.zeros((len(deltas), dim), dtype=int)
+    residuals = np.zeros((len(deltas), dim))
+    for i, lam in enumerate(np.eye(dim)):
         guess = None
         for k, delta in enumerate(deltas):
             sol = solve_cell_problem(coeff, delta, lam, cfg, initial=guess)
-            energy_table[k, d_idx] = sol.energy
+            # grad v_i has zero mean, so delta I contributes delta e_i exactly
+            table[k, :, i] = mean_a[:, i] + delta * lam + np.einsum(
+                "cij,cj->i", flat, sol.corrector_grad.reshape(-1, dim)) / cells
+            table[k, i, i] = sol.energy
+            iterations[k, i] = sol.iterations
+            residuals[k, i] = sol.residual
             guess = sol.corrector
-    tensors = []
-    for k in range(len(deltas)):
-        e = {key: energy_table[k, idx] for idx, key in enumerate(keys)}
-        tensors.append(_assemble_tensor(dim, e))
+            del sol  # free the gradient field before the next solve
+    tensors = list(0.5 * (table + table.transpose(0, 2, 1)))
     monotone = True
     scale = max(1.0, float(np.abs(tensors[0]).max()))
     for k in range(len(deltas) - 1):
@@ -408,4 +398,6 @@ def homogenize_general(coeff: PeriodicCoefficient,
         fit_residual=fit_residual,
         monotone=monotone,
         stalled=stalled,
+        iterations=iterations,
+        residuals=residuals,
     )

@@ -281,6 +281,8 @@ def _run_homogenize_grid(cfg, out: Path, report: RunReport):
         "fit_residual": res.fit_residual,
         "monotone": res.monotone,
         "stalled": res.stalled,
+        "cg_iterations": res.iterations.tolist(),
+        "cg_residuals": res.residuals.tolist(),
     })
     report.artifacts.append(("tensors_by_delta.csv", len(rows)))
     report.artifacts.append((_plot_script(out, [

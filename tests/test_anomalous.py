@@ -1,5 +1,6 @@
 """Tests for the anomalous-limit machinery: kernels, limit forms, profiles."""
 
+import json
 import math
 import os
 import subprocess
@@ -245,6 +246,21 @@ def test_sl_green_solve_matches_dense_quadrature(a_value, n):
     assert np.abs(fast - dense).max() <= 1e-13 * np.abs(dense).max()
 
 
+@pytest.mark.parametrize("a_value", [1e-3, 1.0, 2.0, 10.0])
+@pytest.mark.parametrize("n", [17, 257])
+def test_sl_matrix_solve_matches_dense_tridiagonal(a_value, n):
+    rng = np.random.default_rng(n)
+    f = rng.standard_normal(n)
+    h = 1.0 / (n - 1)
+    m = n - 2
+    dense = ((2.0 * a_value / h ** 2 + 1.0) * np.eye(m)
+             - (a_value / h ** 2) * (np.eye(m, k=1) + np.eye(m, k=-1)))
+    want = np.linalg.solve(dense, f[1:-1])
+    got = an._sl_matrix_solve(a_value, f, h)
+    assert got[0] == got[-1] == 0.0
+    assert np.abs(got[1:-1] - want).max() <= 1e-10 * np.abs(want).max()
+
+
 def test_sturm_liouville_small_coefficient():
     b = field_of("sin_1", 257)
     # sinh(1/sqrt(a)) overflows a double: rejected as an input, not leaked
@@ -349,6 +365,24 @@ def test_import_leaves_scipy_unloaded():
          "import sys, homoglab; print('scipy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_counterexample_runs_without_scipy(tmp_path):
+    # sys.modules["scipy"] = None makes every scipy import raise ImportError
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "command": "counterexample", "output_dir": str(tmp_path / "out"),
+        "parameters": {"c": 2.0, "theta": 0.5, "u": "sin_1", "n": 512}}))
+    src = str(Path(homoglab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import runpy, sys; sys.modules['scipy'] = None; "
+            f"sys.argv = ['homoglab', 'counterexample', '--config', {str(cfg)!r}]; "
+            "runpy.run_module('homoglab', run_name='__main__', alter_sys=True)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "out" / "u0_branches.csv").exists()
 
 
 def test_recovery_coercivity_and_gap():

@@ -22,6 +22,12 @@ def delta_laminate_closed_form(a1, a2, theta, delta):
     return theta * p1 + (1 - theta) * p2 - theta * (1 - theta) / a * np.outer(jump, jump)
 
 
+def random_psd_coefficient(dim, n, seed):
+    b = np.random.default_rng(seed).normal(size=(n,) * dim + (dim, dim))
+    samples = np.einsum("...ki,...kj->...ij", b, b)
+    return cell.PeriodicCoefficient(dim=dim, n_grid=n, samples=samples)
+
+
 def test_coefficient_validation():
     with pytest.raises(ValidationError, match="power of two"):
         cell.PeriodicCoefficient(dim=2, n_grid=12, samples=np.zeros((12, 12, 2, 2)))
@@ -166,6 +172,44 @@ def test_homogenize_general_degenerate_direction():
     res = cell.homogenize_general(co)
     assert res.estimate[0, 0] <= 1e-3
     assert res.estimate[1, 1] == pytest.approx(1.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 8), (3, 4)])
+def test_homogenize_general_solves_once_per_axis_and_delta(monkeypatch, dim, n):
+    calls = []
+    solve = cell.solve_cell_problem
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cell, "solve_cell_problem", counting)
+    cfg = cell.SolverConfig()
+    res = cell.homogenize_general(random_psd_coefficient(dim, n, 3), cfg)
+    assert len(calls) == dim * cfg.n_delta
+    assert all(np.count_nonzero(lam) == 1 for lam in calls)  # axis directions only
+    assert res.iterations.shape == res.residuals.shape == (cfg.n_delta, dim)
+    assert res.residuals.max() <= cfg.tol
+
+
+@pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+def test_off_diagonals_match_polarization(dim, n):
+    # energy of (e_i + e_j)/sqrt(2) is (T_ii + T_jj)/2 + T_ij for the
+    # discrete A*_delta, solved along its own warm-started chain
+    co = random_psd_coefficient(dim, n, 21)
+    cfg = cell.SolverConfig()
+    res = cell.homogenize_general(co, cfg)
+    scale = max(np.abs(t).max() for t in res.tensors)
+    axes = np.eye(dim)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            guess = None
+            for delta, t in zip(res.deltas, res.tensors):
+                sol = cell.solve_cell_problem(co, delta, (axes[i] + axes[j]) / np.sqrt(2.0),
+                                              cfg, initial=guess)
+                guess = sol.corrector
+                assert abs(sol.energy - 0.5 * (t[i, i] + t[j, j]) - t[i, j]) \
+                    <= 1e-8 * scale
 
 
 def test_solver_nonconvergence_carries_residual():

@@ -147,6 +147,11 @@ def test_homogenize_grid_constant(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     np.testing.assert_allclose(np.array(report["results"]["estimate"]),
                                np.eye(2), atol=1e-8)
+    n_delta = len(report["results"]["deltas"])
+    iterations = np.array(report["diagnostics"]["cg_iterations"])
+    residuals = np.array(report["diagnostics"]["cg_residuals"])
+    assert iterations.shape == residuals.shape == (n_delta, 2)
+    assert residuals.max() <= cell.SolverConfig.tol
     assert (tmp_path / "out" / "tensors_by_delta.csv").exists()
     assert (tmp_path / "out" / "plot.gp").exists()
 
