@@ -15,12 +15,18 @@ Discretization: corrector values live on the periodic node grid, the
 gradient is the edge-averaged first-order difference per cell (exact under
 axis permutations and reflections of the grid), and the coefficient is
 sampled at cell centers.  The linear systems are solved by conjugate
-gradients preconditioned with the constant-coefficient operator inverted
-in Fourier space.
+gradients on component-major fields, shape (dim,) + (n,)*dim, so each
+gradient component and each coefficient entry A_ij + delta [i == j] is one
+contiguous array.  The preconditioner is the constant-coefficient operator
+(mean trace(A)/dim + delta) G^T G inverted in Fourier space: the
+pseudo-inverse of the symbol of G^T G lives on the rfftn half spectrum and
+is built once per grid.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,52 +197,73 @@ def load_coefficient(path) -> PeriodicCoefficient:
 # discrete operators
 # ---------------------------------------------------------------------------
 
-def _cell_gradient(v: np.ndarray, h: float) -> np.ndarray:
-    """Edge-averaged forward differences per cell; out shape v.shape + (dim,)."""
+def _cell_gradient(v: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Edge-averaged forward differences per cell into out, shape (dim,) + v.shape."""
     dim = v.ndim
-    out = np.empty(v.shape + (dim,))
+    if out is None:
+        out = np.empty((dim,) + v.shape)
+    scale = 0.5 ** (dim - 1) / h
     for ax in range(dim):
-        diff = (np.roll(v, -1, axis=ax) - v) / h
-        # Average the parallel edges of the cell: mean over the other axes'
-        # two bounding nodes.
-        g = diff
+        g = out[ax]
+        np.subtract(np.roll(v, -1, axis=ax), v, out=g)
+        # Sum the parallel edges of the cell: the other axes' two bounding nodes.
         for other in range(dim):
-            if other == ax:
-                continue
-            g = 0.5 * (g + np.roll(g, -1, axis=other))
-        out[..., ax] = g
+            if other != ax:
+                g += np.roll(g, -1, axis=other)
+        g *= scale
     return out
 
 
 def _cell_gradient_adjoint(w: np.ndarray, h: float) -> np.ndarray:
     """Adjoint of _cell_gradient for the unweighted inner products."""
-    dim = w.ndim - 1
-    out = np.zeros(w.shape[:-1])
+    dim = w.shape[0]
+    out = np.zeros(w.shape[1:])
     for ax in range(dim):
-        g = w[..., ax]
+        g = w[ax]
         for other in range(dim):
-            if other == ax:
-                continue
-            g = 0.5 * (g + np.roll(g, 1, axis=other))
-        out += (np.roll(g, 1, axis=ax) - g) / h
+            if other != ax:
+                g = g + np.roll(g, 1, axis=other)
+        out += np.roll(g, 1, axis=ax)
+        out -= g
+    out *= 0.5 ** (dim - 1) / h
     return out
 
 
-def _apply_coeff(samples: np.ndarray, delta: float, w: np.ndarray) -> np.ndarray:
-    """(A + delta I) applied per cell to a cell vector field."""
-    return np.einsum("...ij,...j->...i", samples, w) + delta * w
+def _coeff_entries(samples: np.ndarray, delta: float) -> list[list[np.ndarray]]:
+    """Contiguous entries of A + delta I; entry [j][i] is the array of [i][j]."""
+    dim = samples.shape[-1]
+    entries = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        entries[i][i] = samples[..., i, i] + delta
+        for j in range(i + 1, dim):
+            entries[i][j] = entries[j][i] = samples[..., i, j].copy()
+    return entries
 
 
-def _precond_symbol(dim: int, n: int, h: float, scale: float) -> np.ndarray:
-    """Fourier symbol of the constant-coefficient operator scale * G^T G.
+def _apply_coeff(entries: list[list[np.ndarray]], w: np.ndarray) -> np.ndarray:
+    """sum_j (A + delta I)_ij w_j per cell for a component-major field w."""
+    out = np.empty(w.shape)
+    term = np.empty(w.shape[1:])
+    for i, row in enumerate(entries):
+        np.multiply(row[0], w[0], out=out[i])
+        for j in range(1, len(row)):
+            out[i] += np.multiply(row[j], w[j], out=term)
+    return out
+
+
+@functools.lru_cache(maxsize=1)
+def _precond_inverse(dim: int, n: int) -> np.ndarray:
+    """Pseudo-inverse of the Fourier symbol of G^T G on the rfftn half spectrum.
 
     Kernel modes of the averaged-difference gradient (constant and
-    checkerboard patterns) get symbol zero and are projected out by the
-    preconditioner.
+    checkerboard patterns) get zero and are projected out by the
+    preconditioner.  The symbol is real and even in every wavenumber, so the
+    half spectrum of the last axis (k = 0 .. n/2) carries all of it.  Cached
+    per grid and read-only: every solve on the same (dim, n) shares it.
     """
     k = np.arange(n)
     phase = np.exp(2j * np.pi * k / n)
-    diff2 = np.abs((phase - 1.0) / h) ** 2
+    diff2 = np.abs((phase - 1.0) * n) ** 2
     avg2 = np.abs(0.5 * (1.0 + phase)) ** 2
     sym = np.zeros((n,) * dim)
     for ax in range(dim):
@@ -244,10 +271,14 @@ def _precond_symbol(dim: int, n: int, h: float, scale: float) -> np.ndarray:
         for other in range(dim):
             oshape = [1] * dim
             oshape[other] = n
-            factor = diff2 if other == ax else avg2
-            term = term * factor.reshape(oshape)
-        sym = sym + term
-    return scale * sym
+            term *= (diff2 if other == ax else avg2).reshape(oshape)
+        sym += term
+    sym = sym[..., : n // 2 + 1]
+    inv = np.zeros_like(sym)
+    good = sym > 1e-12 * sym.max()
+    inv[good] = 1.0 / sym[good]
+    inv.setflags(write=False)
+    return inv
 
 
 def energy_of_field(coeff: PeriodicCoefficient, delta: float, direction,
@@ -261,7 +292,7 @@ def energy_of_field(coeff: PeriodicCoefficient, delta: float, direction,
     if g.shape != want:
         raise ValidationError(f"corrector_grad must have shape {want}, got {g.shape}")
     field = g + lam
-    flux = _apply_coeff(coeff.samples, delta, field)
+    flux = np.einsum("...ij,...j->...i", coeff.samples, field) + delta * field
     return float(np.sum(field * flux) * coeff.h ** coeff.dim)
 
 
@@ -272,7 +303,8 @@ def solve_cell_problem(coeff: PeriodicCoefficient, delta: float, direction,
 
     Preconditioned CG on G^T A_delta G v = -G^T A_delta lam with the
     constant-coefficient FFT preconditioner; converges when the relative
-    residual drops below cfg.tol.
+    residual drops below cfg.tol.  ``initial`` (node values, shape
+    (n,)*dim, finite) starts the iteration; by default it starts at zero.
     """
     if delta <= 0:
         raise ValidationError("delta must be positive")
@@ -280,55 +312,67 @@ def solve_cell_problem(coeff: PeriodicCoefficient, delta: float, direction,
     if lam.shape != (coeff.dim,) or abs(np.linalg.norm(lam) - 1.0) > 1e-12:
         raise ValidationError("direction must be a unit vector of the grid dimension")
     n, h, dim = coeff.n_grid, coeff.h, coeff.dim
-    samples = coeff.samples
+    grid = (n,) * dim
+    if initial is not None:
+        initial = np.asarray(initial, dtype=float)
+        if initial.shape != grid:
+            raise ValidationError(f"initial must have shape {grid}, got {initial.shape}")
+        if not np.all(np.isfinite(initial)):
+            raise ValidationError("initial contains non-finite values")
+    entries = _coeff_entries(coeff.samples, delta)
 
     def op(v):
-        return _cell_gradient_adjoint(
-            _apply_coeff(samples, delta, _cell_gradient(v, h)), h)
+        return _cell_gradient_adjoint(_apply_coeff(entries, _cell_gradient(v, h)), h)
 
-    lam_field = np.broadcast_to(lam, (n,) * dim + (dim,))
-    b = -_cell_gradient_adjoint(_apply_coeff(samples, delta, np.array(lam_field)), h)
+    lam_field = np.broadcast_to(lam.reshape((dim,) + (1,) * dim), (dim,) + grid)
+    r = _cell_gradient_adjoint(_apply_coeff(entries, lam_field), h)
+    r *= -1.0  # the right-hand side b; the residual at v = 0
+    bnorm = float(np.linalg.norm(r))
 
-    mean_diag = float(np.einsum("...ii->...", samples).mean() / dim)
-    sym = _precond_symbol(dim, n, h, mean_diag + delta)
-    inv_sym = np.zeros_like(sym)
-    good = sym > 1e-12 * sym.max()
-    inv_sym[good] = 1.0 / sym[good]
+    inv_sym = _precond_inverse(dim, n)
+    scale = 1.0 / (float(np.einsum("...ii->...", coeff.samples).mean() / dim) + delta)
+    axes = tuple(range(dim))
 
     def precond(r):
-        return np.real(np.fft.ifftn(np.fft.fftn(r) * inv_sym))
+        z = np.fft.irfftn(np.fft.rfftn(r, axes=axes) * inv_sym, s=grid, axes=axes)
+        z *= scale
+        return z
 
-    bnorm = float(np.linalg.norm(b))
-    v = np.zeros((n,) * dim) if initial is None else initial.copy()
-    if bnorm == 0.0:
-        v[...] = 0.0
-        grad = _cell_gradient(v, h)
-        return CellSolution(delta=delta, direction=lam, corrector=v,
-                            corrector_grad=grad,
-                            energy=energy_of_field(coeff, delta, lam, grad),
-                            residual=0.0, iterations=0)
-    r = b - op(v)
-    z = precond(r)
-    p = z.copy()
-    rz = float(np.sum(r * z))
-    rel = float(np.linalg.norm(r)) / bnorm
+    v = np.zeros(grid)
+    rel = 0.0
     it = 0
-    while rel > cfg.tol:
-        if it >= cfg.max_iter:
-            raise ConvergenceError(
-                f"cell problem CG exceeded {cfg.max_iter} iterations", rel)
-        ap = op(p)
-        alpha = rz / float(np.sum(p * ap))
-        v += alpha * p
-        r -= alpha * ap
-        rel = float(np.linalg.norm(r)) / bnorm
+    if bnorm > 0.0:
+        if initial is not None:
+            v[...] = initial
+            r -= op(v)
         z = precond(r)
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-        it += 1
-    v -= v.mean()
-    grad = _cell_gradient(v, h)
+        p = z.copy()
+        rz = float(np.vdot(r, z))
+        rel = float(np.linalg.norm(r)) / bnorm
+        while not rel <= cfg.tol:
+            if it >= cfg.max_iter or not math.isfinite(rel):
+                raise ConvergenceError(
+                    f"cell problem CG stopped after {it} iterations "
+                    f"(limit {cfg.max_iter}, residual {rel:.3e})", rel)
+            ap = op(p)
+            alpha = rz / float(np.vdot(p, ap))
+            v += alpha * p
+            ap *= alpha
+            r -= ap
+            del ap  # free before the next op(p)
+            rel = float(np.linalg.norm(r)) / bnorm
+            z = precond(r)
+            rz_new = float(np.vdot(r, z))
+            p *= rz_new / rz
+            p += z
+            rz = rz_new
+            it += 1
+        del z, p
+        v -= v.mean()
+    # Free all but v: the gradient and energy fields below set the peak memory.
+    del r, entries, op, precond
+    grad = np.empty(grid + (dim,))
+    _cell_gradient(v, h, out=np.moveaxis(grad, -1, 0))
     return CellSolution(delta=delta, direction=lam, corrector=v,
                         corrector_grad=grad,
                         energy=energy_of_field(coeff, delta, lam, grad),
@@ -361,8 +405,9 @@ def homogenize_general(coeff: PeriodicCoefficient,
         for k, delta in enumerate(deltas):
             sol = solve_cell_problem(coeff, delta, lam, cfg, initial=guess)
             # grad v_i has zero mean, so delta I contributes delta e_i exactly
-            table[k, :, i] = mean_a[:, i] + delta * lam + np.einsum(
-                "cij,cj->i", flat, sol.corrector_grad.reshape(-1, dim)) / cells
+            # samples are symmetric, so rows of flat.reshape(-1, dim) give A grad
+            table[k, :, i] = mean_a[:, i] + delta * lam + (
+                flat.reshape(-1, dim).T @ sol.corrector_grad.reshape(-1)) / cells
             table[k, i, i] = sol.energy
             iterations[k, i] = sol.iterations
             residuals[k, i] = sol.residual

@@ -1,5 +1,7 @@
 """Tests for the regularized periodic cell solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,88 @@ def test_solver_nonconvergence_carries_residual():
     with pytest.raises(ConvergenceError) as err:
         cell.solve_cell_problem(co, 1e-3, E1, cell.SolverConfig(tol=1e-12, max_iter=1))
     assert 0.0 < err.value.residual
+
+
+def test_initial_guess_validated():
+    co = random_psd_coefficient(2, 8, 2)
+    with pytest.raises(ValidationError, match="initial"):
+        cell.solve_cell_problem(co, 1e-2, E1, initial=np.full((8, 8), np.nan))
+    with pytest.raises(ValidationError, match="initial"):
+        cell.solve_cell_problem(co, 1e-2, E1, initial=np.zeros(8))
+
+
+def test_nan_residual_raises_instead_of_returning(monkeypatch):
+    # a preconditioner that breaks down turns the residual into NaN, which
+    # must not pass for convergence
+    def broken(dim, n):
+        return np.full((n,) * (dim - 1) + (n // 2 + 1,), np.nan)
+
+    monkeypatch.setattr(cell, "_precond_inverse", broken)
+    with pytest.raises(ConvergenceError):
+        cell.solve_cell_problem(random_psd_coefficient(2, 8, 2), 1e-2, E1)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+def test_gradient_adjoint_identity(dim, n):
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=(n,) * dim)
+    w = rng.normal(size=(dim,) + (n,) * dim)
+    gv = cell._cell_gradient(v, 1.0 / n)
+    gtw = cell._cell_gradient_adjoint(w, 1.0 / n)
+    lhs, rhs = float(np.sum(gv * w)), float(np.sum(v * gtw))
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(gv) * np.linalg.norm(w)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+def test_half_spectrum_preconditioner_matches_full_fft(dim, n):
+    # full complex-FFT pseudo-inverse of the symbol of G^T G, built directly
+    h = 1.0 / n
+    phase = np.exp(2j * np.pi * np.arange(n) / n)
+    diff2 = np.abs((phase - 1.0) / h) ** 2
+    avg2 = np.abs(0.5 * (1.0 + phase)) ** 2
+    sym = np.zeros((n,) * dim)
+    for ax in range(dim):
+        term = np.ones((n,) * dim)
+        for other in range(dim):
+            oshape = [1] * dim
+            oshape[other] = n
+            term = term * (diff2 if other == ax else avg2).reshape(oshape)
+        sym = sym + term
+    inv_full = np.zeros_like(sym)
+    good = sym > 1e-12 * sym.max()
+    inv_full[good] = 1.0 / sym[good]
+    r = np.random.default_rng(6).normal(size=(n,) * dim)
+    want = np.real(np.fft.ifftn(np.fft.fftn(r) * inv_full))
+
+    inv_half = cell._precond_inverse(dim, n)
+    assert inv_half is cell._precond_inverse(dim, n)  # built once per grid
+    assert not inv_half.flags.writeable
+    axes = tuple(range(dim))
+    got = np.fft.irfftn(np.fft.rfftn(r, axes=axes) * inv_half, s=r.shape, axes=axes)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+def test_corrector_grad_is_c_contiguous(dim, n):
+    sol = cell.solve_cell_problem(random_psd_coefficient(dim, n, 4), 1e-2, np.eye(dim)[0])
+    assert sol.corrector_grad.shape == (n,) * dim + (dim,)
+    assert sol.corrector_grad.flags.c_contiguous
+    assert isinstance(sol.iterations, int) and isinstance(sol.residual, float)
+
+
+def test_solve_peak_memory_3d():
+    # every field the CG loop keeps is a few n^3 arrays; the guard is 20 of them
+    n = 32
+    co = random_psd_coefficient(3, n, 5)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sol = cell.solve_cell_problem(co, 1e-1, np.array([1.0, 0.0, 0.0]))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert sol.iterations > 10  # the CG loop ran
+    assert peak <= 20 * 8 * n ** 3, f"peak {peak / (8 * n ** 3):.1f} n^3 doubles"
 
 
 def test_coefficient_file_round_trip(tmp_path):
