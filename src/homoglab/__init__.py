@@ -7,10 +7,12 @@ Subpackages:
 * ``cell``       regularized periodic cell problems and delta extrapolation
 * ``anomalous``  the two-dimensional anomalous limit: spectral and
                  convolution forms, two-scale profiles, recovery energies
-* ``cli``        the ``homoglab`` command-line front end
+* ``cli``        the ``homoglab`` command-line front end (imported on first use)
 """
 
-from . import anomalous, cell, cli, laminate, linalg
+import importlib
+
+from . import anomalous, cell, laminate, linalg
 from .errors import (AdmissibilityError, ConvergenceError, CrossValidationError,
                      GridTooSmallError, HomoglabError, NumericalError,
                      ValidationError)
@@ -22,3 +24,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # ``cli`` loads on first use, so ``python -m homoglab.cli`` does not find
+    # it already imported by the package.
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,28 +5,34 @@ be degenerate:  A is replaced by A + delta I, the corrector problem
 
     min over periodic v of  sum_cells  (lam + grad v) . A_delta (lam + grad v) h^d
 
-is solved once per axis e_i for a schedule of shrinking delta: the energy
-gives A*_delta[i, i] and the mean flux A_delta (e_i + grad v) gives column i
-(the classical cell formula A* e_i = mean A (e_i + grad v_i)).  The
-delta -> 0 limit is estimated by a linear Richardson fit through the two
-smallest delta.
+is solved per axis e_i for a schedule of shrinking delta, and the
+classical cell formula A*_delta e_i = mean A_delta (e_i + grad v_i) gives
+the tensor.  The delta -> 0 limit is estimated by a linear Richardson fit
+through the two smallest delta.
+
+The right-hand side b_i = -G^T A e_i does not depend on delta, so the whole
+schedule is one family of shifted systems (G^T A G + delta G^T G) v = b_i.
+One multi-shift CG run per axis, started from zero (no warm start) and
+based at the smallest delta, solves all of them; a shift is frozen once it
+has converged.  No corrector field is formed: by adjointness
+A*_delta = mean(A) + delta I - B^T V_delta / cells, with B the right-hand
+sides and V_delta the correctors, and each shift carries only the numbers
+B^T v.  ``solve_cell_problem`` is the same CG with one shift and returns
+the corrector and its quadrature energy.
 
 Discretization: corrector values live on the periodic node grid, the
 gradient is the edge-averaged first-order difference per cell (exact under
 axis permutations and reflections of the grid), and the coefficient is
-sampled at cell centers.  The linear systems are solved by conjugate
-gradients on component-major fields, shape (dim,) + (n,)*dim, so each
-gradient component and each coefficient entry A_ij + delta [i == j] is one
-contiguous array.  The preconditioner is the constant-coefficient operator
-(mean trace(A)/dim + delta) G^T G inverted in Fourier space: the
-pseudo-inverse of the symbol of G^T G lives on the rfftn half spectrum and
-is built once per grid.
+sampled at cell centers.  CG works on component-major fields, shape
+(dim,) + (n,)*dim, so each gradient component and each coefficient entry
+is one contiguous array.  The preconditioner is the pseudo-inverse of
+G^T G in Fourier space: its symbol lives on the rfftn half spectrum and is
+built once per grid.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,8 +120,10 @@ class ExtrapolationResult:
     fit_residual: float
     monotone: bool
     stalled: bool
-    iterations: np.ndarray  # CG iterations, shape (n_delta, dim)
-    residuals: np.ndarray  # relative CG residuals at exit, shape (n_delta, dim)
+    # [k, i]: the iteration of axis i's CG run at which delta_k converged,
+    # and its relative residual there; shape (n_delta, dim)
+    iterations: np.ndarray
+    residuals: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +304,113 @@ def energy_of_field(coeff: PeriodicCoefficient, delta: float, direction,
     return float(np.sum(field * flux) * coeff.h ** coeff.dim)
 
 
+def _rhs(coeff: PeriodicCoefficient, lam: np.ndarray) -> np.ndarray:
+    """b = -G^T A lam, the right-hand side for direction lam.
+
+    G^T of the constant field delta lam vanishes, so b is the same for every
+    delta of the schedule.
+    """
+    b = _cell_gradient_adjoint(np.moveaxis(coeff.samples @ lam, -1, 0), coeff.h)
+    b *= -1.0
+    return b
+
+
+def _shifted_cg(entries: list[list[np.ndarray]], h: float, rhs: np.ndarray,
+                shifts, readout: np.ndarray, cfg: SolverConfig):
+    """Preconditioned CG from zero on (G^T A_b G + s G^T G) v_s = rhs, all s at once.
+
+    ``entries`` are those of the base coefficient A_b = A + delta_b I and
+    ``shifts`` the offsets s >= 0 of the systems to solve (0 is the base).
+    The preconditioner P is the pseudo-inverse of G^T G, so
+    P (G^T A_b G + s G^T G) is the base's preconditioned operator plus s I:
+    the Krylov space is shared, the residuals stay collinear, r_s = zeta_s r,
+    and the zeta / alpha / beta recurrences of multi-shift CG (Jegerlehner
+    1996; van den Eshof & Sleijpen 2004) give every shift's steps from the
+    one base run.  Shift s is frozen (its zeta no longer updated, which
+    would underflow) once |zeta_s| |r| / |rhs| <= cfg.tol.
+
+    No field is kept per shift, only the numbers readout[j] . v_s, recurred
+    from readout . z once per iteration.  Returns the base iterate, those
+    numbers (shape (len(shifts), len(readout))), and per shift the iteration
+    at which it froze and its relative residual there.
+    """
+    grid = rhs.shape
+    axes = tuple(range(rhs.ndim))
+    inv_sym = _precond_inverse(rhs.ndim, grid[0])
+    rows = readout.reshape(len(readout), rhs.size)
+    shifts = [float(s) for s in shifts]
+    x = np.zeros(grid)
+    dots = np.zeros((len(shifts), len(rows)))
+    iterations = np.zeros(len(shifts), dtype=int)
+    residuals = np.zeros(len(shifts))
+    bnorm = float(np.linalg.norm(rhs))
+    if bnorm == 0.0:
+        return x, dots, iterations, residuals
+
+    def precond(r):
+        return np.fft.irfftn(np.fft.rfftn(r, axes=axes) * inv_sym, s=grid, axes=axes)
+
+    r = rhs.copy()
+    p = precond(r)
+    rz = float(np.vdot(r, p))
+    rel = 1.0
+    # Per shift, as Python floats: (zeta_{k-1}, zeta_k), readout . p_s and
+    # readout . v_s.  Entries are replaced, never changed in place.
+    zeta = [(1.0, 1.0)] * len(shifts)
+    read_p = [(rows @ p.reshape(-1)).tolist()] * len(shifts)
+    read_v = [[0.0] * len(rows)] * len(shifts)
+    alpha_old, beta_old = 1.0, 0.0
+    active = range(len(shifts))
+    it = 0
+    while True:
+        for s in active:
+            iterations[s] = it
+            residuals[s] = abs(zeta[s][1]) * rel
+        active = [s for s in active if not residuals[s] <= cfg.tol]  # NaN stays
+        if not active:
+            break
+        if it >= cfg.max_iter or not np.all(np.isfinite(residuals)):
+            worst = float(residuals[active].max())
+            raise ConvergenceError(
+                f"cell problem CG stopped after {it} iterations "
+                f"(limit {cfg.max_iter}, residual {worst:.3e})", worst)
+        ap = _cell_gradient_adjoint(_apply_coeff(entries, _cell_gradient(p, h)), h)
+        alpha = rz / float(np.vdot(p, ap))
+        x += alpha * p
+        ap *= alpha
+        r -= ap
+        del ap  # free before the preconditioner
+        rel = float(np.linalg.norm(r)) / bnorm
+        z = precond(r)
+        rz_new = float(np.vdot(r, z))
+        beta = rz_new / rz
+        read_z = (rows @ z.reshape(-1)).tolist()
+        for s in active:
+            # zeta_{k+1}, then the shift's own alpha (step) and beta (carry)
+            z0, z1 = zeta[s]
+            z2 = z1 * z0 * alpha_old / (alpha * beta_old * (z0 - z1)
+                                        + z0 * alpha_old * (1.0 + shifts[s] * alpha))
+            step, carry = alpha * z2 / z1, beta * (z2 / z1) ** 2
+            read_v[s] = [v + step * q for v, q in zip(read_v[s], read_p[s])]
+            read_p[s] = [z2 * w + carry * q for w, q in zip(read_z, read_p[s])]
+            zeta[s] = (z1, z2)
+        p *= beta
+        p += z
+        del z  # free before the next operator application
+        alpha_old, beta_old, rz = alpha, beta, rz_new
+        it += 1
+    dots[...] = read_v
+    return x, dots, iterations, residuals
+
+
 def solve_cell_problem(coeff: PeriodicCoefficient, delta: float, direction,
-                       cfg: SolverConfig = SolverConfig(),
-                       initial: np.ndarray | None = None) -> CellSolution:
+                       cfg: SolverConfig = SolverConfig()) -> CellSolution:
     """Minimize the regularized cell energy for one macroscopic direction.
 
-    Preconditioned CG on G^T A_delta G v = -G^T A_delta lam with the
-    constant-coefficient FFT preconditioner; converges when the relative
-    residual drops below cfg.tol.  ``initial`` (node values, shape
-    (n,)*dim, finite) starts the iteration; by default it starts at zero.
+    Preconditioned CG from zero on G^T A_delta G v = -G^T A lam (the
+    one-shift case of ``_shifted_cg``); converges when the relative residual
+    drops below cfg.tol.  The energy is the quadrature ``energy_of_field``
+    of the corrector gradient, independent of the CG recurrences.
     """
     if delta <= 0:
         raise ValidationError("delta must be positive")
@@ -313,79 +419,31 @@ def solve_cell_problem(coeff: PeriodicCoefficient, delta: float, direction,
         raise ValidationError("direction must be a unit vector of the grid dimension")
     n, h, dim = coeff.n_grid, coeff.h, coeff.dim
     grid = (n,) * dim
-    if initial is not None:
-        initial = np.asarray(initial, dtype=float)
-        if initial.shape != grid:
-            raise ValidationError(f"initial must have shape {grid}, got {initial.shape}")
-        if not np.all(np.isfinite(initial)):
-            raise ValidationError("initial contains non-finite values")
-    entries = _coeff_entries(coeff.samples, delta)
-
-    def op(v):
-        return _cell_gradient_adjoint(_apply_coeff(entries, _cell_gradient(v, h)), h)
-
-    lam_field = np.broadcast_to(lam.reshape((dim,) + (1,) * dim), (dim,) + grid)
-    r = _cell_gradient_adjoint(_apply_coeff(entries, lam_field), h)
-    r *= -1.0  # the right-hand side b; the residual at v = 0
-    bnorm = float(np.linalg.norm(r))
-
-    inv_sym = _precond_inverse(dim, n)
-    scale = 1.0 / (float(np.einsum("...ii->...", coeff.samples).mean() / dim) + delta)
-    axes = tuple(range(dim))
-
-    def precond(r):
-        z = np.fft.irfftn(np.fft.rfftn(r, axes=axes) * inv_sym, s=grid, axes=axes)
-        z *= scale
-        return z
-
-    v = np.zeros(grid)
-    rel = 0.0
-    it = 0
-    if bnorm > 0.0:
-        if initial is not None:
-            v[...] = initial
-            r -= op(v)
-        z = precond(r)
-        p = z.copy()
-        rz = float(np.vdot(r, z))
-        rel = float(np.linalg.norm(r)) / bnorm
-        while not rel <= cfg.tol:
-            if it >= cfg.max_iter or not math.isfinite(rel):
-                raise ConvergenceError(
-                    f"cell problem CG stopped after {it} iterations "
-                    f"(limit {cfg.max_iter}, residual {rel:.3e})", rel)
-            ap = op(p)
-            alpha = rz / float(np.vdot(p, ap))
-            v += alpha * p
-            ap *= alpha
-            r -= ap
-            del ap  # free before the next op(p)
-            rel = float(np.linalg.norm(r)) / bnorm
-            z = precond(r)
-            rz_new = float(np.vdot(r, z))
-            p *= rz_new / rz
-            p += z
-            rz = rz_new
-            it += 1
-        del z, p
-        v -= v.mean()
-    # Free all but v: the gradient and energy fields below set the peak memory.
-    del r, entries, op, precond
+    v, _, iterations, residuals = _shifted_cg(
+        _coeff_entries(coeff.samples, delta), h, _rhs(coeff, lam), [0.0],
+        np.zeros((0,) + grid), cfg)
+    v -= v.mean()
+    # The CG fields are freed: the gradient and energy fields set the peak memory.
     grad = np.empty(grid + (dim,))
     _cell_gradient(v, h, out=np.moveaxis(grad, -1, 0))
     return CellSolution(delta=delta, direction=lam, corrector=v,
                         corrector_grad=grad,
                         energy=energy_of_field(coeff, delta, lam, grad),
-                        residual=rel, iterations=it)
+                        residual=float(residuals[0]), iterations=int(iterations[0]))
 
 
 def homogenize_general(coeff: PeriodicCoefficient,
                        cfg: SolverConfig = SolverConfig()) -> ExtrapolationResult:
     """Effective tensor of a grid coefficient via the vanishing-delta schedule.
 
-    Solves one corrector v_i per axis e_i for each delta (warm-starting
-    along the schedule).  A*_delta[i, i] is that solve's energy and column i
-    is the mean flux mean A_delta (e_i + grad v_i), symmetrized.  The
+    One multi-shift CG run per axis e_i, started from zero (no warm start)
+    and based at the smallest delta, solves the corrector v_i^delta for
+    every delta of the schedule.  By adjointness the tensor needs no
+    corrector field: A*_delta = mean(A) + delta I - B^T V_delta / cells,
+    where the columns of B are the delta-independent right-hand sides
+    b_j = -G^T A e_j and those of V_delta the correctors; it is
+    symmetrized.  ``iterations[k, i]`` is
+    the iteration of axis i's run at which delta_k converged.  The
     delta -> 0 limit is estimated by the straight line through the two
     smallest delta.  ``fit_residual`` is the largest relative deviation of
     the remaining schedule points from that line; ``monotone`` flags whether
@@ -393,26 +451,23 @@ def homogenize_general(coeff: PeriodicCoefficient,
     (estimate withheld) flags a clearly non-PSD extrapolation.
     """
     deltas = cfg.deltas()
+    if len(deltas) == 0 or not deltas.min() > 0:
+        raise ValidationError("the delta schedule needs n_delta >= 1 and delta0 > 0")
     dim = coeff.dim
     flat = coeff.samples.reshape(-1, dim, dim)
     cells = flat.shape[0]
     mean_a = flat.mean(axis=0)
-    table = np.zeros((len(deltas), dim, dim))
-    iterations = np.zeros((len(deltas), dim), dtype=int)
-    residuals = np.zeros((len(deltas), dim))
-    for i, lam in enumerate(np.eye(dim)):
-        guess = None
-        for k, delta in enumerate(deltas):
-            sol = solve_cell_problem(coeff, delta, lam, cfg, initial=guess)
-            # grad v_i has zero mean, so delta I contributes delta e_i exactly
-            # samples are symmetric, so rows of flat.reshape(-1, dim) give A grad
-            table[k, :, i] = mean_a[:, i] + delta * lam + (
-                flat.reshape(-1, dim).T @ sol.corrector_grad.reshape(-1)) / cells
-            table[k, i, i] = sol.energy
-            iterations[k, i] = sol.iterations
-            residuals[k, i] = sol.residual
-            guess = sol.corrector
-            del sol  # free the gradient field before the next solve
+    rhs = np.stack([_rhs(coeff, lam) for lam in np.eye(dim)])
+    base = float(deltas.min())
+    entries = _coeff_entries(coeff.samples, base)
+    table = np.empty((len(deltas), dim, dim))
+    iterations = np.empty((len(deltas), dim), dtype=int)
+    residuals = np.empty((len(deltas), dim))
+    for i in range(dim):
+        _, dots, iterations[:, i], residuals[:, i] = _shifted_cg(
+            entries, coeff.h, rhs[i], deltas - base, rhs, cfg)
+        table[:, :, i] = mean_a[:, i] - dots / cells
+        table[:, i, i] += deltas
     tensors = list(0.5 * (table + table.transpose(0, 2, 1)))
     monotone = True
     scale = max(1.0, float(np.abs(tensors[0]).max()))

@@ -76,19 +76,29 @@ def test_main_homogenize_laminate(tmp_path, capsys):
     assert len(rows) == 5
 
 
-def test_python_dash_m_runs_the_cli(tmp_path):
-    doc = dict(LAMINATE_DOC, output_dir=str(tmp_path / "out"))
-    cfg = write_config(tmp_path, doc)
+def run_python(*args):
+    """Run ``python *args`` with this homoglab first on the import path."""
     src = str(Path(homoglab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "homoglab", "homogenize_laminate",
-         "--config", str(cfg)],
-        env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    doc = dict(LAMINATE_DOC, output_dir=str(tmp_path / "out"))
+    cfg = write_config(tmp_path, doc)
+    proc = run_python("-m", "homoglab", "homogenize_laminate", "--config", str(cfg))
     assert proc.returncode == 0, proc.stderr
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["results"]["pd"] is False
+
+
+def test_python_dash_m_homoglab_cli_without_runpy_warning():
+    # the package imports cli lazily, so runpy does not find it preloaded
+    proc = run_python("-W", "error::RuntimeWarning", "-m", "homoglab.cli", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert getattr(homoglab, "cli") is cli
 
 
 def test_main_command_mismatch(tmp_path):
