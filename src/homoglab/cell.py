@@ -265,23 +265,14 @@ def _precond_inverse(dim: int, n: int) -> np.ndarray:
 
     Kernel modes of the averaged-difference gradient (constant and
     checkerboard patterns) get zero and are projected out by the
-    preconditioner.  The symbol is real and even in every wavenumber, so the
-    half spectrum of the last axis (k = 0 .. n/2) carries all of it.  Cached
-    per grid and read-only: every solve on the same (dim, n) shares it.
+    preconditioner.  The symbol is sum_ax |rfftn(G_ax impulse)|^2, read off
+    the gradient operator itself; it is real and even in every wavenumber,
+    so the half spectrum of the last axis (k = 0 .. n/2) carries all of it.
+    Cached per grid and read-only: every solve on the same (dim, n) shares it.
     """
-    k = np.arange(n)
-    phase = np.exp(2j * np.pi * k / n)
-    diff2 = np.abs((phase - 1.0) * n) ** 2
-    avg2 = np.abs(0.5 * (1.0 + phase)) ** 2
-    sym = np.zeros((n,) * dim)
-    for ax in range(dim):
-        term = np.ones((n,) * dim)
-        for other in range(dim):
-            oshape = [1] * dim
-            oshape[other] = n
-            term *= (diff2 if other == ax else avg2).reshape(oshape)
-        sym += term
-    sym = sym[..., : n // 2 + 1]
+    impulse = np.zeros((n,) * dim)
+    impulse[(0,) * dim] = 1.0
+    sym = sum(np.abs(np.fft.rfftn(g)) ** 2 for g in _cell_gradient(impulse, 1.0 / n))
     inv = np.zeros_like(sym)
     good = sym > 1e-12 * sym.max()
     inv[good] = 1.0 / sym[good]

@@ -34,7 +34,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -86,28 +86,33 @@ def _check_matrix(params, key, errors):
         m = np.asarray(params[key], dtype=float)
     except (TypeError, ValueError):
         errors.append(f"parameters.{key}: not a numeric matrix")
-        return None
+        return
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 3):
         errors.append(f"parameters.{key}: must be a 2x2 or 3x3 row-major array")
-        return None
-    return m
+
+
+def _number(section: dict, key: str, default, kind=float, where: str = "parameters."):
+    """section[key] as kind (int or float), default when absent or null."""
+    value = section.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValidationError(f"{where}{key}: must be a number, got {value!r}")
 
 
 def _require(params, keys, errors):
-    ok = True
-    for k in keys:
-        if k not in params:
-            errors.append(f"parameters.{k}: missing required key")
-            ok = False
-    return ok
+    errors += [f"parameters.{k}: missing required key" for k in keys if k not in params]
 
 
 def _validate_laminate_params(params, errors):
     _require(params, ("phase1", "phase2", "theta", "direction"), errors)
-    if "phase1" in params:
-        _check_matrix(params, "phase1", errors)
-    if "phase2" in params:
-        _check_matrix(params, "phase2", errors)
+    for key in ("phase1", "phase2"):
+        if key in params:
+            _check_matrix(params, key, errors)
     if "theta" in params:
         theta = params["theta"]
         if not isinstance(theta, (int, float)) or not 0.0 < float(theta) < 1.0:
@@ -137,8 +142,8 @@ def _validate_counterexample_params(params, errors, need_eps: bool):
             errors.append("parameters.eps_list: must be a non-empty list")
         else:
             for e in eps_list:
-                if not isinstance(e, (int, float)) or e <= 0 or \
-                        abs(1.0 / e - round(1.0 / e)) > 1e-9:
+                if isinstance(e, bool) or not isinstance(e, (int, float)) or \
+                        e <= 0 or abs(1.0 / e - round(1.0 / e)) > 1e-9:
                     errors.append(
                         f"parameters.eps_list: eps must be reciprocal of an "
                         f"integer, got {e!r}")
@@ -171,7 +176,7 @@ def parse_config(document: str) -> ExperimentConfig:
     if errors:
         _fail(errors)
     out = doc.get("output_dir", ".")
-    seed = int(doc.get("seed", 0))
+    seed = _number(doc, "seed", 0, int, where="")
     return ExperimentConfig(command=command, parameters=params,
                             output_dir=str(out), seed=seed)
 
@@ -213,7 +218,7 @@ def _plot_script(out: Path, lines: list[str]) -> str:
 
 def _run_homogenize_laminate(cfg, out: Path, report: RunReport):
     spec = laminate.LaminateSpec.from_dict(cfg.parameters)
-    a_tol = cfg.parameters.get("a_tol")
+    a_tol = _number(cfg.parameters, "a_tol", None)
     hom = laminate.homogenize_laminate(spec, a_tol)
     _check_report_tensor(hom.tensor, "effective tensor")
     _write_csv(out / "tensor.csv", ["i", "j", "value"], _tensor_rows(hom.tensor))
@@ -259,10 +264,10 @@ def _run_homogenize_grid(cfg, out: Path, report: RunReport):
         raise ValidationError(f"parameters.coefficient: no such file {coeff_path}")
     coeff = cell.load_coefficient(coeff_path)
     solver = cell.SolverConfig(
-        tol=float(cfg.parameters.get("tol", cell.SolverConfig.tol)),
-        max_iter=int(cfg.parameters.get("max_iter", cell.SolverConfig.max_iter)),
-        delta0=float(cfg.parameters.get("delta0", cell.DELTA0_DEFAULT)),
-        n_delta=int(cfg.parameters.get("n_delta", cell.N_DELTA_DEFAULT)),
+        tol=_number(cfg.parameters, "tol", cell.SolverConfig.tol),
+        max_iter=_number(cfg.parameters, "max_iter", cell.SolverConfig.max_iter, int),
+        delta0=_number(cfg.parameters, "delta0", cell.DELTA0_DEFAULT),
+        n_delta=_number(cfg.parameters, "n_delta", cell.N_DELTA_DEFAULT, int),
     )
     res = cell.homogenize_general(coeff, solver)
     rows = []
@@ -299,17 +304,20 @@ def _resolve_u(params) -> tuple[str, np.ndarray | None]:
     if not path.exists():
         raise ValidationError(f"parameters.u: neither a known test function nor "
                               f"a CSV file: {name!r}")
-    vals = np.loadtxt(path, delimiter=",", dtype=float)
+    try:
+        vals = np.loadtxt(path, delimiter=",", dtype=float)
+    except ValueError as exc:
+        raise ValidationError(f"parameters.u: {path} is not numeric: {exc}") from None
     return str(name), vals
 
 
 def _run_counterexample(cfg, out: Path, report: RunReport):
     p = anomalous.SpectralParams(c=float(cfg.parameters["c"]),
                                  theta=float(cfg.parameters["theta"]))
-    n = int(cfg.parameters.get("n", 1024))
+    n = _number(cfg.parameters, "n", 1024, int)
     grid = anomalous.FrequencyGrid(
-        lambda_max=float(cfg.parameters.get("lambda_max", 64.0)),
-        n_freq=int(cfg.parameters.get("n_freq", 8192)))
+        lambda_max=_number(cfg.parameters, "lambda_max", 64.0),
+        n_freq=_number(cfg.parameters, "n_freq", 8192, int))
     name, vals = _resolve_u(cfg.parameters)
     if vals is None:
         u = anomalous.SampledField.from_function(anomalous.test_function(name), n)
@@ -363,8 +371,8 @@ def _run_recovery_sweep(cfg, out: Path, report: RunReport):
     if vals is not None:
         raise ValidationError("recovery_sweep requires a named test function")
     fn = anomalous.test_function(name)
-    ppp = int(cfg.parameters.get("points_per_period", 16))
-    n_min = int(cfg.parameters.get("n_min", 128))
+    ppp = _number(cfg.parameters, "points_per_period", 16, int)
+    n_min = _number(cfg.parameters, "n_min", 128, int)
     rows = []
     for eps in cfg.parameters["eps_list"]:
         periods = int(round(1.0 / eps))
@@ -440,15 +448,9 @@ def main(argv=None) -> int:
                 f"config command {config.command!r} does not match CLI "
                 f"command {args.command!r}")
         if args.out is not None:
-            config = ExperimentConfig(command=config.command,
-                                      parameters=config.parameters,
-                                      output_dir=args.out,
-                                      seed=config.seed)
+            config = replace(config, output_dir=args.out)
         if args.seed is not None:
-            config = ExperimentConfig(command=config.command,
-                                      parameters=config.parameters,
-                                      output_dir=config.output_dir,
-                                      seed=args.seed)
+            config = replace(config, seed=args.seed)
         report = run(config)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -18,6 +18,10 @@ whether it does.
 Internally every computation rotates the normal onto the first coordinate
 axis, applies the axis-aligned formulas, and rotates back; orthogonal
 conjugation preserves them exactly.
+
+A spec decomposes each phase once, in its PSD check, and keeps both
+decompositions; everything below reads them, splitting range from kernel
+with ``EigenDecomp.split`` at ``RANK_TOL``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from .errors import ValidationError
 from . import linalg
-from .linalg import as_sym_matrix, as_vector, is_positive_definite, kernel_basis, sym_eig
+from .linalg import EigenDecomp, as_sym_matrix, as_vector, kernel_basis
 
 RANK_TOL = 1e-10
 
@@ -57,6 +61,8 @@ class LaminateSpec:
     phase2: np.ndarray
     theta: float
     direction: np.ndarray
+    # eigendecompositions of (phase1, phase2), made by the PSD check
+    eigs: tuple[EigenDecomp, EigenDecomp] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p1 = as_sym_matrix(self.phase1, "phase1")
@@ -68,8 +74,8 @@ class LaminateSpec:
             raise ValidationError("direction must be a unit vector to 1e-12")
         if not (0.0 < self.theta < 1.0):
             raise ValidationError(f"theta must lie in (0, 1), got {self.theta}")
-        for name, p in (("phase1", p1), ("phase2", p2)):
-            kernel_basis(p, RANK_TOL)  # raises if not PSD
+        object.__setattr__(self, "eigs", (linalg.psd_eig(p1, RANK_TOL, "phase1"),
+                                          linalg.psd_eig(p2, RANK_TOL, "phase2")))
         object.__setattr__(self, "phase1", p1)
         object.__setattr__(self, "phase2", p2)
         object.__setattr__(self, "direction", n)
@@ -140,8 +146,7 @@ def laminate_a(spec: LaminateSpec) -> float:
 
 
 def default_a_tol(spec: LaminateSpec) -> float:
-    return 1e-12 * (linalg.spectral_radius(spec.phase1)
-                    + linalg.spectral_radius(spec.phase2))
+    return 1e-12 * (spec.eigs[0].spectral_radius + spec.eigs[1].spectral_radius)
 
 
 def homogenize_laminate(spec: LaminateSpec, a_tol: float | None = None) -> HomogenizedLaminate:
@@ -174,9 +179,9 @@ def homogenize_laminate(spec: LaminateSpec, a_tol: float | None = None) -> Homog
     )
 
 
-def _rank_one_vector(m: np.ndarray, name: str) -> np.ndarray:
-    """Extract xi with m = xi otimes xi, validating rank one to RANK_TOL."""
-    dec = sym_eig(m)
+def _rank_one_vector(dec: EigenDecomp, name: str) -> np.ndarray:
+    """Extract xi with phase = xi otimes xi from its decomposition, validating
+    rank one to RANK_TOL."""
     lam = dec.eigenvalues
     top = lam[-1]
     if top <= 0.0:
@@ -189,8 +194,8 @@ def _rank_one_vector(m: np.ndarray, name: str) -> np.ndarray:
     return np.sqrt(top) * dec.rotation[:, -1]
 
 
-def _rank_two_kernel(m: np.ndarray, name: str) -> np.ndarray:
-    ker = kernel_basis(m, RANK_TOL)
+def _rank_two_kernel(dec: EigenDecomp, name: str) -> np.ndarray:
+    ker = dec.split(RANK_TOL)[1]
     if len(ker) != 1:
         raise ValidationError(
             f"{name} must have rank two (one-dimensional kernel), found "
@@ -199,17 +204,17 @@ def _rank_two_kernel(m: np.ndarray, name: str) -> np.ndarray:
     return ker[0]
 
 
-def check_conditions_2d(spec: LaminateSpec, xi=None, tol: float = RANK_TOL) -> ConditionReport:
+def check_conditions_2d(spec: LaminateSpec, xi=None) -> ConditionReport:
     """Structure conditions for the 2D family: phase1 = xi otimes xi, phase2 PD.
 
-    Sub-conditions, all relative to the lamination normal n:
+    Sub-conditions, all relative to the lamination normal n, tol = RANK_TOL:
       * xi_not_orthogonal: |xi . n| > tol * |xi|
       * xi_A2n_independent: |det[xi, A2 n]| > tol * |xi| * |A2 n|
       * phase2_pd: phase2 positive definite
     """
     if spec.dim != 2:
         raise ValidationError("check_conditions_2d requires 2x2 phases")
-    xi_m = _rank_one_vector(spec.phase1, "phase1")
+    xi_m = _rank_one_vector(spec.eigs[0], "phase1")
     if xi is not None:
         xi = as_vector(xi, dim=2, name="xi")
         gap = np.abs(spec.phase1 - np.outer(xi, xi)).max()
@@ -221,37 +226,37 @@ def check_conditions_2d(spec: LaminateSpec, xi=None, tol: float = RANK_TOL) -> C
     a2n = spec.phase2 @ n
     nxi = np.linalg.norm(xi)
     c1 = abs(float(xi @ n))
-    t1 = tol * nxi
+    t1 = RANK_TOL * nxi
     c2 = abs(float(xi[0] * a2n[1] - xi[1] * a2n[0]))
-    t2 = tol * nxi * np.linalg.norm(a2n)
-    pd2 = is_positive_definite(spec.phase2)
+    t2 = RANK_TOL * nxi * np.linalg.norm(a2n)
+    pd2 = not spec.eigs[1].split(RANK_TOL)[1]
     details = (
         ConditionDetail("xi_not_orthogonal", c1 > t1, c1, t1),
         ConditionDetail("xi_A2n_independent", c2 > t2, c2, t2),
-        ConditionDetail("phase2_pd", pd2, float(sym_eig(spec.phase2).eigenvalues[0]), 0.0),
+        ConditionDetail("phase2_pd", pd2, float(spec.eigs[1].eigenvalues[0]), 0.0),
     )
     return ConditionReport(h2_holds=all(d.passed for d in details), details=details)
 
 
-def check_conditions_3d(spec: LaminateSpec, tol: float = RANK_TOL) -> ConditionReport:
+def check_conditions_3d(spec: LaminateSpec) -> ConditionReport:
     """Structure conditions for the 3D family: both phases rank two.
 
-    Sub-conditions:
+    Sub-conditions, tol = RANK_TOL:
       * n_eta1_eta2_independent: |det[n, eta1, eta2]| > tol (etas orthonormal)
       * A1n_A2n_independent: Gram determinant of {A1 n, A2 n} above
         tol^2 * |A1 n|^2 |A2 n|^2
     """
     if spec.dim != 3:
         raise ValidationError("check_conditions_3d requires 3x3 phases")
-    eta1 = _rank_two_kernel(spec.phase1, "phase1")
-    eta2 = _rank_two_kernel(spec.phase2, "phase2")
+    eta1 = _rank_two_kernel(spec.eigs[0], "phase1")
+    eta2 = _rank_two_kernel(spec.eigs[1], "phase2")
     n = spec.direction
     c1 = abs(float(np.linalg.det(np.column_stack([n, eta1, eta2]))))
-    t1 = tol  # all three columns are unit vectors
+    t1 = RANK_TOL  # all three columns are unit vectors
     v1 = spec.phase1 @ n
     v2 = spec.phase2 @ n
     gram = float((v1 @ v1) * (v2 @ v2) - (v1 @ v2) ** 2)
-    t2 = tol * tol * float(v1 @ v1) * float(v2 @ v2)
+    t2 = RANK_TOL * RANK_TOL * float(v1 @ v1) * float(v2 @ v2)
     details = (
         ConditionDetail("n_eta1_eta2_independent", c1 > t1, c1, t1),
         ConditionDetail("A1n_A2n_independent", gram > t2, gram, t2),
@@ -265,15 +270,7 @@ def _unit_complement(n: np.ndarray) -> list[np.ndarray]:
     return [q.T[:, k].copy() for k in range(1, n.shape[0])]
 
 
-def _range_basis(m: np.ndarray, tol: float = RANK_TOL) -> list[np.ndarray]:
-    """Orthonormal eigenvectors spanning the range of a PSD matrix."""
-    dec = sym_eig(m)
-    cut = tol * max(1.0, float(np.abs(dec.eigenvalues).max()))
-    return [dec.rotation[:, i].copy() for i in range(len(dec.eigenvalues))
-            if dec.eigenvalues[i] > cut]
-
-
-def v_space_basis(spec: LaminateSpec, xi=None) -> list[np.ndarray]:
+def v_space_basis(spec: LaminateSpec) -> list[np.ndarray]:
     """Generators of the space of mean values of divergence-free laminate fields.
 
     The admissible fields are piecewise constant per phase, each phase
@@ -287,21 +284,14 @@ def v_space_basis(spec: LaminateSpec, xi=None) -> list[np.ndarray]:
     """
     n = spec.direction
     th = spec.theta
-    if xi is not None:
-        xi = as_vector(xi, dim=spec.dim, name="xi")
-        gap = np.abs(spec.phase1 - np.outer(xi, xi)).max()
-        if gap > RANK_TOL * max(1.0, np.abs(spec.phase1).max()):
-            raise ValidationError("phase1 does not equal xi otimes xi to 1e-10 relative")
-    if spec.dim == 2 and is_positive_definite(spec.phase2):
-        dec = sym_eig(spec.phase1)
-        top = dec.eigenvalues[-1]
-        if top > 0.0 and abs(dec.eigenvalues[0]) <= RANK_TOL * top:
-            if xi is None:
-                xi = _rank_one_vector(spec.phase1, "phase1")
+    eig1, eig2 = spec.eigs
+    p = eig1.split(RANK_TOL)[0]
+    q, ker2 = eig2.split(RANK_TOL)
+    if spec.dim == 2 and not ker2:
+        top = eig1.eigenvalues[-1]
+        if top > 0.0 and abs(eig1.eigenvalues[0]) <= RANK_TOL * top:
             t = _unit_complement(n)[0]
-            return [xi, (1.0 - th) * t]
-    p = _range_basis(spec.phase1)
-    q = _range_basis(spec.phase2)
+            return [_rank_one_vector(eig1, "phase1"), (1.0 - th) * t]
     if not p or not q:
         raise ValidationError("both phases must be nonzero to carry a flux field")
     row = np.array([v @ n for v in p] + [-(v @ n) for v in q])
@@ -317,9 +307,7 @@ def v_space_basis(spec: LaminateSpec, xi=None) -> list[np.ndarray]:
     return gens
 
 
-def verify_kernel_identity(spec: LaminateSpec, tol: float = 1e-10) -> bool:
+def verify_kernel_identity(spec: LaminateSpec) -> bool:
     """Check ker(A*) = (span of laminate field means)^perp for this spec."""
     hom = homogenize_laminate(spec)
-    gens = v_space_basis(spec)
-    ker = kernel_basis(hom.tensor, tol)
-    return linalg.span_equals_orthocomplement(gens, ker, tol)
+    return linalg.span_equals_orthocomplement(v_space_basis(spec), hom.kernel)

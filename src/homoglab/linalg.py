@@ -2,9 +2,10 @@
 
 Eigendecompositions come from LAPACK (``numpy.linalg.eigh``) and span
 ranks from an SVD.  Everything downstream (kernel detection, positive
-definiteness, PSD square roots, span comparisons) is built on these, with
-scale-aware thresholds relative to max(1, spectral radius) so that exact
-degenerate matrices and grid-rounded ones are treated alike.
+definiteness, PSD square roots, span comparisons) is built on these.  The
+one scale-aware degeneracy threshold, tol * max(1, spectral radius), is
+``EigenDecomp.split``: exact degenerate and grid-rounded matrices are treated
+alike, and a caller holding a decomposition splits it instead of redoing it.
 
 All functions are pure; inputs are never mutated.
 """
@@ -21,9 +22,16 @@ SYM_RTOL = 1e-12
 DEFAULT_TOL = 1e-10
 
 
+def _as_float_array(x, name: str) -> np.ndarray:
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} is not numeric: {exc}") from None
+
+
 def as_sym_matrix(m, name: str = "matrix") -> np.ndarray:
     """Validate and return a symmetric d x d float array, d in {2, 3}."""
-    a = np.asarray(m, dtype=float)
+    a = _as_float_array(m, name)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {a.shape}")
     d = a.shape[0]
@@ -39,7 +47,7 @@ def as_sym_matrix(m, name: str = "matrix") -> np.ndarray:
 
 def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
     """Validate and return a finite 1-d float array of dimension 2 or 3."""
-    a = np.asarray(v, dtype=float)
+    a = _as_float_array(v, name)
     if a.ndim != 1 or a.shape[0] not in (2, 3):
         raise ValidationError(f"{name} must be a 2- or 3-vector, got shape {a.shape}")
     if dim is not None and a.shape[0] != dim:
@@ -63,6 +71,17 @@ class EigenDecomp:
     def reconstruct(self) -> np.ndarray:
         return self.rotation @ np.diag(self.eigenvalues) @ self.rotation.T
 
+    @property
+    def spectral_radius(self) -> float:
+        return float(np.abs(self.eigenvalues).max())
+
+    def split(self, tol: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """(range, kernel) eigenvectors: eigenvalue above, and within +-, the cut
+        tol * max(1, spectral_radius); one below -cut is in neither (not PSD)."""
+        cut = tol * max(1.0, self.spectral_radius)
+        cols = [(w, self.rotation[:, i].copy()) for i, w in enumerate(self.eigenvalues)]
+        return [v for w, v in cols if w > cut], [v for w, v in cols if abs(w) <= cut]
+
 
 def sym_eig(m) -> EigenDecomp:
     """Eigendecomposition of a symmetric 2x2 or 3x3 matrix.
@@ -75,13 +94,14 @@ def sym_eig(m) -> EigenDecomp:
 
 
 def spectral_radius(m) -> float:
-    return float(np.abs(sym_eig(m).eigenvalues).max())
+    return sym_eig(m).spectral_radius
 
 
-def _psd_eigs(m, tol: float, name: str) -> EigenDecomp:
+def psd_eig(m, tol: float = DEFAULT_TOL, name: str = "matrix") -> EigenDecomp:
+    """sym_eig of a matrix that must be PSD to tol (see EigenDecomp.split)."""
     dec = sym_eig(m)
-    rho = float(np.abs(dec.eigenvalues).max())
-    if dec.eigenvalues[0] < -tol * max(1.0, rho):
+    rng, ker = dec.split(tol)
+    if len(rng) + len(ker) < len(dec.eigenvalues):
         raise ValidationError(
             f"{name} is not PSD: eigenvalue {dec.eigenvalues[0]:.3e} below "
             f"-{tol:g} * max(1, spectral radius)"
@@ -99,17 +119,13 @@ def kernel_basis(m, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")
-    dec = _psd_eigs(m, tol, "matrix")
-    cut = tol * max(1.0, float(np.abs(dec.eigenvalues).max()))
-    return [dec.rotation[:, i].copy() for i in range(len(dec.eigenvalues))
-            if dec.eigenvalues[i] <= cut]
+    return psd_eig(m, tol).split(tol)[1]
 
 
 def is_positive_definite(m, tol: float = DEFAULT_TOL) -> bool:
     """True iff the smallest eigenvalue exceeds tol * max(1, spectral radius)."""
     dec = sym_eig(m)
-    cut = tol * max(1.0, float(np.abs(dec.eigenvalues).max()))
-    return bool(dec.eigenvalues[0] > cut)
+    return len(dec.split(tol)[0]) == len(dec.eigenvalues)
 
 
 def sqrt_psd(m) -> np.ndarray:
@@ -118,7 +134,7 @@ def sqrt_psd(m) -> np.ndarray:
     Eigenvalues in [-1e-10 * max(1, spectral radius), 0) are clamped to
     zero; anything lower raises.
     """
-    dec = _psd_eigs(m, 1e-10, "matrix")
+    dec = psd_eig(m)
     w = np.maximum(dec.eigenvalues, 0.0)
     root = dec.rotation @ np.diag(np.sqrt(w)) @ dec.rotation.T
     return 0.5 * (root + root.T)

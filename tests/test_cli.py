@@ -214,3 +214,47 @@ def test_declared_artifacts_exist_with_row_counts(tmp_path):
         assert path.exists()
         if rows is not None:
             assert len(path.read_text().splitlines()) == rows + 1
+
+
+GRID_DOC = {"command": "homogenize_grid", "parameters": {}}
+COUNTER_DOC = {"command": "counterexample", "parameters": {"c": 2.0, "theta": 0.5}}
+SWEEP_DOC = {"command": "recovery_sweep",
+             "parameters": {"c": 2.0, "theta": 0.5, "eps_list": [0.5]}}
+VERIFY_DOC = dict(LAMINATE_DOC, command="verify_conditions")
+
+# key -> (config document, a value that is not a number); "seed" is top level
+BAD_VALUES = {
+    "n": (COUNTER_DOC, "abc"),
+    "n_freq": (COUNTER_DOC, "x"),
+    "n_min": (SWEEP_DOC, "x"),
+    "eps_list": (SWEEP_DOC, [True]),
+    "seed": (LAMINATE_DOC, "x"),
+    "xi": (VERIFY_DOC, "abc"),
+    "a_tol": (LAMINATE_DOC, "x"),
+    "u": (COUNTER_DOC, "csv"),
+    "max_iter": (GRID_DOC, "x"),
+}
+
+
+@pytest.mark.parametrize("key", list(BAD_VALUES))
+def test_main_bad_value_is_a_validation_error(tmp_path, capsys, key):
+    doc, value = BAD_VALUES[key]
+    doc = dict(doc, output_dir=str(tmp_path / "out"),
+               parameters=dict(doc["parameters"]))
+    if key == "seed":
+        doc["seed"] = value
+    elif value == "csv":
+        bad = tmp_path / "u.csv"
+        bad.write_text("0.0\n0.5\nnot-a-number\n")
+        doc["parameters"][key] = str(bad)
+    else:
+        doc["parameters"][key] = value
+    if doc["command"] == "homogenize_grid":
+        coeff_path = tmp_path / "coeff.txt"
+        cell.save_coefficient(cell.constant_coefficient(np.eye(2), 2, 4), coeff_path)
+        doc["parameters"]["coefficient"] = str(coeff_path)
+    cfg = write_config(tmp_path, doc)
+    assert cli.main([doc["command"], "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("validation error: ")
+    assert key in err[-1]

@@ -21,8 +21,10 @@ def test_spec_validation():
         spec2(I2, I2, theta=1.5)
     with pytest.raises(ValidationError, match="unit vector"):
         spec2(I2, I2, direction=np.array([1.0, 1.0]))
-    with pytest.raises(ValidationError, match="not PSD"):
+    with pytest.raises(ValidationError, match="phase1 is not PSD"):
         spec2(np.diag([-1.0, 1.0]), I2)
+    with pytest.raises(ValidationError, match="phase2 is not PSD"):
+        spec2(I2, np.diag([-1.0, 1.0]))
 
 
 def test_laminate_a_values():
@@ -267,3 +269,31 @@ def test_spec_dict_round_trip():
     assert again.theta == spec.theta
     with pytest.raises(ValidationError, match="missing keys"):
         laminate.LaminateSpec.from_dict({"phase1": [[1, 0], [0, 1]]})
+
+
+def test_each_phase_is_decomposed_once(monkeypatch):
+    calls = []
+    sym_eig = linalg.sym_eig
+
+    def counting(m):
+        calls.append(1)
+        return sym_eig(m)
+
+    monkeypatch.setattr(linalg, "sym_eig", counting)
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    xi = np.array([1.0, 1.0])
+    s2 = spec2(np.outer(xi, xi), I2)
+    s3 = spec3(_rank_two([0, 1, 0]), _rank_two([1.0, 0.0, 1.0]))
+    assert count(spec2, np.outer(xi, xi), I2) == 2
+    assert count(laminate.homogenize_laminate, s2) == 1  # the kernel of A*
+    assert count(laminate.check_conditions_2d, s2) == 0
+    assert count(laminate.check_conditions_3d, s3) == 0
+    assert count(laminate.v_space_basis, s2) == 0
+    assert count(laminate.v_space_basis, s3) == 0
+    assert count(laminate.verify_kernel_identity, s3) == 1
+
