@@ -29,6 +29,13 @@ from .errors import (AdmissibilityError, CrossValidationError, GridTooSmallError
 
 TWO_PI_SQ = 4.0 * np.pi ** 2
 H_TAIL_RTOL = 1e-4
+# Frequency cut-off of the kernel transform; the tail gate decides whether
+# a given cut-off is adequate.
+LAMBDA_MAX_DEFAULT = 64.0
+# Largest h_kernel window: 2^22 complex samples are 64 MB per FFT buffer.
+H_MAX_SAMPLES = 1 << 22
+# Zero-padding factor of the spectral form's row transforms.
+SPECTRUM_PAD = 8
 LEAKAGE_RTOL = 1e-6
 MEAN_IDENTITY_TOL = 1e-4
 # Smallest Sturm-Liouville coefficient the Green-kernel check supports:
@@ -66,25 +73,6 @@ class SpectralParams:
         """a(y2) = 1 on the theta-fraction phase, c on the rest (1-periodic)."""
         frac = np.mod(y2, 1.0)
         return np.where(frac < self.theta, 1.0, self.c)
-
-
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Symmetric lambda-grid [-lambda_max, lambda_max) with n_freq samples."""
-
-    lambda_max: float = 64.0
-    n_freq: int = 8192
-
-    def __post_init__(self):
-        if self.lambda_max < 32.0:
-            raise ValidationError("lambda_max must be >= 32 to cover the kernel decay")
-        n = self.n_freq
-        if n < 2 or n % 2 or (n & (n - 1)) != 0:
-            raise ValidationError(f"n_freq must be an even power of two, got {n}")
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * self.lambda_max / self.n_freq
 
 
 @dataclass(frozen=True)
@@ -193,69 +181,73 @@ def inv_k0_decomposed(params: SpectralParams, lambda1):
 
 
 def h_transform(params: SpectralParams, lambda1):
-    """Fourier transform of the convolution kernel: sqrt(alpha + f) - sqrt(alpha)."""
+    """Fourier transform of the convolution kernel: sqrt(alpha + f) - sqrt(alpha).
+
+    Evaluated as f / (sqrt(alpha + f) + sqrt(alpha)), which does not cancel
+    when f is small against alpha (contrast c near 1).
+    """
     alpha, f = alpha_f(params, lambda1)
     arg = alpha + f
     if np.any(arg <= 0.0):
         raise ValidationError("alpha + f must stay positive; invalid parameters")
-    return np.sqrt(arg) - np.sqrt(alpha)
+    return f / (np.sqrt(arg) + np.sqrt(alpha))
 
 
-def h_kernel(params: SpectralParams, grid: FrequencyGrid = FrequencyGrid()) -> SampledField:
-    """Sample the convolution kernel h on the grid dual to ``grid``.
+def _check_lambda_max(lambda_max: float):
+    if not (math.isfinite(lambda_max) and lambda_max > 0.0):
+        raise ValidationError(f"lambda_max must be finite and > 0, got {lambda_max!r}")
 
-    h is obtained by inverse discrete Fourier transform of h_transform on
-    the symmetric lambda-grid; it is real and even, returned centered at
-    x = 0 with spacing 1/(2 lambda_max) over a window of length
-    n_freq / (2 lambda_max).  Raises when the transform has not decayed to
-    1e-4 of its peak by lambda_max.
+
+def h_kernel(params: SpectralParams, dx: float, lambda_max: float = LAMBDA_MAX_DEFAULT,
+             half_width: float = 1.0) -> SampledField:
+    """The convolution kernel h sampled at spacing dx on [-half_width, half_width].
+
+    h is the inverse transform of h_transform truncated at lambda_max; it is
+    real and even, returned centred at x = 0 with an odd number of samples.
+    Raises GridTooSmallError when |F(h)(lambda_max)| exceeds H_TAIL_RTOL of
+    |F(h)(0)|.  The inverse FFT runs on a window 2 half_width + 46 / rate
+    long, where h decays like exp(-rate |x|), so the wrapped tails are below
+    exp(-23); a window above H_MAX_SAMPLES samples is refused.
     """
-    n = grid.n_freq
-    dx = 1.0 / (2.0 * grid.lambda_max)
-    lam = np.fft.fftfreq(n, d=dx)
-    ft = h_transform(params, lam)
-    peak = abs(float(h_transform(params, 0.0)))
-    edge = abs(float(h_transform(params, grid.lambda_max)))
-    if peak > 0.0 and edge > H_TAIL_RTOL * peak:
-        raise GridTooSmallError(
-            f"|F(h)(lambda_max)| = {edge:.3e} exceeds {H_TAIL_RTOL:g} * |F(h)(0)|; "
-            "increase lambda_max")
-    vals = np.fft.ifft(ft) / dx
-    if np.abs(vals.imag).max() > 1e-12 * max(1.0, np.abs(vals.real).max()):
-        raise CrossValidationError("kernel transform produced a non-real kernel")
-    h = np.fft.fftshift(vals.real)
-    origin = -dx * (n // 2)
-    return SampledField(values=h, spacing=dx, origin=origin, zero_extended=False)
-
-
-def _kernel_on_spacing(params: SpectralParams, dx: float, lambda_max: float,
-                       half_width: float) -> np.ndarray:
-    """h sampled at spacing dx on [-half_width, half_width], odd length.
-
-    The transform is truncated at lambda_max (tail-gated) and inverted on
-    a window long enough for the wrapped tails to be negligible.
-    """
-    rate = ((params.c - 1.0) * params.theta + 1.0) / math.sqrt(
-        (params.c ** 2 * params.theta + 1.0 - params.theta) * params.c_theta)
-    window = 2.0 * half_width + 2.0 * 23.0 / rate  # exp(-23) tail at the wrap
-    m = 1 << max(4, math.ceil(math.log2(window / dx)))
-    lam = np.fft.fftfreq(m, d=dx)
-    ft = h_transform(params, lam)
-    ft = np.where(np.abs(lam) <= lambda_max, ft, 0.0)
+    _check_lambda_max(lambda_max)
+    if not (dx > 0.0 and half_width > 0.0):
+        raise ValidationError(
+            f"dx and half_width must be positive, got {dx!r} and {half_width!r}")
     peak = abs(float(h_transform(params, 0.0)))
     edge = abs(float(h_transform(params, lambda_max)))
     if peak > 0.0 and edge > H_TAIL_RTOL * peak:
         raise GridTooSmallError(
-            f"|F(h)({lambda_max})| = {edge:.3e} exceeds {H_TAIL_RTOL:g} * |F(h)(0)|")
-    vals = np.fft.ifft(ft).real / dx
+            f"|F(h)({lambda_max:g})| = {edge:.3e} exceeds {H_TAIL_RTOL:g} * |F(h)(0)|; "
+            "increase lambda_max")
+    rate = ((params.c - 1.0) * params.theta + 1.0) / math.sqrt(
+        (params.c ** 2 * params.theta + 1.0 - params.theta) * params.c_theta)
+    samples = (2.0 * half_width + 2.0 * 23.0 / rate) / dx
+    if not samples <= H_MAX_SAMPLES:
+        raise ValidationError(
+            f"the kernel window needs {samples:.3g} samples at spacing {dx:.3g}, "
+            f"more than {H_MAX_SAMPLES}; lower the contrast or the resolution")
+    m = 1 << max(4, math.ceil(math.log2(samples)))
+    lam = np.fft.fftfreq(m, d=dx)
+    ft = np.where(np.abs(lam) <= lambda_max, h_transform(params, lam), 0.0)
+    vals = np.fft.ifft(ft)
+    if np.abs(vals.imag).max() > 1e-12 * max(dx, np.abs(vals.real).max()):
+        raise CrossValidationError("kernel transform produced a non-real kernel")
     k = int(round(half_width / dx))
-    idx = np.arange(-k, k + 1)
-    return vals[np.mod(idx, m)]
+    h = vals.real[np.mod(np.arange(-k, k + 1), m)] / dx
+    return SampledField(values=h, spacing=dx, origin=-k * dx, zero_extended=False)
 
 
 # ---------------------------------------------------------------------------
 # the two limit forms
 # ---------------------------------------------------------------------------
+
+def _trapezoid_weights(n: int, h: float) -> np.ndarray:
+    """Composite trapezoid weights of n equispaced nodes at spacing h."""
+    w = np.full(n, h)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
 
 def _rows_and_weights(u: SampledField) -> tuple[np.ndarray, np.ndarray]:
     """View a field as x2 rows with trapezoidal x2 weights (1D: one row)."""
@@ -263,10 +255,7 @@ def _rows_and_weights(u: SampledField) -> tuple[np.ndarray, np.ndarray]:
     if v.ndim == 1:
         return v[None, :], np.array([1.0])
     n2 = v.shape[0]
-    w = np.full(n2, 1.0 / (n2 - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return v, w
+    return v, _trapezoid_weights(n2, 1.0 / (n2 - 1))
 
 
 def _check_zero_extended(u: SampledField):
@@ -278,10 +267,10 @@ def _check_zero_extended(u: SampledField):
         raise ValidationError("zero-extended field must vanish at x1 = 0 and 1")
 
 
-def _row_spectrum(row: np.ndarray, dx: float, pad_factor: int = 8):
+def _row_spectrum(row: np.ndarray, dx: float):
     """Continuous-convention transform samples of the zero-padded row."""
     n = row.shape[0]
-    m = 1 << math.ceil(math.log2(pad_factor * n))
+    m = 1 << math.ceil(math.log2(SPECTRUM_PAD * n))
     spec = dx * np.fft.fft(row, m)
     lam = np.fft.fftfreq(m, d=dx)
     dlam = 1.0 / (m * dx)
@@ -297,13 +286,6 @@ def _derivative(rows: np.ndarray, dx: float) -> np.ndarray:
     return d
 
 
-def _trapz(rows: np.ndarray, dx: float) -> np.ndarray:
-    w = np.full(rows.shape[-1], dx)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return rows @ w
-
-
 def gamma_limit_fourier(params: SpectralParams, u: SampledField) -> float:
     """Spectral form of the limit: int dx2 int (1/k0_hat) |F(u)|^2 dlambda."""
     _check_zero_extended(u)
@@ -317,29 +299,31 @@ def gamma_limit_fourier(params: SpectralParams, u: SampledField) -> float:
 
 
 def gamma_limit_convolution(params: SpectralParams, u: SampledField,
-                            grid: FrequencyGrid = FrequencyGrid()) -> float:
+                            lambda_max: float = LAMBDA_MAX_DEFAULT) -> float:
     """Nonlocal form: int (c/c_theta)(du/dx1)^2 + (sqrt(alpha) u + h * u)^2.
 
     The kernel is sampled in real space at the field's spacing (transform
-    truncated at grid.lambda_max) and applied by direct discrete linear
-    convolution, so this route shares no quadrature with the spectral form.
+    truncated at lambda_max, see h_kernel) and applied by direct discrete
+    linear convolution, so this route shares no quadrature with the
+    spectral form.
     """
     _check_zero_extended(u)
     rows, wx2 = _rows_and_weights(u)
     dx = u.spacing
     # h is only needed on [-1, 1]: u lives on [0, 1] and so does the output.
-    hw = _kernel_on_spacing(params, dx, grid.lambda_max, half_width=1.0 + 2 * dx)
+    hw = h_kernel(params, dx, lambda_max, half_width=1.0 + 2 * dx).values
     m0 = (len(hw) - 1) // 2
     sqrt_alpha = math.sqrt(params.alpha)
     grad_coeff = params.c / params.c_theta
     n = rows.shape[1]
+    trap = _trapezoid_weights(n, dx)
     total = 0.0
     for row, w in zip(rows, wx2):
         du = _derivative(row[None, :], dx)[0]
         conv_full = np.convolve(row, hw) * dx
         conv = conv_full[m0:m0 + n]
         local = sqrt_alpha * row + conv
-        total += w * float(_trapz((grad_coeff * du ** 2 + local ** 2)[None, :], dx)[0])
+        total += w * float((grad_coeff * du ** 2 + local ** 2) @ trap)
     return total
 
 
@@ -348,16 +332,17 @@ def gamma_limit_convolution(params: SpectralParams, u: SampledField,
 # ---------------------------------------------------------------------------
 
 def solve_b(params: SpectralParams, u: SampledField,
-            grid: FrequencyGrid = FrequencyGrid()) -> SampledField:
+            lambda_max: float = LAMBDA_MAX_DEFAULT) -> SampledField:
     """Invert the kernel: b with F(b) = F(u)/k0_hat, row by row.
 
     Requires (4 pi^2 lambda^2 + 1) F(u) to be effectively supported below
-    grid.lambda_max on the discrete spectrum (otherwise b has distributional
+    lambda_max on the discrete spectrum (otherwise b has distributional
     content the grid cannot represent and the input is rejected).  The
     result is returned on an enlarged window centered on [0, 1]; if more
     than 1e-6 of its norm sits in the outer quarter of that window the
     truncation is deemed unreliable and the input is rejected as well.
     """
+    _check_lambda_max(lambda_max)
     _check_zero_extended(u)
     if u.values.ndim != 1:
         raise ValidationError("solve_b operates on one x1 row at a time")
@@ -369,7 +354,7 @@ def solve_b(params: SpectralParams, u: SampledField,
     spec = dx * np.fft.fft(row, m)
     lam = np.fft.fftfreq(m, d=dx)
     weighted = (TWO_PI_SQ * lam ** 2 + 1.0) * np.abs(spec)
-    lam_cut = min(grid.lambda_max, 0.5 / dx / 2.0)
+    lam_cut = min(lambda_max, 0.5 / dx / 2.0)
     tail = float(np.sum(weighted[np.abs(lam) > lam_cut] ** 2))
     total = float(np.sum(weighted ** 2))
     if total > 0.0 and tail > 1e-4 * total:
@@ -445,10 +430,7 @@ def _sl_green_solve(a_value: float, rhs: np.ndarray, h: float) -> np.ndarray:
     x = np.linspace(0.0, 1.0, n)
     r = math.sqrt(a_value)
     s_norm = r * math.sinh(1.0 / r)
-    w = np.full(n, h)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    wf = w * rhs
+    wf = _trapezoid_weights(n, h) * rhs
     left = np.sinh(x / r)
     right = np.sinh((1.0 - x) / r)
     below = np.cumsum(wf * left)
@@ -578,7 +560,8 @@ def recovery_energy(params: SpectralParams, u, eps: float, n_fine: int) -> Recov
     frac1 = float(np.mean(params.conductivity(x2 / eps) == 1.0))
     branches = np.stack([w1.values, wc.values])
     a_vals = np.array([1.0, params.c])[:, None]
-    e1, ec = _trapz(a_vals * _derivative(branches, dx) ** 2 + branches ** 2, dx)
+    density = a_vals * _derivative(branches, dx) ** 2 + branches ** 2
+    e1, ec = density @ _trapezoid_weights(field.n, dx)
     energy = float(frac1 * e1 + (1.0 - frac1) * ec)
     limit = gamma_limit_fourier(params, field)
     gap = abs(energy - limit) / limit

@@ -10,7 +10,8 @@ Commands and their JSON config sections:
   homogenize_grid       coefficient (path to a grid file), optional delta0,
                         n_delta, tol, max_iter
   counterexample        c, theta; optional u (name or CSV path), n,
-                        lambda_max, n_freq
+                        lambda_max (cut-off of the kernel transform; the
+                        kernel window is sized from h's decay)
   recovery_sweep        c, theta, u (test-function name), eps_list
                         (reciprocals of integers), optional points_per_period,
                         n_min
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -102,6 +104,14 @@ def _number(section: dict, key: str, default, kind=float, where: str = "paramete
         except (TypeError, ValueError, OverflowError):
             pass
     raise ValidationError(f"{where}{key}: must be a number, got {value!r}")
+
+
+def _file(params: dict, key: str, what: str) -> Path:
+    """params[key] as the path of an existing regular file."""
+    value = params.get(key)
+    if isinstance(value, str) and Path(value).is_file():
+        return Path(value)
+    raise ValidationError(f"parameters.{key}: {what}, got {value!r}")
 
 
 def _require(params, keys, errors):
@@ -259,10 +269,8 @@ def _run_verify_conditions(cfg, out: Path, report: RunReport):
 
 
 def _run_homogenize_grid(cfg, out: Path, report: RunReport):
-    coeff_path = Path(cfg.parameters["coefficient"])
-    if not coeff_path.exists():
-        raise ValidationError(f"parameters.coefficient: no such file {coeff_path}")
-    coeff = cell.load_coefficient(coeff_path)
+    coeff = cell.load_coefficient(
+        _file(cfg.parameters, "coefficient", "not the path of a grid file"))
     solver = cell.SolverConfig(
         tol=_number(cfg.parameters, "tol", cell.SolverConfig.tol),
         max_iter=_number(cfg.parameters, "max_iter", cell.SolverConfig.max_iter, int),
@@ -300,40 +308,37 @@ def _resolve_u(params) -> tuple[str, np.ndarray | None]:
     name = params.get("u", "sin_1")
     if isinstance(name, str) and (name.startswith("sin_") or name == "bump"):
         return name, None
-    path = Path(str(name))
-    if not path.exists():
-        raise ValidationError(f"parameters.u: neither a known test function nor "
-                              f"a CSV file: {name!r}")
+    path = _file(params, "u", "neither a known test function nor a CSV file")
     try:
         vals = np.loadtxt(path, delimiter=",", dtype=float)
     except ValueError as exc:
         raise ValidationError(f"parameters.u: {path} is not numeric: {exc}") from None
-    return str(name), vals
+    return name, vals
 
 
 def _run_counterexample(cfg, out: Path, report: RunReport):
     p = anomalous.SpectralParams(c=float(cfg.parameters["c"]),
                                  theta=float(cfg.parameters["theta"]))
     n = _number(cfg.parameters, "n", 1024, int)
-    grid = anomalous.FrequencyGrid(
-        lambda_max=_number(cfg.parameters, "lambda_max", 64.0),
-        n_freq=_number(cfg.parameters, "n_freq", 8192, int))
+    lambda_max = _number(cfg.parameters, "lambda_max", anomalous.LAMBDA_MAX_DEFAULT)
+    if not 0.0 < lambda_max < math.inf:
+        raise ValidationError(f"parameters.lambda_max: must be finite and > 0, "
+                              f"got {lambda_max!r}")
     name, vals = _resolve_u(cfg.parameters)
     if vals is None:
         u = anomalous.SampledField.from_function(anomalous.test_function(name), n)
     else:
         u = anomalous.SampledField.on_unit_interval(vals)
-    lam = np.linspace(-grid.lambda_max, grid.lambda_max, 2049)
+    lam = np.linspace(-lambda_max, lambda_max, 2049)
     k0 = anomalous.k0_hat(p, lam)
     alpha, f = anomalous.alpha_f(p, lam)
     _write_csv(out / "kernel.csv",
                ["lambda", "k0_hat", "inv_k0", "alpha_plus_f"],
                zip(lam, k0, 1.0 / k0, alpha + f))
-    h = anomalous.h_kernel(p, grid)
-    keep = np.abs(h.x) <= 4.0
-    _write_csv(out / "h.csv", ["x", "h"], zip(h.x[keep], h.values[keep]))
+    h = anomalous.h_kernel(p, 0.5 / lambda_max, lambda_max, half_width=4.0)
+    _write_csv(out / "h.csv", ["x", "h"], zip(h.x, h.values))
     ff = anomalous.gamma_limit_fourier(p, u)
-    fc = anomalous.gamma_limit_convolution(p, u, grid)
+    fc = anomalous.gamma_limit_convolution(p, u, lambda_max)
     _write_csv(out / "energies.csv",
                ["form", "value"],
                [("fourier", ff), ("convolution", fc),
@@ -356,7 +361,7 @@ def _run_counterexample(cfg, out: Path, report: RunReport):
         "mean_identity_sup": mean_gap,
         "branch_difference_sup": branch_gap,
     })
-    report.artifacts += [("kernel.csv", len(lam)), ("h.csv", int(keep.sum())),
+    report.artifacts += [("kernel.csv", len(lam)), ("h.csv", h.n),
                          ("energies.csv", 3), ("u0_branches.csv", u.n)]
     report.artifacts.append((_plot_script(out, [
         'plot "u0_branches.csv" using 1:2 with lines, "" using 1:3 with lines, '

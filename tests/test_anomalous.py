@@ -77,36 +77,77 @@ def test_alpha_plus_f_positive_everywhere():
             assert np.all(alpha + f > 0.0)
 
 
+def test_h_transform_near_unit_contrast():
+    # sqrt(alpha + f) - sqrt(alpha) cancels when c -> 1; the closed form is
+    # F(h)(0) = 1 - sqrt(alpha)
+    #         = -theta (1 - theta) (c - 1)^2 / (c_theta^2 (1 + sqrt(alpha)))
+    p = an.SpectralParams(c=1.0 + 1e-6, theta=0.5)
+    want = (-p.theta * (1.0 - p.theta) * (p.c - 1.0) ** 2
+            / (p.c_theta ** 2 * (1.0 + math.sqrt(p.alpha))))
+    assert an.h_transform(p, 0.0) == pytest.approx(want, rel=1e-12)
+
+
 def test_h_kernel_peak_and_parity():
-    h = an.h_kernel(P)
+    h = an.h_kernel(P, 1.0 / 128, half_width=4.0)
     assert an.h_transform(P, 0.0) == pytest.approx(1.0 - math.sqrt(10.0 / 9.0),
                                                    rel=1e-12)
-    assert h.n == 8192
+    assert h.n == 1025 and not h.zero_extended
     center = h.n // 2
-    assert h.x[center] == pytest.approx(0.0, abs=1e-12)
+    assert h.x[center] == 0.0 and h.x[0] == -4.0 and h.x[-1] == 4.0
+    assert np.argmax(np.abs(h.values)) == center
     # even kernel
-    np.testing.assert_allclose(h.values[center + 1:center + 100],
-                               h.values[center - 99:center][::-1], atol=1e-15)
+    scale = np.abs(h.values).max()
+    np.testing.assert_allclose(h.values[center + 1:], h.values[:center][::-1],
+                               rtol=0.0, atol=1e-14 * scale)
 
 
-def test_h_kernel_plancherel():
-    h = an.h_kernel(P)
-    dx = h.spacing
-    lam = np.fft.fftfreq(h.n, d=dx)
-    lhs = np.sum(h.values ** 2) * dx
-    rhs = np.sum(np.abs(an.h_transform(P, lam)) ** 2) / (h.n * dx)
-    assert lhs == pytest.approx(rhs, rel=1e-10)
+@pytest.mark.parametrize("c, theta, lambda_max", [(2.0, 0.5, 64.0), (10.0, 0.9, 128.0)])
+def test_h_kernel_matches_fine_reference(c, theta, lambda_max):
+    # reference: the same truncated transform inverted on 2^22 samples, whose
+    # window is long enough for the wrapped tails to vanish in double precision
+    p = an.SpectralParams(c=c, theta=theta)
+    dx = 0.5 / lambda_max
+    m = 1 << 22
+    lam = np.fft.rfftfreq(m, d=dx)
+    ref = np.fft.irfft(np.where(lam <= lambda_max, an.h_transform(p, lam), 0.0), m) / dx
+    h = an.h_kernel(p, dx, lambda_max, half_width=4.0)
+    k = h.n // 2
+    want = ref[np.mod(np.arange(-k, k + 1), m)]
+    assert np.abs(h.values - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_h_tail_gate_trips_on_small_lambda_max():
     with pytest.raises(GridTooSmallError, match="exceeds"):
-        an._kernel_on_spacing(P, 1.0 / 1023, lambda_max=1.0, half_width=1.0)
+        an.h_kernel(P, 1.0 / 1023, lambda_max=1.0)
+
+
+@pytest.mark.parametrize("lambda_max", [0.0, -1.0, math.inf, math.nan])
+def test_lambda_max_must_be_finite_and_positive(lambda_max):
+    with pytest.raises(ValidationError, match="lambda_max"):
+        an.h_kernel(P, 1.0 / 1023, lambda_max)
+    with pytest.raises(ValidationError, match="lambda_max"):
+        an.solve_b(P, field_of("bump"), lambda_max)
+
+
+def test_h_kernel_window_is_capped_before_allocating():
+    # c = 1e4, theta = 0.99: h decays at rate ~0.01, so n = 4096 would need
+    # a window of 2^25 samples (512 MB per complex buffer)
+    p = an.SpectralParams(c=1e4, theta=0.99)
+    u = field_of("sin_1", 4096)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="kernel window"):
+            an.gamma_limit_convolution(p, u)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 8.0
 
 
 def test_convolution_theorem_discrete():
     u = field_of("sin_2", 256)
     dx = u.spacing
-    hw = an._kernel_on_spacing(P, dx, 64.0, half_width=1.0 + 2 * dx)
+    hw = an.h_kernel(P, dx, 64.0, half_width=1.0 + 2 * dx).values
     conv = np.convolve(u.values, hw) * dx
     m = 1 << math.ceil(math.log2(len(conv) + 1))
     lhs = np.fft.fft(conv, m)

@@ -193,16 +193,21 @@ def test_counterexample_run(tmp_path):
 
 
 def test_csv_determinism(tmp_path):
-    outputs = []
-    for tag in ("a", "b"):
-        doc = {"command": "recovery_sweep",
-               "output_dir": str(tmp_path / tag),
-               "parameters": {"c": 2.0, "theta": 0.5, "u": "sin_1",
-                              "eps_list": [0.125, 0.0625]}}
-        cfg = write_config(tmp_path, doc, name=f"cfg_{tag}.json")
-        assert cli.main(["recovery_sweep", "--config", str(cfg), "--seed", "7"]) == 0
-        outputs.append((tmp_path / tag / "recovery.csv").read_bytes())
-    assert outputs[0] == outputs[1]
+    runs = {
+        "recovery_sweep": ({"c": 2.0, "theta": 0.5, "u": "sin_1",
+                            "eps_list": [0.125, 0.0625]}, ["recovery.csv"]),
+        "counterexample": ({"c": 2.0, "theta": 0.5, "u": "sin_1", "n": 512},
+                           ["h.csv", "energies.csv", "u0_branches.csv"]),
+    }
+    for command, (params, names) in runs.items():
+        outputs = []
+        for tag in ("a", "b"):
+            out = tmp_path / command / tag
+            doc = {"command": command, "output_dir": str(out), "parameters": params}
+            cfg = write_config(tmp_path, doc, name=f"{command}_{tag}.json")
+            assert cli.main([command, "--config", str(cfg), "--seed", "7"]) == 0
+            outputs.append([(out / name).read_bytes() for name in names])
+        assert outputs[0] == outputs[1], command
 
 
 def test_declared_artifacts_exist_with_row_counts(tmp_path):
@@ -222,34 +227,42 @@ SWEEP_DOC = {"command": "recovery_sweep",
              "parameters": {"c": 2.0, "theta": 0.5, "eps_list": [0.5]}}
 VERIFY_DOC = dict(LAMINATE_DOC, command="verify_conditions")
 
-# key -> (config document, a value that is not a number); "seed" is top level
+# probe -> (key, config document, bad value); "seed" is top level, the value
+# "csv" stands for a CSV file holding a non-number and "dir" for a directory
 BAD_VALUES = {
-    "n": (COUNTER_DOC, "abc"),
-    "n_freq": (COUNTER_DOC, "x"),
-    "n_min": (SWEEP_DOC, "x"),
-    "eps_list": (SWEEP_DOC, [True]),
-    "seed": (LAMINATE_DOC, "x"),
-    "xi": (VERIFY_DOC, "abc"),
-    "a_tol": (LAMINATE_DOC, "x"),
-    "u": (COUNTER_DOC, "csv"),
-    "max_iter": (GRID_DOC, "x"),
+    "n": ("n", COUNTER_DOC, "abc"),
+    "lambda_max": ("lambda_max", COUNTER_DOC, "x"),
+    "n_min": ("n_min", SWEEP_DOC, "x"),
+    "eps_list": ("eps_list", SWEEP_DOC, [True]),
+    "seed": ("seed", LAMINATE_DOC, "x"),
+    "xi": ("xi", VERIFY_DOC, "abc"),
+    "a_tol": ("a_tol", LAMINATE_DOC, "x"),
+    "u": ("u", COUNTER_DOC, "csv"),
+    "u-dir": ("u", COUNTER_DOC, "dir"),
+    "max_iter": ("max_iter", GRID_DOC, "x"),
+    "coefficient-int": ("coefficient", GRID_DOC, 5),
+    "coefficient-list": ("coefficient", GRID_DOC, ["a"]),
+    "coefficient-empty": ("coefficient", GRID_DOC, ""),
+    "coefficient-dir": ("coefficient", GRID_DOC, "dir"),
 }
 
 
-@pytest.mark.parametrize("key", list(BAD_VALUES))
-def test_main_bad_value_is_a_validation_error(tmp_path, capsys, key):
-    doc, value = BAD_VALUES[key]
+@pytest.mark.parametrize("probe", list(BAD_VALUES))
+def test_main_bad_value_is_a_validation_error(tmp_path, capsys, probe):
+    key, doc, value = BAD_VALUES[probe]
     doc = dict(doc, output_dir=str(tmp_path / "out"),
                parameters=dict(doc["parameters"]))
+    if value == "csv":
+        value = tmp_path / "u.csv"
+        value.write_text("0.0\n0.5\nnot-a-number\n")
+        value = str(value)
+    elif value == "dir":
+        value = str(tmp_path)
     if key == "seed":
         doc["seed"] = value
-    elif value == "csv":
-        bad = tmp_path / "u.csv"
-        bad.write_text("0.0\n0.5\nnot-a-number\n")
-        doc["parameters"][key] = str(bad)
     else:
         doc["parameters"][key] = value
-    if doc["command"] == "homogenize_grid":
+    if doc["command"] == "homogenize_grid" and key != "coefficient":
         coeff_path = tmp_path / "coeff.txt"
         cell.save_coefficient(cell.constant_coefficient(np.eye(2), 2, 4), coeff_path)
         doc["parameters"]["coefficient"] = str(coeff_path)
@@ -258,3 +271,19 @@ def test_main_bad_value_is_a_validation_error(tmp_path, capsys, key):
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].startswith("validation error: ")
     assert key in err[-1]
+
+
+@pytest.mark.parametrize("literal, code", [("0", 1), ("-1", 1), ("1e400", 1),
+                                           ("NaN", 1), ("1", 2)])
+def test_counterexample_lambda_max_exit_codes(tmp_path, capsys, literal, code):
+    # 1e400 parses as inf; lambda_max = 1 is valid but trips the kernel tail gate
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"command": "counterexample", "output_dir": %s, "parameters": '
+                   '{"c": 2.0, "theta": 0.5, "n": 64, "lambda_max": %s}}'
+                   % (json.dumps(str(tmp_path / "out")), literal))
+    assert cli.main(["counterexample", "--config", str(cfg)]) == code
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    if code == 1:
+        assert err.startswith("validation error: parameters.lambda_max")
+    else:
+        assert err.startswith("numerical failure: ") and "exceeds" in err
