@@ -32,10 +32,11 @@ H_TAIL_RTOL = 1e-4
 # Frequency cut-off of the kernel transform; the tail gate decides whether
 # a given cut-off is adequate.
 LAMBDA_MAX_DEFAULT = 64.0
-# Largest h_kernel window: 2^22 complex samples are 64 MB per FFT buffer.
+# Largest FFT any routine here runs: 2^22 complex samples are 64 MB per buffer.
 H_MAX_SAMPLES = 1 << 22
 # Zero-padding factor of the spectral form's row transforms.
 SPECTRUM_PAD = 8
+N_MAX = H_MAX_SAMPLES // SPECTRUM_PAD  # most samples per x1 row
 LEAKAGE_RTOL = 1e-6
 MEAN_IDENTITY_TOL = 1e-4
 # Smallest Sturm-Liouville coefficient the Green-kernel check supports:
@@ -113,18 +114,22 @@ class SampledField:
     @classmethod
     def on_unit_interval(cls, values, zero_extended: bool = True) -> "SampledField":
         v = np.asarray(values, dtype=float)
-        return cls(values=v, spacing=1.0 / (v.shape[-1] - 1), origin=0.0,
+        # a single sample gets spacing 1 and is refused by the size check
+        return cls(values=v, spacing=1.0 / max(v.shape[-1] - 1, 1), origin=0.0,
                    zero_extended=zero_extended)
 
     @classmethod
     def from_function(cls, fn, n: int) -> "SampledField":
+        """fn at n equispaced points of [0, 1]; n above N_MAX is refused."""
+        if not n <= N_MAX:
+            raise ValidationError(f"a field holds at most {N_MAX} samples per row")
         x = np.linspace(0.0, 1.0, n)
         return cls.on_unit_interval(fn(x))
 
 
 def test_function(name: str):
     """Named x1 test profiles: 'sin_k' (k = 1..9) and the smooth 'bump'."""
-    if name.startswith("sin_"):
+    if isinstance(name, str) and name.startswith("sin_"):
         try:
             k = int(name[4:])
         except ValueError:
@@ -193,6 +198,15 @@ def h_transform(params: SpectralParams, lambda1):
     return f / (np.sqrt(arg) + np.sqrt(alpha))
 
 
+def _fft_length(samples: float, what: str) -> int:
+    """The power of two (at least 16) at or above samples, at most H_MAX_SAMPLES."""
+    if not samples <= H_MAX_SAMPLES:
+        raise ValidationError(
+            f"{what} needs {samples:.3g} samples, more than {H_MAX_SAMPLES}; "
+            "lower the contrast or the resolution")
+    return 1 << max(4, math.ceil(math.log2(samples)))
+
+
 def _check_lambda_max(lambda_max: float):
     if not (math.isfinite(lambda_max) and lambda_max > 0.0):
         raise ValidationError(f"lambda_max must be finite and > 0, got {lambda_max!r}")
@@ -221,12 +235,7 @@ def h_kernel(params: SpectralParams, dx: float, lambda_max: float = LAMBDA_MAX_D
             "increase lambda_max")
     rate = ((params.c - 1.0) * params.theta + 1.0) / math.sqrt(
         (params.c ** 2 * params.theta + 1.0 - params.theta) * params.c_theta)
-    samples = (2.0 * half_width + 2.0 * 23.0 / rate) / dx
-    if not samples <= H_MAX_SAMPLES:
-        raise ValidationError(
-            f"the kernel window needs {samples:.3g} samples at spacing {dx:.3g}, "
-            f"more than {H_MAX_SAMPLES}; lower the contrast or the resolution")
-    m = 1 << max(4, math.ceil(math.log2(samples)))
+    m = _fft_length((2.0 * half_width + 2.0 * 23.0 / rate) / dx, "the kernel window")
     lam = np.fft.fftfreq(m, d=dx)
     ft = np.where(np.abs(lam) <= lambda_max, h_transform(params, lam), 0.0)
     vals = np.fft.ifft(ft)
@@ -269,8 +278,7 @@ def _check_zero_extended(u: SampledField):
 
 def _row_spectrum(row: np.ndarray, dx: float):
     """Continuous-convention transform samples of the zero-padded row."""
-    n = row.shape[0]
-    m = 1 << math.ceil(math.log2(SPECTRUM_PAD * n))
+    m = _fft_length(SPECTRUM_PAD * row.shape[0], "the padded row transform")
     spec = dx * np.fft.fft(row, m)
     lam = np.fft.fftfreq(m, d=dx)
     dlam = 1.0 / (m * dx)
@@ -348,9 +356,8 @@ def solve_b(params: SpectralParams, u: SampledField,
         raise ValidationError("solve_b operates on one x1 row at a time")
     dx = u.spacing
     row = u.values
-    n = row.shape[0]
     window = max(4.0, 1.0 + 64.0 * math.sqrt(params.c_theta))
-    m = 1 << math.ceil(math.log2(window / dx))
+    m = _fft_length(window / dx, "the window of b")
     spec = dx * np.fft.fft(row, m)
     lam = np.fft.fftfreq(m, d=dx)
     weighted = (TWO_PI_SQ * lam ** 2 + 1.0) * np.abs(spec)
@@ -516,6 +523,14 @@ def build_u0(params: SpectralParams, u: SampledField):
 # recovery energies
 # ---------------------------------------------------------------------------
 
+def eps_periods(eps: float) -> int:
+    """The number of periods 1/eps; it must be a positive integer to 1e-9."""
+    m = 1.0 / eps if eps > 0 else math.nan
+    if not (math.isfinite(m) and round(m) >= 1 and abs(m - round(m)) <= 1e-9):
+        raise ValidationError(f"eps must be the reciprocal of an integer, got {eps}")
+    return int(round(m))
+
+
 @dataclass(frozen=True)
 class RecoveryResult:
     eps: float
@@ -528,16 +543,10 @@ def recovery_energy(params: SpectralParams, u, eps: float, n_fine: int) -> Recov
     """Discrete oscillating energy of u0(x1, x2/eps) against the limit form.
 
     ``u`` is a callable x1-profile or a 1D SampledField already on the
-    n_fine grid.  eps must be the reciprocal of an integer so the
-    microstructure tiles (0, 1) exactly, and n_fine must provide at least
-    16 x2 samples per period.
+    n_fine grid.  eps must pass ``eps_periods``, and n_fine must provide at
+    least 16 x2 samples per period.
     """
-    m = 1.0 / eps
-    if abs(m - round(m)) > 1e-9:
-        raise ValidationError(f"eps must be the reciprocal of an integer, got {eps}")
-    periods = int(round(m))
-    if n_fine < 16:
-        raise ValidationError("n_fine must be at least 16 (x1 resolution)")
+    periods = eps_periods(eps)
     if n_fine < 16 * periods:
         raise ValidationError(
             f"n_fine = {n_fine} gives fewer than 16 x2 points per period for "

@@ -54,6 +54,9 @@ class SolverConfig:
     n_delta: int = N_DELTA_DEFAULT
 
     def deltas(self) -> np.ndarray:
+        """delta0 shrunk n_delta - 1 times, the smallest checked > 0 first."""
+        if not (self.n_delta >= 1 and self.delta0 * DELTA_SHRINK ** (1 - self.n_delta) > 0):
+            raise ValidationError("the delta schedule needs n_delta >= 1 and delta > 0")
         return self.delta0 * DELTA_SHRINK ** (-np.arange(self.n_delta, dtype=float))
 
 
@@ -442,8 +445,6 @@ def homogenize_general(coeff: PeriodicCoefficient,
     (estimate withheld) flags a clearly non-PSD extrapolation.
     """
     deltas = cfg.deltas()
-    if len(deltas) == 0 or not deltas.min() > 0:
-        raise ValidationError("the delta schedule needs n_delta >= 1 and delta0 > 0")
     dim = coeff.dim
     flat = coeff.samples.reshape(-1, dim, dim)
     cells = flat.shape[0]

@@ -2,22 +2,16 @@
 
 Usage:  homoglab <command> --config <file> [--out <dir>] [--seed <int>]
 
-Commands and their JSON config sections:
-
-  homogenize_laminate   phase1, phase2 (row-major nested arrays), theta,
-                        direction; optional a_tol
-  verify_conditions     same laminate keys; optional xi (2D)
-  homogenize_grid       coefficient (path to a grid file), optional delta0,
-                        n_delta, tol, max_iter
-  counterexample        c, theta; optional u (name or CSV path), n,
-                        lambda_max (cut-off of the kernel transform; the
-                        kernel window is sized from h's decay)
-  recovery_sweep        c, theta, u (test-function name), eps_list
-                        (reciprocals of integers), optional points_per_period,
-                        n_min
-
 A config file is a single JSON document: {"command": ..., "output_dir": ...,
-"parameters": {...}}.  ``--out`` overrides output_dir.
+"parameters": {...}}.  ``--out`` overrides output_dir.  ``PARAMETERS`` lists
+each command's keys with their checks and defaults (the README's command
+table names the same keys): laminate matrices are row-major nested arrays,
+``u`` is a test-function name (``sin_1`` by default) or, for counterexample,
+a CSV path, ``eps_list`` holds reciprocals of integers, and ``lambda_max`` is
+the kernel transform's cut-off.  Every key is checked before any output is
+written and all failures are reported together; a key the table does not
+list is an error.  report.json's inputs.parameters holds the effective
+values, defaults filled in.
 
 Grid coefficient file format: a text header line ``dim n_grid channels``
 followed by whitespace-separated row-major floats, one cell per line, the
@@ -41,12 +35,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import anomalous, cell, laminate
+from . import anomalous, cell, laminate, linalg
 from .errors import NumericalError, ValidationError
-
-COMMANDS = ("homogenize_laminate", "homogenize_grid", "verify_conditions",
-            "counterexample", "recovery_sweep")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -79,116 +69,149 @@ class RunReport:
             indent=2, sort_keys=True)
 
 
-def _fail(errors: list[str]):
-    raise ValidationError("; ".join(errors))
+REQUIRED = object()  # the default of a key the config must give
 
 
-def _check_matrix(params, key, errors):
-    try:
-        m = np.asarray(params[key], dtype=float)
-    except (TypeError, ValueError):
-        errors.append(f"parameters.{key}: not a numeric matrix")
-        return
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 3):
-        errors.append(f"parameters.{key}: must be a 2x2 or 3x3 row-major array")
+def _finite(value) -> float:
+    """value as a float: a finite JSON number, not a bool or a string."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValidationError(f"must be a finite number, got {value!r}")
 
 
-def _number(section: dict, key: str, default, kind=float, where: str = "parameters."):
-    """section[key] as kind (int or float), default when absent or null."""
-    value = section.get(key)
-    if value is None:
-        return default
-    if not isinstance(value, bool):
-        try:
-            return kind(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise ValidationError(f"{where}{key}: must be a number, got {value!r}")
+def _real(lo: float, hi: float = math.inf):
+    """Check: a finite number strictly between lo and hi."""
+    def check(value) -> float:
+        x = _finite(value)
+        if not lo < x < hi:
+            raise ValidationError(f"must lie in ({lo:g}, {hi:g}), got {value!r}")
+        return x
+    return check
 
 
-def _file(params: dict, key: str, what: str) -> Path:
-    """params[key] as the path of an existing regular file."""
-    value = params.get(key)
+def _integer(lo: float, hi: float = math.inf):
+    """Check: a whole number in [lo, hi]."""
+    def check(value) -> int:
+        x = _finite(value)
+        if not (x.is_integer() and lo <= x <= hi):
+            raise ValidationError(f"must be an integer in [{lo:g}, {hi:g}], got {value!r}")
+        return int(value)
+    return check
+
+
+def _file(value) -> str:
     if isinstance(value, str) and Path(value).is_file():
-        return Path(value)
-    raise ValidationError(f"parameters.{key}: {what}, got {value!r}")
+        return value
+    raise ValidationError(f"not the path of a file, got {value!r}")
 
 
-def _require(params, keys, errors):
-    errors += [f"parameters.{k}: missing required key" for k in keys if k not in params]
+def _u_field(value, n: int = 16) -> anomalous.SampledField:
+    """The test function named value at n points, or the CSV file at value."""
+    if isinstance(value, str) and (value.startswith("sin_") or value == "bump"):
+        return anomalous.SampledField.from_function(anomalous.test_function(value), n)
+    path = _file(value)
+    try:
+        samples = np.loadtxt(path, delimiter=",", dtype=float, ndmin=1)
+    except ValueError as exc:
+        raise ValidationError(f"{path} is not numeric: {exc}") from None
+    return anomalous.SampledField.on_unit_interval(samples)
 
 
-def _validate_laminate_params(params, errors):
-    _require(params, ("phase1", "phase2", "theta", "direction"), errors)
-    for key in ("phase1", "phase2"):
-        if key in params:
-            _check_matrix(params, key, errors)
-    if "theta" in params:
-        theta = params["theta"]
-        if not isinstance(theta, (int, float)) or not 0.0 < float(theta) < 1.0:
-            errors.append(f"parameters.theta: must lie in (0, 1), got {theta!r}")
-    if "direction" in params:
-        try:
-            d = np.asarray(params["direction"], dtype=float)
-            if d.ndim != 1 or d.shape[0] not in (2, 3):
-                raise ValueError
-        except (TypeError, ValueError):
-            errors.append("parameters.direction: must be a 2- or 3-vector")
+def _kept(validate):
+    """Check: the value as given, once validate(value) has passed."""
+    def check(value):
+        validate(value)
+        return value
+    return check
 
 
-def _validate_counterexample_params(params, errors, need_eps: bool):
-    _require(params, ("c", "theta") + (("eps_list",) if need_eps else ()), errors)
-    if "c" in params:
-        c = params["c"]
-        if not isinstance(c, (int, float)) or float(c) <= 1.0:
-            errors.append(f"parameters.c: must be > 1, got {c!r}")
-    if "theta" in params:
-        theta = params["theta"]
-        if not isinstance(theta, (int, float)) or not 0.0 < float(theta) < 1.0:
-            errors.append(f"parameters.theta: must lie in (0, 1), got {theta!r}")
-    if need_eps and "eps_list" in params:
-        eps_list = params["eps_list"]
-        if not isinstance(eps_list, list) or not eps_list:
-            errors.append("parameters.eps_list: must be a non-empty list")
-        else:
-            for e in eps_list:
-                if isinstance(e, bool) or not isinstance(e, (int, float)) or \
-                        e <= 0 or abs(1.0 / e - round(1.0 / e)) > 1e-9:
-                    errors.append(
-                        f"parameters.eps_list: eps must be reciprocal of an "
-                        f"integer, got {e!r}")
+def _eps_list(value) -> list:
+    if not isinstance(value, list) or not value:
+        raise ValidationError(f"must be a non-empty list, got {value!r}")
+    eps_list = [_finite(eps) for eps in value]
+    for eps in eps_list:
+        anomalous.eps_periods(eps)
+    return eps_list
+
+
+_LAMINATE = {
+    "phase1": (lambda v: linalg.as_sym_matrix(v).tolist(), REQUIRED),
+    "phase2": (lambda v: linalg.as_sym_matrix(v).tolist(), REQUIRED),
+    "theta": (_real(0.0, 1.0), REQUIRED),
+    "direction": (lambda v: linalg.as_vector(v).tolist(), REQUIRED),
+}
+_CONTRAST = {"c": (_real(1.0), REQUIRED), "theta": (_real(0.0, 1.0), REQUIRED)}
+
+# command -> key -> (check, default or REQUIRED).  A check takes the JSON
+# value and returns the effective JSON value or raises ValidationError.
+PARAMETERS = {
+    "homogenize_laminate": _LAMINATE,
+    "homogenize_grid": {
+        "coefficient": (_file, REQUIRED),
+        "delta0": (_real(0.0), cell.DELTA0_DEFAULT),
+        "n_delta": (_integer(1), cell.N_DELTA_DEFAULT),
+        "tol": (_real(0.0), cell.SolverConfig.tol),
+        "max_iter": (_integer(1), cell.SolverConfig.max_iter),
+    },
+    "verify_conditions": _LAMINATE,
+    "counterexample": {
+        **_CONTRAST,
+        "u": (_kept(_u_field), "sin_1"),
+        "n": (_integer(16, anomalous.N_MAX), 1024),
+        "lambda_max": (_real(0.0), anomalous.LAMBDA_MAX_DEFAULT),
+    },
+    "recovery_sweep": {
+        **_CONTRAST,
+        "u": (_kept(anomalous.test_function), "sin_1"),
+        "eps_list": (_eps_list, REQUIRED),
+        "points_per_period": (_integer(1), 16),
+        "n_min": (_integer(1), 128),
+    },
+}
+COMMANDS = tuple(PARAMETERS)
 
 
 def parse_config(document: str) -> ExperimentConfig:
-    """Parse and validate a JSON config document, aggregating all failures."""
+    """Parse a JSON config document and check it against PARAMETERS.
+
+    Every key of the command is checked in one pass and all failures are
+    reported together; a key the table does not list is a failure.  The
+    returned parameters are the effective JSON values, defaults filled in.
+    """
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("config must be a JSON object")
-    errors: list[str] = []
     command = doc.get("command")
     if command not in COMMANDS:
-        _fail([f"command: unknown command {command!r}, expected one of {COMMANDS}"])
-    params = doc.get("parameters")
+        raise ValidationError(
+            f"command: unknown command {command!r}, expected one of {COMMANDS}")
+    params = doc.get("parameters", {})
     if not isinstance(params, dict):
-        errors.append("parameters: missing or not an object")
-        params = {}
-    if command in ("homogenize_laminate", "verify_conditions"):
-        _validate_laminate_params(params, errors)
-    elif command == "homogenize_grid":
-        _require(params, ("coefficient",), errors)
-    elif command == "counterexample":
-        _validate_counterexample_params(params, errors, need_eps=False)
-    elif command == "recovery_sweep":
-        _validate_counterexample_params(params, errors, need_eps=True)
+        raise ValidationError("parameters: not an object")
+    table = PARAMETERS[command]
+    errors = [f"parameters.{key}: unknown key" for key in params if key not in table]
+    effective = {}
+    for key, (check, default) in table.items():
+        value = params.get(key)
+        try:
+            if value is None and default is REQUIRED:
+                raise ValidationError("missing required key")
+            effective[key] = default if value is None else check(value)
+        except ValidationError as exc:
+            errors.append(f"parameters.{key}: {exc}")
+    seed = doc.get("seed")
+    try:
+        seed = 0 if seed is None else _integer(-math.inf)(seed)
+    except ValidationError as exc:
+        errors.append(f"seed: {exc}")
     if errors:
-        _fail(errors)
-    out = doc.get("output_dir", ".")
-    seed = _number(doc, "seed", 0, int, where="")
-    return ExperimentConfig(command=command, parameters=params,
-                            output_dir=str(out), seed=seed)
+        raise ValidationError("; ".join(errors))
+    return ExperimentConfig(command=command, parameters=effective,
+                            output_dir=str(doc.get("output_dir", ".")), seed=seed)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -228,8 +251,7 @@ def _plot_script(out: Path, lines: list[str]) -> str:
 
 def _run_homogenize_laminate(cfg, out: Path, report: RunReport):
     spec = laminate.LaminateSpec.from_dict(cfg.parameters)
-    a_tol = _number(cfg.parameters, "a_tol", None)
-    hom = laminate.homogenize_laminate(spec, a_tol)
+    hom = laminate.homogenize_laminate(spec)
     _check_report_tensor(hom.tensor, "effective tensor")
     _write_csv(out / "tensor.csv", ["i", "j", "value"], _tensor_rows(hom.tensor))
     _write_csv(out / "summary.csv",
@@ -249,9 +271,8 @@ def _run_homogenize_laminate(cfg, out: Path, report: RunReport):
 
 def _run_verify_conditions(cfg, out: Path, report: RunReport):
     spec = laminate.LaminateSpec.from_dict(cfg.parameters)
-    xi = cfg.parameters.get("xi")
     if spec.dim == 2:
-        rep = laminate.check_conditions_2d(spec, xi=xi)
+        rep = laminate.check_conditions_2d(spec)
     else:
         rep = laminate.check_conditions_3d(spec)
     hom = laminate.homogenize_laminate(spec)
@@ -269,14 +290,10 @@ def _run_verify_conditions(cfg, out: Path, report: RunReport):
 
 
 def _run_homogenize_grid(cfg, out: Path, report: RunReport):
-    coeff = cell.load_coefficient(
-        _file(cfg.parameters, "coefficient", "not the path of a grid file"))
-    solver = cell.SolverConfig(
-        tol=_number(cfg.parameters, "tol", cell.SolverConfig.tol),
-        max_iter=_number(cfg.parameters, "max_iter", cell.SolverConfig.max_iter, int),
-        delta0=_number(cfg.parameters, "delta0", cell.DELTA0_DEFAULT),
-        n_delta=_number(cfg.parameters, "n_delta", cell.N_DELTA_DEFAULT, int),
-    )
+    params = cfg.parameters
+    coeff = cell.load_coefficient(params["coefficient"])
+    solver = cell.SolverConfig(tol=params["tol"], max_iter=params["max_iter"],
+                               delta0=params["delta0"], n_delta=params["n_delta"])
     res = cell.homogenize_general(coeff, solver)
     rows = []
     for delta, tensor in zip(res.deltas, res.tensors):
@@ -304,31 +321,11 @@ def _run_homogenize_grid(cfg, out: Path, report: RunReport):
     ]), None))
 
 
-def _resolve_u(params) -> tuple[str, np.ndarray | None]:
-    name = params.get("u", "sin_1")
-    if isinstance(name, str) and (name.startswith("sin_") or name == "bump"):
-        return name, None
-    path = _file(params, "u", "neither a known test function nor a CSV file")
-    try:
-        vals = np.loadtxt(path, delimiter=",", dtype=float)
-    except ValueError as exc:
-        raise ValidationError(f"parameters.u: {path} is not numeric: {exc}") from None
-    return name, vals
-
-
 def _run_counterexample(cfg, out: Path, report: RunReport):
-    p = anomalous.SpectralParams(c=float(cfg.parameters["c"]),
-                                 theta=float(cfg.parameters["theta"]))
-    n = _number(cfg.parameters, "n", 1024, int)
-    lambda_max = _number(cfg.parameters, "lambda_max", anomalous.LAMBDA_MAX_DEFAULT)
-    if not 0.0 < lambda_max < math.inf:
-        raise ValidationError(f"parameters.lambda_max: must be finite and > 0, "
-                              f"got {lambda_max!r}")
-    name, vals = _resolve_u(cfg.parameters)
-    if vals is None:
-        u = anomalous.SampledField.from_function(anomalous.test_function(name), n)
-    else:
-        u = anomalous.SampledField.on_unit_interval(vals)
+    params = cfg.parameters
+    p = anomalous.SpectralParams(c=params["c"], theta=params["theta"])
+    lambda_max = params["lambda_max"]
+    u = _u_field(params["u"], params["n"])
     lam = np.linspace(-lambda_max, lambda_max, 2049)
     k0 = anomalous.k0_hat(p, lam)
     alpha, f = anomalous.alpha_f(p, lam)
@@ -354,7 +351,7 @@ def _run_counterexample(cfg, out: Path, report: RunReport):
         "convolution_energy": fc,
         "alpha": p.alpha,
         "c_theta": p.c_theta,
-        "u": name,
+        "u": params["u"],
     })
     report.diagnostics.update({
         "form_relative_difference": abs(ff - fc) / ff if ff else 0.0,
@@ -370,18 +367,13 @@ def _run_counterexample(cfg, out: Path, report: RunReport):
 
 
 def _run_recovery_sweep(cfg, out: Path, report: RunReport):
-    p = anomalous.SpectralParams(c=float(cfg.parameters["c"]),
-                                 theta=float(cfg.parameters["theta"]))
-    name, vals = _resolve_u(cfg.parameters)
-    if vals is not None:
-        raise ValidationError("recovery_sweep requires a named test function")
-    fn = anomalous.test_function(name)
-    ppp = _number(cfg.parameters, "points_per_period", 16, int)
-    n_min = _number(cfg.parameters, "n_min", 128, int)
+    params = cfg.parameters
+    p = anomalous.SpectralParams(c=params["c"], theta=params["theta"])
+    fn = anomalous.test_function(params["u"])
     rows = []
-    for eps in cfg.parameters["eps_list"]:
-        periods = int(round(1.0 / eps))
-        n_fine = max(n_min, ppp * periods)
+    for eps in params["eps_list"]:
+        periods = anomalous.eps_periods(eps)
+        n_fine = max(params["n_min"], params["points_per_period"] * periods)
         res = anomalous.recovery_energy(p, fn, 1.0 / periods, n_fine)
         rows.append((res.eps, res.energy_eps, res.limit_energy, res.gap))
     _write_csv(out / "recovery.csv", ["eps", "energy_eps", "limit_energy", "gap"],

@@ -149,18 +149,16 @@ def default_a_tol(spec: LaminateSpec) -> float:
     return 1e-12 * (spec.eigs[0].spectral_radius + spec.eigs[1].spectral_radius)
 
 
-def homogenize_laminate(spec: LaminateSpec, a_tol: float | None = None) -> HomogenizedLaminate:
+def homogenize_laminate(spec: LaminateSpec) -> HomogenizedLaminate:
     """Effective tensor of the laminate, choosing the a = 0 branch when
-    the cross coefficient falls below ``a_tol`` (scale-aware default)."""
-    if a_tol is None:
-        a_tol = default_a_tol(spec)
+    the cross coefficient falls below the scale-aware ``default_a_tol``."""
     q = rotation_to_axis(spec.direction)
     a1 = q @ spec.phase1 @ q.T
     a2 = q @ spec.phase2 @ q.T
     th = spec.theta
     a = laminate_a(spec)
     mean = th * a1 + (1.0 - th) * a2
-    if a > a_tol:
+    if a > default_a_tol(spec):
         jump = (a2 - a1)[:, 0]  # (A2 - A1) e1 in the rotated frame
         tensor = mean - (th * (1.0 - th) / a) * np.outer(jump, jump)
         branch = "regular"
@@ -204,9 +202,11 @@ def _rank_two_kernel(dec: EigenDecomp, name: str) -> np.ndarray:
     return ker[0]
 
 
-def check_conditions_2d(spec: LaminateSpec, xi=None) -> ConditionReport:
+def check_conditions_2d(spec: LaminateSpec) -> ConditionReport:
     """Structure conditions for the 2D family: phase1 = xi otimes xi, phase2 PD.
 
+    xi = sqrt(lambda) v comes from phase1's decomposition; its sign is
+    arbitrary, and every condition below is invariant under xi -> -xi.
     Sub-conditions, all relative to the lamination normal n, tol = RANK_TOL:
       * xi_not_orthogonal: |xi . n| > tol * |xi|
       * xi_A2n_independent: |det[xi, A2 n]| > tol * |xi| * |A2 n|
@@ -214,14 +214,7 @@ def check_conditions_2d(spec: LaminateSpec, xi=None) -> ConditionReport:
     """
     if spec.dim != 2:
         raise ValidationError("check_conditions_2d requires 2x2 phases")
-    xi_m = _rank_one_vector(spec.eigs[0], "phase1")
-    if xi is not None:
-        xi = as_vector(xi, dim=2, name="xi")
-        gap = np.abs(spec.phase1 - np.outer(xi, xi)).max()
-        if gap > RANK_TOL * max(1.0, np.abs(spec.phase1).max()):
-            raise ValidationError("phase1 does not equal xi otimes xi to 1e-10 relative")
-    else:
-        xi = xi_m
+    xi = _rank_one_vector(spec.eigs[0], "phase1")
     n = spec.direction
     a2n = spec.phase2 @ n
     nxi = np.linalg.norm(xi)

@@ -129,19 +129,38 @@ def test_lambda_max_must_be_finite_and_positive(lambda_max):
         an.solve_b(P, field_of("bump"), lambda_max)
 
 
+def _refused_peak_mb(match, fn, *args):
+    """Peak traced memory of fn(*args), which must raise ValidationError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=match):
+            fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
 def test_h_kernel_window_is_capped_before_allocating():
     # c = 1e4, theta = 0.99: h decays at rate ~0.01, so n = 4096 would need
     # a window of 2^25 samples (512 MB per complex buffer)
     p = an.SpectralParams(c=1e4, theta=0.99)
     u = field_of("sin_1", 4096)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValidationError, match="kernel window"):
-            an.gamma_limit_convolution(p, u)
-        peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
-    finally:
-        tracemalloc.stop()
-    assert peak_mb < 8.0
+    assert _refused_peak_mb("kernel window", an.gamma_limit_convolution, p, u) < 8.0
+
+
+def test_every_fft_and_field_is_capped_before_allocating():
+    # c = 1e4, theta = 0.99, n = 4096: solve_b's window would be 2^25 samples;
+    # 2^19 + 1 samples per row, or 2^24 for eps = 2^-20, exceed N_MAX
+    p = an.SpectralParams(c=1e4, theta=0.99)
+    assert _refused_peak_mb("window of b", an.solve_b, p, field_of("bump", 4096)) < 8.0
+    fn = an.test_function("sin_1")
+    assert _refused_peak_mb("at most", an.SampledField.from_function, fn,
+                            an.N_MAX + 1) < 1.0
+    assert _refused_peak_mb("at most", an.recovery_energy, P, fn, 2.0 ** -20,
+                            2 ** 24) < 1.0
+    # a field built from samples is not capped, but its padded transform is
+    long = an.SampledField.on_unit_interval(np.zeros(an.N_MAX + 1))
+    assert _refused_peak_mb("padded row", an.gamma_limit_fourier, P, long) < 16.0
 
 
 def test_convolution_theorem_discrete():
@@ -345,8 +364,10 @@ def test_recovery_zero_function():
 
 
 def test_recovery_validation_errors():
-    with pytest.raises(ValidationError, match="reciprocal"):
-        an.recovery_energy(P, an.test_function("sin_1"), 0.3, 128)
+    for eps in (0.3, 0.0, -0.5, 2.0, 1e10, math.inf, math.nan, 1e-320):
+        with pytest.raises(ValidationError, match="reciprocal"):
+            an.recovery_energy(P, an.test_function("sin_1"), eps, 128)
+    assert [an.eps_periods(e) for e in (1, 0.125, 1.0 / 3)] == [1, 8, 3]
     with pytest.raises(ValidationError, match="points per period"):
         an.recovery_energy(P, an.test_function("sin_1"), 1.0 / 16, 128)
 

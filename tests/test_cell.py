@@ -303,6 +303,19 @@ def test_homogenize_general_rejects_bad_schedule(delta0, n_delta):
         cell.homogenize_general(co, cell.SolverConfig(delta0=delta0, n_delta=n_delta))
 
 
+def test_underflowing_schedule_is_refused_before_allocating():
+    # 4^-(10^9 - 1) underflows; building the schedule would take two 8 GB arrays
+    co = cell.constant_coefficient(I2, 2, 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="delta"):
+            cell.homogenize_general(co, cell.SolverConfig(n_delta=10 ** 9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_solver_nonconvergence_carries_residual():
     rng = np.random.default_rng(4)
     b = rng.normal(size=(16, 16, 2, 2))

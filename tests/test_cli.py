@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,41 @@ def test_parse_config_aggregates_errors():
     msg = str(err.value)
     assert "parameters.phase1" in msg and "parameters.direction" in msg
     assert "parameters.theta" in msg
+
+
+def test_parse_config_names_every_failure_in_one_message():
+    doc = {"command": "counterexample",
+           "parameters": {"lamda_max": 1, "theta": 2, "n": "x", "lambda_max": -1}}
+    with pytest.raises(ValidationError) as err:
+        cli.parse_config(json.dumps(doc))
+    msg = str(err.value)
+    for part in ("parameters.lamda_max: unknown key", "parameters.c: missing",
+                 "parameters.theta:", "parameters.n:", "parameters.lambda_max:"):
+        assert part in msg
+
+
+def test_parse_config_fills_in_defaults():
+    cfg = cli.parse_config(json.dumps(COUNTER_DOC))
+    assert cfg.parameters == {"c": 2.0, "theta": 0.5, "u": "sin_1", "n": 1024,
+                              "lambda_max": 64.0}
+    assert cli.parse_config(cfg.to_document()) == cfg
+
+
+def test_readme_command_table_names_the_parameter_table():
+    # a row's parameter column lists the required keys, then the optional
+    # ones in brackets
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = {}
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        m = re.match(r"\| `(\w+)` \| (.*?) \|", line)
+        if m and m.group(1) in cli.PARAMETERS:
+            required, _, optional = m.group(2).partition("[")
+            rows[m.group(1)] = (set(re.findall(r"`(\w+)`", required)),
+                                set(re.findall(r"`(\w+)`", optional)))
+    assert set(rows) == set(cli.PARAMETERS)
+    for command, table in cli.PARAMETERS.items():
+        required = {k for k, (_, default) in table.items() if default is cli.REQUIRED}
+        assert rows[command] == (required, set(table) - required), command
 
 
 def test_main_homogenize_laminate(tmp_path, capsys):
@@ -188,6 +224,8 @@ def test_counterexample_run(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     diff = report["diagnostics"]["form_relative_difference"]
     assert diff <= 2e-3
+    assert report["inputs"]["parameters"] == {"c": 2.0, "theta": 0.5, "u": "sin_1",
+                                              "n": 512, "lambda_max": 64.0}
     for name in ("kernel.csv", "h.csv", "energies.csv", "u0_branches.csv"):
         assert (tmp_path / "out" / name).exists()
 
@@ -228,18 +266,28 @@ SWEEP_DOC = {"command": "recovery_sweep",
 VERIFY_DOC = dict(LAMINATE_DOC, command="verify_conditions")
 
 # probe -> (key, config document, bad value); "seed" is top level, the value
-# "csv" stands for a CSV file holding a non-number and "dir" for a directory
+# "csv" stands for a CSV file holding a non-number, "short" for one holding a
+# single sample and "dir" for a directory
 BAD_VALUES = {
     "n": ("n", COUNTER_DOC, "abc"),
+    "n-fractional": ("n", COUNTER_DOC, 100.5),
     "lambda_max": ("lambda_max", COUNTER_DOC, "x"),
+    "lambda_max-string": ("lambda_max", COUNTER_DOC, "64"),
+    "n_freq": ("n_freq", COUNTER_DOC, 8192),
+    "lamda_max": ("lamda_max", COUNTER_DOC, 1),
     "n_min": ("n_min", SWEEP_DOC, "x"),
     "eps_list": ("eps_list", SWEEP_DOC, [True]),
     "seed": ("seed", LAMINATE_DOC, "x"),
-    "xi": ("xi", VERIFY_DOC, "abc"),
-    "a_tol": ("a_tol", LAMINATE_DOC, "x"),
+    "seed-fractional": ("seed", LAMINATE_DOC, 1.5),
+    "xi": ("xi", VERIFY_DOC, [0, 1]),
+    "a_tol": ("a_tol", LAMINATE_DOC, float("nan")),
     "u": ("u", COUNTER_DOC, "csv"),
     "u-dir": ("u", COUNTER_DOC, "dir"),
+    "u-short": ("u", COUNTER_DOC, "short"),
+    "u-number": ("u", SWEEP_DOC, 5),
     "max_iter": ("max_iter", GRID_DOC, "x"),
+    "max_iter-negative": ("max_iter", GRID_DOC, -5),
+    "tol-negative": ("tol", GRID_DOC, -1),
     "coefficient-int": ("coefficient", GRID_DOC, 5),
     "coefficient-list": ("coefficient", GRID_DOC, ["a"]),
     "coefficient-empty": ("coefficient", GRID_DOC, ""),
@@ -252,10 +300,10 @@ def test_main_bad_value_is_a_validation_error(tmp_path, capsys, probe):
     key, doc, value = BAD_VALUES[probe]
     doc = dict(doc, output_dir=str(tmp_path / "out"),
                parameters=dict(doc["parameters"]))
-    if value == "csv":
-        value = tmp_path / "u.csv"
-        value.write_text("0.0\n0.5\nnot-a-number\n")
-        value = str(value)
+    if value in ("csv", "short"):
+        path = tmp_path / "u.csv"
+        path.write_text("0.0\n0.5\nnot-a-number\n" if value == "csv" else "0.5\n")
+        value = str(path)
     elif value == "dir":
         value = str(tmp_path)
     if key == "seed":
@@ -271,6 +319,7 @@ def test_main_bad_value_is_a_validation_error(tmp_path, capsys, probe):
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].startswith("validation error: ")
     assert key in err[-1]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("literal, code", [("0", 1), ("-1", 1), ("1e400", 1),

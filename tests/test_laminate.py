@@ -129,7 +129,7 @@ def test_theta_endpoint_continuity():
 
 def test_conditions_2d_examples():
     xi = np.array([1.0, 1.0])
-    rep = laminate.check_conditions_2d(spec2(np.outer(xi, xi), I2), xi=xi)
+    rep = laminate.check_conditions_2d(spec2(np.outer(xi, xi), I2))
     assert rep.h2_holds
     assert rep.detail("xi_not_orthogonal").value == pytest.approx(1.0)
     assert rep.detail("xi_A2n_independent").value == pytest.approx(1.0)
