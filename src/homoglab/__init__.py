@@ -13,13 +13,12 @@ Subpackages:
 import importlib
 
 from . import anomalous, cell, laminate, linalg
-from .errors import (AdmissibilityError, ConvergenceError, CrossValidationError,
-                     GridTooSmallError, HomoglabError, NumericalError,
-                     ValidationError)
+from .errors import (ConvergenceError, CrossValidationError, GridTooSmallError,
+                     HomoglabError, NumericalError, ValidationError)
 
 __all__ = [
     "anomalous", "cell", "cli", "laminate", "linalg",
-    "AdmissibilityError", "ConvergenceError", "CrossValidationError",
+    "ConvergenceError", "CrossValidationError",
     "GridTooSmallError", "HomoglabError", "NumericalError", "ValidationError",
 ]
 

@@ -8,9 +8,12 @@ fraction theta), the oscillating energies
 converge (weak-L2 Gamma sense) to a limit with two equivalent closed
 forms: a spectral one weighted by 1/k0_hat(lambda), and a nonlocal one
 with gradient coefficient c/c_theta plus the square of sqrt(alpha) u +
-h *_1 u for an explicit even kernel h.  This module evaluates both forms,
-builds the two-scale profile u0 through Sturm-Liouville problems, and
-measures the recovery energies F_eps(u0(x1, x2/eps)) against the limit.
+h *_1 u for an explicit even kernel h.  This module evaluates both forms
+(the spectral one in real space, O(n) and with no transform, because
+1/k0_hat is a polynomial minus the transform of a semiseparable kernel;
+the nonlocal one by direct convolution with h), builds the two-scale
+profile u0 through Sturm-Liouville problems, and measures the recovery
+energies F_eps(u0(x1, x2/eps)) against the limit.
 
 Conventions: Fourier transform F(u)(lambda) = int exp(-2 pi i lambda x)
 u(x) dx; functions of x1 live on [0, 1] sampled at n equispaced points
@@ -24,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AdmissibilityError, CrossValidationError, GridTooSmallError,
-                     ValidationError)
+from .errors import CrossValidationError, GridTooSmallError, ValidationError
 
 TWO_PI_SQ = 4.0 * np.pi ** 2
 H_TAIL_RTOL = 1e-4
@@ -34,10 +36,7 @@ H_TAIL_RTOL = 1e-4
 LAMBDA_MAX_DEFAULT = 64.0
 # Largest FFT any routine here runs: 2^22 complex samples are 64 MB per buffer.
 H_MAX_SAMPLES = 1 << 22
-# Zero-padding factor of the spectral form's row transforms.
-SPECTRUM_PAD = 8
-N_MAX = H_MAX_SAMPLES // SPECTRUM_PAD  # most samples per x1 row
-LEAKAGE_RTOL = 1e-6
+N_MAX = 1 << 19  # most samples per x1 row of a field built from a function
 MEAN_IDENTITY_TOL = 1e-4
 # Smallest Sturm-Liouville coefficient the Green-kernel check supports:
 # sinh(1/sqrt(a)) overflows a double beyond 1/sqrt(a) = 710.47.
@@ -207,11 +206,6 @@ def _fft_length(samples: float, what: str) -> int:
     return 1 << max(4, math.ceil(math.log2(samples)))
 
 
-def _check_lambda_max(lambda_max: float):
-    if not (math.isfinite(lambda_max) and lambda_max > 0.0):
-        raise ValidationError(f"lambda_max must be finite and > 0, got {lambda_max!r}")
-
-
 def h_kernel(params: SpectralParams, dx: float, lambda_max: float = LAMBDA_MAX_DEFAULT,
              half_width: float = 1.0) -> SampledField:
     """The convolution kernel h sampled at spacing dx on [-half_width, half_width].
@@ -223,7 +217,8 @@ def h_kernel(params: SpectralParams, dx: float, lambda_max: float = LAMBDA_MAX_D
     long, where h decays like exp(-rate |x|), so the wrapped tails are below
     exp(-23); a window above H_MAX_SAMPLES samples is refused.
     """
-    _check_lambda_max(lambda_max)
+    if not (math.isfinite(lambda_max) and lambda_max > 0.0):
+        raise ValidationError(f"lambda_max must be finite and > 0, got {lambda_max!r}")
     if not (dx > 0.0 and half_width > 0.0):
         raise ValidationError(
             f"dx and half_width must be positive, got {dx!r} and {half_width!r}")
@@ -267,22 +262,19 @@ def _rows_and_weights(u: SampledField) -> tuple[np.ndarray, np.ndarray]:
     return v, _trapezoid_weights(n2, 1.0 / (n2 - 1))
 
 
+def _check_unit_interval(field: SampledField, what: str):
+    if abs(field.origin) > 1e-12 or abs(field.spacing * (field.n - 1) - 1.0) > 1e-9:
+        raise ValidationError(f"{what} must be sampled on [0, 1] inclusive")
+
+
 def _check_zero_extended(u: SampledField):
     if not u.zero_extended:
         raise ValidationError("u must be declared zero-extended outside (0, 1)")
+    _check_unit_interval(u, "a zero-extended field")
     scale = max(1.0, float(np.abs(u.values).max()))
     rows, _ = _rows_and_weights(u)
     if max(np.abs(rows[:, 0]).max(), np.abs(rows[:, -1]).max()) > 1e-9 * scale:
         raise ValidationError("zero-extended field must vanish at x1 = 0 and 1")
-
-
-def _row_spectrum(row: np.ndarray, dx: float):
-    """Continuous-convention transform samples of the zero-padded row."""
-    m = _fft_length(SPECTRUM_PAD * row.shape[0], "the padded row transform")
-    spec = dx * np.fft.fft(row, m)
-    lam = np.fft.fftfreq(m, d=dx)
-    dlam = 1.0 / (m * dx)
-    return spec, lam, dlam
 
 
 def _derivative(rows: np.ndarray, dx: float) -> np.ndarray:
@@ -295,15 +287,33 @@ def _derivative(rows: np.ndarray, dx: float) -> np.ndarray:
 
 
 def gamma_limit_fourier(params: SpectralParams, u: SampledField) -> float:
-    """Spectral form of the limit: int dx2 int (1/k0_hat) |F(u)|^2 dlambda."""
+    """Spectral form of the limit: int dx2 int (1/k0_hat) |F(u)|^2 dlambda.
+
+    1/k0_hat = (c/c_theta) 4 pi^2 lambda^2 + alpha - K / (c_theta 4 pi^2
+    lambda^2 + 1) with K = (c - 1)^2 theta (1 - theta) / c_theta^2, and the
+    last term is the transform of g(x) = exp(-|x|/r) / (2r), r = sqrt(c_theta).
+    By Plancherel the form is (c/c_theta)|u'|^2 + alpha |u|^2 - K <u, g * u>,
+    evaluated in O(n) with no transform: forward differences for |u'|^2,
+    the trapezoid rule for |u|^2 and the trapezoid product rule for
+    <u, g * u>.  g is semiseparable, so with p = trapezoid weights * u the
+    double sum is (2 sum_i p_i e^(-x_i/r) sum_(j<=i) p_j e^(x_j/r) - sum p_i^2)
+    / (2r), one running sum (as in _sl_green_solve); r >= 1 and x in [0, 1]
+    keep every factor within [1/e, e].  The error is O(dx^2) for u smooth
+    on [0, 1].
+    """
     _check_zero_extended(u)
     rows, wx2 = _rows_and_weights(u)
-    total = 0.0
-    for row, w in zip(rows, wx2):
-        spec, lam, dlam = _row_spectrum(row, u.spacing)
-        weight = 1.0 / k0_hat(params, lam)
-        total += w * float(np.sum(weight * np.abs(spec) ** 2) * dlam)
-    return total
+    dx = u.spacing
+    r = math.sqrt(params.c_theta)
+    k = (params.c - 1.0) ** 2 * params.theta * (1.0 - params.theta) / params.c_theta ** 2
+    grad_coeff = params.c / params.c_theta
+    grad = np.square(np.diff(rows, axis=1)).sum(axis=1) / dx
+    p = rows * _trapezoid_weights(u.n, dx)
+    mass = np.einsum("ij,ij->i", rows, p)
+    decay = np.exp(-u.x / r)
+    running = np.cumsum(p / decay, axis=1)
+    pair = (2.0 * (p * running) @ decay - np.einsum("ij,ij->i", p, p)) / (2.0 * r)
+    return float(wx2 @ (grad_coeff * grad + params.alpha * mass - k * pair))
 
 
 def gamma_limit_convolution(params: SpectralParams, u: SampledField,
@@ -336,55 +346,8 @@ def gamma_limit_convolution(params: SpectralParams, u: SampledField,
 
 
 # ---------------------------------------------------------------------------
-# b, the Sturm-Liouville problems, and the two-scale profile
+# the Sturm-Liouville problems and the two-scale profile
 # ---------------------------------------------------------------------------
-
-def solve_b(params: SpectralParams, u: SampledField,
-            lambda_max: float = LAMBDA_MAX_DEFAULT) -> SampledField:
-    """Invert the kernel: b with F(b) = F(u)/k0_hat, row by row.
-
-    Requires (4 pi^2 lambda^2 + 1) F(u) to be effectively supported below
-    lambda_max on the discrete spectrum (otherwise b has distributional
-    content the grid cannot represent and the input is rejected).  The
-    result is returned on an enlarged window centered on [0, 1]; if more
-    than 1e-6 of its norm sits in the outer quarter of that window the
-    truncation is deemed unreliable and the input is rejected as well.
-    """
-    _check_lambda_max(lambda_max)
-    _check_zero_extended(u)
-    if u.values.ndim != 1:
-        raise ValidationError("solve_b operates on one x1 row at a time")
-    dx = u.spacing
-    row = u.values
-    window = max(4.0, 1.0 + 64.0 * math.sqrt(params.c_theta))
-    m = _fft_length(window / dx, "the window of b")
-    spec = dx * np.fft.fft(row, m)
-    lam = np.fft.fftfreq(m, d=dx)
-    weighted = (TWO_PI_SQ * lam ** 2 + 1.0) * np.abs(spec)
-    lam_cut = min(lambda_max, 0.5 / dx / 2.0)
-    tail = float(np.sum(weighted[np.abs(lam) > lam_cut] ** 2))
-    total = float(np.sum(weighted ** 2))
-    if total > 0.0 and tail > 1e-4 * total:
-        raise AdmissibilityError(
-            "u is not admissible at this resolution: "
-            f"{tail / total:.2e} of the weighted spectrum lies beyond "
-            f"lambda = {lam_cut:g}")
-    bspec = spec / k0_hat(params, lam)
-    bvals = np.fft.ifft(bspec).real / dx
-    # Center the window on [0, 1]: keep indices so that x = 0.5 sits mid-window.
-    shift = int(round((0.5 * m * dx - 0.5) / dx))
-    idx = np.mod(np.arange(m) - shift, m)
-    bvals = bvals[idx]
-    origin = -shift * dx
-    norm = float(np.linalg.norm(bvals))
-    outer = m // 4
-    leak = float(np.linalg.norm(np.concatenate([bvals[:outer // 2], bvals[-outer // 2:]])))
-    if norm > 0.0 and leak > LEAKAGE_RTOL * norm:
-        raise AdmissibilityError(
-            f"b leaks {leak / norm:.2e} of its norm into the window edges; "
-            "u is not admissible at this resolution")
-    return SampledField(values=bvals, spacing=dx, origin=origin, zero_extended=False)
-
 
 def _dst1(f: np.ndarray) -> np.ndarray:
     """Type-I sine transform sum_j f_j sin(pi j k / (m + 1)), k = 1..m, by rfft."""
@@ -461,8 +424,7 @@ def solve_sturm_liouville(a_value: float, b: SampledField) -> SampledField:
             "Green-kernel check supports (sinh(1/sqrt(a)) overflows)")
     if b.values.ndim != 1:
         raise ValidationError("b must be a 1D field on [0, 1]")
-    if abs(b.origin) > 1e-12 or abs(b.origin + b.spacing * (b.n - 1) - 1.0) > 1e-9:
-        raise ValidationError("b must be sampled on [0, 1] inclusive")
+    _check_unit_interval(b, "b")
     h = b.spacing
     fd = _sl_matrix_solve(a_value, b.values, h)
     green = _sl_green_solve(a_value, b.values, h)
@@ -511,12 +473,6 @@ def two_scale_profile(params: SpectralParams, u: SampledField):
     return (SampledField.on_unit_interval(w1),
             SampledField.on_unit_interval(wc),
             b_field)
-
-
-def build_u0(params: SpectralParams, u: SampledField):
-    """The two u0 phase branches (a = 1 and a = c) of the two-scale limit."""
-    w1, wc, _ = two_scale_profile(params, u)
-    return w1, wc
 
 
 # ---------------------------------------------------------------------------

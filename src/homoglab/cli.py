@@ -111,6 +111,9 @@ def _u_field(value, n: int = 16) -> anomalous.SampledField:
     if isinstance(value, str) and (value.startswith("sin_") or value == "bump"):
         return anomalous.SampledField.from_function(anomalous.test_function(value), n)
     path = _file(value)
+    lines = Path(path).read_bytes().splitlines()
+    if not any(line.partition(b"#")[0].strip() for line in lines):
+        raise ValidationError(f"{path} holds no samples")
     try:
         samples = np.loadtxt(path, delimiter=",", dtype=float, ndmin=1)
     except ValueError as exc:
@@ -340,7 +343,7 @@ def _run_counterexample(cfg, out: Path, report: RunReport):
                ["form", "value"],
                [("fourier", ff), ("convolution", fc),
                 ("relative_difference", abs(ff - fc) / ff if ff else 0.0)])
-    u0_1, u0_c = anomalous.build_u0(p, u)
+    u0_1, u0_c, _ = anomalous.two_scale_profile(p, u)
     mean_gap = float(np.abs(p.theta * u0_1.values + (1 - p.theta) * u0_c.values
                             - u.values).max())
     branch_gap = float(np.abs(u0_1.values - u0_c.values).max())

@@ -34,9 +34,5 @@ class GridTooSmallError(NumericalError):
     """Frequency or spatial grid cannot represent the requested object."""
 
 
-class AdmissibilityError(NumericalError):
-    """Input function is not admissible at the current resolution."""
-
-
 class CrossValidationError(NumericalError):
     """Two independent computations of the same quantity disagree."""

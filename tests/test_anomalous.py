@@ -13,8 +13,7 @@ import pytest
 
 import homoglab
 from homoglab import anomalous as an
-from homoglab.errors import (AdmissibilityError, CrossValidationError,
-                             GridTooSmallError, ValidationError)
+from homoglab.errors import CrossValidationError, GridTooSmallError, ValidationError
 
 P = an.SpectralParams(c=2.0, theta=0.5)
 
@@ -125,8 +124,15 @@ def test_h_tail_gate_trips_on_small_lambda_max():
 def test_lambda_max_must_be_finite_and_positive(lambda_max):
     with pytest.raises(ValidationError, match="lambda_max"):
         an.h_kernel(P, 1.0 / 1023, lambda_max)
-    with pytest.raises(ValidationError, match="lambda_max"):
-        an.solve_b(P, field_of("bump"), lambda_max)
+
+
+def _traced_peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def _refused_peak_mb(match, fn, *args):
@@ -149,18 +155,18 @@ def test_h_kernel_window_is_capped_before_allocating():
 
 
 def test_every_fft_and_field_is_capped_before_allocating():
-    # c = 1e4, theta = 0.99, n = 4096: solve_b's window would be 2^25 samples;
     # 2^19 + 1 samples per row, or 2^24 for eps = 2^-20, exceed N_MAX
-    p = an.SpectralParams(c=1e4, theta=0.99)
-    assert _refused_peak_mb("window of b", an.solve_b, p, field_of("bump", 4096)) < 8.0
     fn = an.test_function("sin_1")
     assert _refused_peak_mb("at most", an.SampledField.from_function, fn,
                             an.N_MAX + 1) < 1.0
     assert _refused_peak_mb("at most", an.recovery_energy, P, fn, 2.0 ** -20,
                             2 ** 24) < 1.0
-    # a field built from samples is not capped, but its padded transform is
-    long = an.SampledField.on_unit_interval(np.zeros(an.N_MAX + 1))
-    assert _refused_peak_mb("padded row", an.gamma_limit_fourier, P, long) < 16.0
+    # a field built from samples is not capped; the spectral form of one with
+    # 2^19 + 1 samples (4 MB) holds at most five arrays of its size
+    an.gamma_limit_fourier(P, field_of("sin_1", 64))
+    x = np.linspace(0.0, 1.0, an.N_MAX + 1)
+    long = an.SampledField.on_unit_interval(np.sin(np.pi * x))
+    assert _traced_peak_mb(an.gamma_limit_fourier, P, long) < 20.0
 
 
 def test_convolution_theorem_discrete():
@@ -216,38 +222,47 @@ def test_gamma_limit_c1_reduction():
     assert an.gamma_limit_convolution(p1, u) == pytest.approx(h1, rel=1e-3)
 
 
-def test_solve_b_zero_and_gates():
-    zeros = an.SampledField.on_unit_interval(np.zeros(64))
-    b = an.solve_b(P, zeros)
-    assert np.abs(b.values).max() == 0.0
-    with pytest.raises(AdmissibilityError, match="not admissible"):
-        an.solve_b(P, field_of("sin_1"))
+def _gamma_sin_1(p):
+    """Closed form of the limit energy of sin(pi x1) on [0, 1]."""
+    r = math.sqrt(p.c_theta)
+    k = (p.c - 1.0) ** 2 * p.theta * (1.0 - p.theta) / p.c_theta ** 2
+    a = 1.0 / (1.0 + np.pi ** 2 * r ** 2)
+    b = a * np.pi * r * math.exp(-0.5 / r)
+    pair = a / 2.0 + b * 2.0 * np.pi * math.cosh(0.5 / r) / (np.pi ** 2 + r ** -2)
+    return p.c / p.c_theta * np.pi ** 2 / 2.0 + p.alpha / 2.0 - k * pair
 
 
-def test_solve_b_c1_matches_second_difference():
-    p1 = an.SpectralParams(c=1.0, theta=0.5)
-    u = field_of("bump")
-    b = an.solve_b(p1, u)
-    i0 = int(round((0.0 - b.origin) / b.spacing))
-    seg = b.values[i0:i0 + u.n]
-    h = u.spacing
-    d2 = np.zeros(u.n)
-    d2[1:-1] = (u.values[2:] - 2 * u.values[1:-1] + u.values[:-2]) / h ** 2
-    ref = -d2 + u.values
-    inner = slice(2, -2)
-    assert np.abs(seg[inner] - ref[inner]).max() <= 1e-3 * np.abs(ref).max()
+@pytest.mark.parametrize("c", [2.0, 10.0, 100.0])
+def test_gamma_limit_fourier_is_second_order(c):
+    assert _gamma_sin_1(P) == pytest.approx(7.1201461879, abs=1e-9)
+    p = an.SpectralParams(c=c, theta=0.5)
+    errs = [an.gamma_limit_fourier(p, field_of("sin_1", n)) - _gamma_sin_1(p)
+            for n in (1024, 4096, 16384)]
+    for coarse, fine in zip(errs[:-1], errs[1:]):
+        assert math.log(coarse / fine, 4.0) == pytest.approx(2.0, abs=0.1)
 
 
-def test_solve_b_plancherel_consistency():
-    u = field_of("bump")
-    b = an.solve_b(P, u)
-    dx = u.spacing
-    m = b.n
-    spec = dx * np.fft.fft(u.values, m)
-    lam = np.fft.fftfreq(m, d=dx)
-    rhs = float(np.sum(np.abs(spec / an.k0_hat(P, lam)) ** 2) / (m * dx))
-    lhs = float(np.sum(b.values ** 2) * dx)
-    assert lhs == pytest.approx(rhs, rel=1e-10)
+def test_gamma_limit_fourier_matches_padded_transform():
+    # the spectral integral as a sum over the transform of the samples,
+    # zero-padded 128x so the period is far beyond the decay length of g
+    p = an.SpectralParams(c=100.0, theta=0.5)
+    u = field_of("bump", 4096)
+    m = 128 * u.n
+    spec = u.spacing * np.fft.rfft(u.values, m)
+    lam = np.fft.rfftfreq(m, d=u.spacing)
+    fold = np.full(lam.shape, 2.0)
+    fold[0] = fold[-1] = 1.0
+    want = float(np.sum(fold * np.abs(spec) ** 2 / an.k0_hat(p, lam))) / (m * u.spacing)
+    assert an.gamma_limit_fourier(p, u) == pytest.approx(want, rel=1e-6)
+
+
+def test_zero_extended_fields_span_the_unit_interval():
+    x = np.linspace(0.0, 1.0, 1000)
+    values = np.sin(np.pi * x)
+    for field in (an.SampledField(values, spacing=1.0),
+                  an.SampledField(values, spacing=1.0 / 999, origin=0.5)):
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            an.gamma_limit_fourier(P, field)
 
 
 def test_sturm_liouville_zero_rhs():
@@ -331,24 +346,24 @@ def test_sturm_liouville_small_coefficient():
         an.solve_sturm_liouville(1e-5, b)
 
 
-def test_build_u0_zero():
+def test_two_scale_profile_zero():
     zeros = an.SampledField.on_unit_interval(np.zeros(64))
-    u1, uc = an.build_u0(P, zeros)
+    u1, uc, _ = an.two_scale_profile(P, zeros)
     assert np.abs(u1.values).max() == 0.0
     assert np.abs(uc.values).max() == 0.0
 
 
-def test_build_u0_c1_branches_collapse():
+def test_two_scale_profile_c1_branches_collapse():
     p1 = an.SpectralParams(c=1.0, theta=0.5)
     u = field_of("sin_1", 513)
-    u1, uc = an.build_u0(p1, u)
+    u1, uc, _ = an.two_scale_profile(p1, u)
     assert np.abs(u1.values - u.values).max() <= 1e-10
     assert np.abs(uc.values - u.values).max() <= 1e-10
 
 
-def test_build_u0_mean_identity_and_branch_separation():
+def test_two_scale_profile_mean_identity_and_branch_separation():
     u = field_of("sin_1", 1025)
-    u1, uc = an.build_u0(P, u)
+    u1, uc, _ = an.two_scale_profile(P, u)
     mean = P.theta * u1.values + (1 - P.theta) * uc.values
     assert np.abs(mean - u.values).max() <= 1e-4
     assert np.abs(u1.values - uc.values).max() >= 1e-3
@@ -389,7 +404,7 @@ def test_recovery_energy_matches_explicit_field(c, theta, eps):
     fn = an.test_function("sin_1")
     res = an.recovery_energy(p, fn, eps, n)
     u = an.SampledField.from_function(fn, n)
-    u1, uc = an.build_u0(p, u)
+    u1, uc, _ = an.two_scale_profile(p, u)
     x2 = (np.arange(n) + 0.5) / n
     a = p.conductivity(x2 / eps)
     rows = np.where((a == 1.0)[:, None], u1.values[None, :], uc.values[None, :])
@@ -397,15 +412,6 @@ def test_recovery_energy_matches_explicit_field(c, theta, eps):
     density = a[:, None] * du ** 2 + rows ** 2
     explicit = float(np.mean(np.trapezoid(density, dx=u.spacing, axis=1)))
     assert res.energy_eps == pytest.approx(explicit, rel=1e-13)
-
-
-def _traced_peak_mb(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] / 2 ** 20
-    finally:
-        tracemalloc.stop()
 
 
 def test_sturm_liouville_and_recovery_memory_is_linear():
@@ -450,7 +456,7 @@ def test_counterexample_runs_without_scipy(tmp_path):
 def test_recovery_coercivity_and_gap():
     res = an.recovery_energy(P, an.test_function("sin_1"), 0.125, 256)
     u = field_of("sin_1", 256)
-    u1, uc = an.build_u0(P, u)
+    u1, uc, _ = an.two_scale_profile(P, u)
     l2_min = min(float(np.trapezoid(u1.values ** 2, dx=u.spacing)),
                  float(np.trapezoid(uc.values ** 2, dx=u.spacing)))
     assert res.energy_eps >= l2_min

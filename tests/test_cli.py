@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -212,7 +213,9 @@ def test_recovery_sweep_gap_column(tmp_path):
     assert rows[0] == "eps,energy_eps,limit_energy,gap"
     assert len(rows) == 5
     gaps = [float(r.split(",")[3]) for r in rows[1:]]
-    assert gaps[-1] < gaps[0]  # decreasing overall
+    # the gaps converge to the boundary-layer cost at second order in eps
+    steps = np.abs(np.diff(gaps))
+    assert np.all(steps[:-1] >= 3.0 * steps[1:]), gaps
     assert gaps[-1] < 0.05
 
 
@@ -267,7 +270,8 @@ VERIFY_DOC = dict(LAMINATE_DOC, command="verify_conditions")
 
 # probe -> (key, config document, bad value); "seed" is top level, the value
 # "csv" stands for a CSV file holding a non-number, "short" for one holding a
-# single sample and "dir" for a directory
+# single sample, "empty" for an empty one, "comments" for one holding only
+# comments and blank lines, and "dir" for a directory
 BAD_VALUES = {
     "n": ("n", COUNTER_DOC, "abc"),
     "n-fractional": ("n", COUNTER_DOC, 100.5),
@@ -284,6 +288,8 @@ BAD_VALUES = {
     "u": ("u", COUNTER_DOC, "csv"),
     "u-dir": ("u", COUNTER_DOC, "dir"),
     "u-short": ("u", COUNTER_DOC, "short"),
+    "u-empty": ("u", COUNTER_DOC, "empty"),
+    "u-comments": ("u", COUNTER_DOC, "comments"),
     "u-number": ("u", SWEEP_DOC, 5),
     "max_iter": ("max_iter", GRID_DOC, "x"),
     "max_iter-negative": ("max_iter", GRID_DOC, -5),
@@ -295,14 +301,18 @@ BAD_VALUES = {
 }
 
 
+CSV_TEXT = {"csv": "0.0\n0.5\nnot-a-number\n", "short": "0.5\n", "empty": "",
+            "comments": "# u on [0, 1]\n\n"}
+
+
 @pytest.mark.parametrize("probe", list(BAD_VALUES))
 def test_main_bad_value_is_a_validation_error(tmp_path, capsys, probe):
     key, doc, value = BAD_VALUES[probe]
     doc = dict(doc, output_dir=str(tmp_path / "out"),
                parameters=dict(doc["parameters"]))
-    if value in ("csv", "short"):
+    if isinstance(value, str) and value in CSV_TEXT:
         path = tmp_path / "u.csv"
-        path.write_text("0.0\n0.5\nnot-a-number\n" if value == "csv" else "0.5\n")
+        path.write_text(CSV_TEXT[value])
         value = str(path)
     elif value == "dir":
         value = str(tmp_path)
@@ -315,7 +325,9 @@ def test_main_bad_value_is_a_validation_error(tmp_path, capsys, probe):
         cell.save_coefficient(cell.constant_coefficient(np.eye(2), 2, 4), coeff_path)
         doc["parameters"]["coefficient"] = str(coeff_path)
     cfg = write_config(tmp_path, doc)
-    assert cli.main([doc["command"], "--config", str(cfg)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([doc["command"], "--config", str(cfg)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].startswith("validation error: ")
     assert key in err[-1]
