@@ -19,8 +19,11 @@ channels being the upper triangle of the symmetric matrix in row-major
 order (2D: a11 a12 a22; 3D: a11 a12 a13 a22 a23 a33).
 
 CSV artifacts are comma-separated with a header row, '.' decimal, UTF-8,
-LF line endings.  Each run also writes report.json and a gnuplot script
-plot.gp.  Exit codes: 0 success, 1 validation error, 2 numerical failure.
+LF line endings.  A successful run also writes report.json and, for every
+command but verify_conditions, a gnuplot script plot.gp; report.json's
+wall_seconds times the computation, not the writing.  Exit codes: 0
+success, 1 validation error, 2 numerical failure.  A run that exits 1 or 2
+creates and writes nothing: files already in output_dir are left alone.
 """
 
 from __future__ import annotations
@@ -56,10 +59,10 @@ class ExperimentConfig:
 class RunReport:
     command: str
     inputs: dict
-    results: dict = field(default_factory=dict)
-    diagnostics: dict = field(default_factory=dict)
+    results: dict
+    diagnostics: dict
+    wall_seconds: float
     artifacts: list = field(default_factory=list)
-    wall_seconds: float = 0.0
 
     def to_json(self) -> str:
         return json.dumps(
@@ -239,138 +242,112 @@ def _tensor_rows(t: np.ndarray):
     return [(i, j, t[i, j]) for i in range(d) for j in range(d)]
 
 
-def _check_report_tensor(t: np.ndarray, name: str):
-    if np.abs(t - t.T).max() > 1e-10 * max(1.0, np.abs(t).max()):
-        raise NumericalError(f"{name} lost symmetry beyond 1e-10")
+# A runner takes the effective parameters and writes no file.  It returns
+# (tables, plot, results, diagnostics): tables maps each CSV name, in artifact
+# order, to (header, list of rows); plot is plot.gp's lines or None.
 
-
-def _plot_script(out: Path, lines: list[str]) -> str:
-    path = out / "plot.gp"
-    body = "\n".join(['set datafile separator ","', "set key autotitle columnhead"]
-                     + lines) + "\n"
-    path.write_text(body, encoding="utf-8", newline="\n")
-    return path.name
-
-
-def _run_homogenize_laminate(cfg, out: Path, report: RunReport):
-    spec = laminate.LaminateSpec.from_dict(cfg.parameters)
-    hom = laminate.homogenize_laminate(spec)
-    _check_report_tensor(hom.tensor, "effective tensor")
-    _write_csv(out / "tensor.csv", ["i", "j", "value"], _tensor_rows(hom.tensor))
-    _write_csv(out / "summary.csv",
-               ["a_value", "branch", "pd", "kernel_dim"],
-               [(hom.a_value, hom.branch, hom.pd, len(hom.kernel))])
-    report.results.update({
+def _run_homogenize_laminate(params):
+    hom = laminate.homogenize_laminate(laminate.LaminateSpec.from_dict(params))
+    tables = {
+        "tensor.csv": (["i", "j", "value"], _tensor_rows(hom.tensor)),
+        "summary.csv": (["a_value", "branch", "pd", "kernel_dim"],
+                        [(hom.a_value, hom.branch, hom.pd, len(hom.kernel))]),
+    }
+    results = {
         "a_value": hom.a_value,
         "tensor": hom.tensor.tolist(),
         "branch": hom.branch,
         "pd": hom.pd,
         "kernel": [v.tolist() for v in hom.kernel],
-    })
-    report.artifacts += [("tensor.csv", spec.dim ** 2), ("summary.csv", 1)]
-    report.artifacts.append((_plot_script(out, [
-        'plot "tensor.csv" using 1:3 with points pt 7 title "entries"']), None))
+    }
+    plot = ['plot "tensor.csv" using 1:3 with points pt 7 title "entries"']
+    return tables, plot, results, {}
 
 
-def _run_verify_conditions(cfg, out: Path, report: RunReport):
-    spec = laminate.LaminateSpec.from_dict(cfg.parameters)
-    if spec.dim == 2:
-        rep = laminate.check_conditions_2d(spec)
-    else:
-        rep = laminate.check_conditions_3d(spec)
+def _run_verify_conditions(params):
+    spec = laminate.LaminateSpec.from_dict(params)
+    check = laminate.check_conditions_2d if spec.dim == 2 else laminate.check_conditions_3d
+    rep = check(spec)
     hom = laminate.homogenize_laminate(spec)
     identity = laminate.verify_kernel_identity(spec)
     rows = [(d.name, d.passed, d.value, d.threshold) for d in rep.details]
-    _write_csv(out / "conditions.csv", ["condition", "passed", "value", "threshold"],
-               rows)
-    report.results.update({
+    tables = {"conditions.csv": (["condition", "passed", "value", "threshold"], rows)}
+    results = {
         "h2_holds": rep.h2_holds,
         "pd": hom.pd,
         "kernel_identity": identity,
         "tensor": hom.tensor.tolist(),
-    })
-    report.artifacts.append(("conditions.csv", len(rows)))
+    }
+    return tables, None, results, {}
 
 
-def _run_homogenize_grid(cfg, out: Path, report: RunReport):
-    params = cfg.parameters
+def _run_homogenize_grid(params):
     coeff = cell.load_coefficient(params["coefficient"])
     solver = cell.SolverConfig(tol=params["tol"], max_iter=params["max_iter"],
                                delta0=params["delta0"], n_delta=params["n_delta"])
     res = cell.homogenize_general(coeff, solver)
-    rows = []
-    for delta, tensor in zip(res.deltas, res.tensors):
-        for i, j, v in _tensor_rows(tensor):
-            rows.append((delta, i, j, v))
-    _write_csv(out / "tensors_by_delta.csv", ["delta", "i", "j", "value"], rows)
+    tables, results = {}, {}
     if res.estimate is not None:
-        _check_report_tensor(res.estimate, "extrapolated tensor")
-        _write_csv(out / "estimate.csv", ["i", "j", "value"],
-                   _tensor_rows(res.estimate))
-        report.artifacts.append(("estimate.csv", coeff.dim ** 2))
-        report.results["estimate"] = res.estimate.tolist()
-    report.results["deltas"] = res.deltas.tolist()
-    report.diagnostics.update({
+        tables["estimate.csv"] = (["i", "j", "value"], _tensor_rows(res.estimate))
+        results["estimate"] = res.estimate.tolist()
+    tables["tensors_by_delta.csv"] = (["delta", "i", "j", "value"], [
+        (delta, *row) for delta, t in zip(res.deltas, res.tensors) for row in _tensor_rows(t)])
+    results["deltas"] = res.deltas.tolist()
+    diagnostics = {
         "fit_residual": res.fit_residual,
         "monotone": res.monotone,
         "stalled": res.stalled,
         "cg_iterations": res.iterations.tolist(),
         "cg_residuals": res.residuals.tolist(),
-    })
-    report.artifacts.append(("tensors_by_delta.csv", len(rows)))
-    report.artifacts.append((_plot_script(out, [
+    }
+    plot = [
         "set logscale x",
         'plot "tensors_by_delta.csv" using 1:($2==$3 ? $4 : 1/0) with points title "diagonal entries"',
-    ]), None))
+    ]
+    return tables, plot, results, diagnostics
 
 
-def _run_counterexample(cfg, out: Path, report: RunReport):
-    params = cfg.parameters
+def _run_counterexample(params):
     p = anomalous.SpectralParams(c=params["c"], theta=params["theta"])
     lambda_max = params["lambda_max"]
     u = _u_field(params["u"], params["n"])
     lam = np.linspace(-lambda_max, lambda_max, 2049)
     k0 = anomalous.k0_hat(p, lam)
     alpha, f = anomalous.alpha_f(p, lam)
-    _write_csv(out / "kernel.csv",
-               ["lambda", "k0_hat", "inv_k0", "alpha_plus_f"],
-               zip(lam, k0, 1.0 / k0, alpha + f))
     h = anomalous.h_kernel(p, 0.5 / lambda_max, lambda_max, half_width=4.0)
-    _write_csv(out / "h.csv", ["x", "h"], zip(h.x, h.values))
     ff = anomalous.gamma_limit_fourier(p, u)
     fc = anomalous.gamma_limit_convolution(p, u, lambda_max)
-    _write_csv(out / "energies.csv",
-               ["form", "value"],
-               [("fourier", ff), ("convolution", fc),
-                ("relative_difference", abs(ff - fc) / ff if ff else 0.0)])
+    rel = abs(ff - fc) / ff if ff else 0.0
     u0_1, u0_c, _ = anomalous.two_scale_profile(p, u)
-    mean_gap = float(np.abs(p.theta * u0_1.values + (1 - p.theta) * u0_c.values
-                            - u.values).max())
-    branch_gap = float(np.abs(u0_1.values - u0_c.values).max())
-    _write_csv(out / "u0_branches.csv", ["x1", "u", "u0_phase1", "u0_phasec"],
-               zip(u.x, u.values, u0_1.values, u0_c.values))
-    report.results.update({
+    tables = {
+        "kernel.csv": (["lambda", "k0_hat", "inv_k0", "alpha_plus_f"],
+                       list(zip(lam, k0, 1.0 / k0, alpha + f))),
+        "h.csv": (["x", "h"], list(zip(h.x, h.values))),
+        "energies.csv": (["form", "value"], [("fourier", ff), ("convolution", fc),
+                                             ("relative_difference", rel)]),
+        "u0_branches.csv": (["x1", "u", "u0_phase1", "u0_phasec"],
+                            list(zip(u.x, u.values, u0_1.values, u0_c.values))),
+    }
+    results = {
         "fourier_energy": ff,
         "convolution_energy": fc,
         "alpha": p.alpha,
         "c_theta": p.c_theta,
         "u": params["u"],
-    })
-    report.diagnostics.update({
-        "form_relative_difference": abs(ff - fc) / ff if ff else 0.0,
-        "mean_identity_sup": mean_gap,
-        "branch_difference_sup": branch_gap,
-    })
-    report.artifacts += [("kernel.csv", len(lam)), ("h.csv", h.n),
-                         ("energies.csv", 3), ("u0_branches.csv", u.n)]
-    report.artifacts.append((_plot_script(out, [
-        'plot "u0_branches.csv" using 1:2 with lines, "" using 1:3 with lines, '
-        '"" using 1:4 with lines',
-    ]), None))
+    }
+    diagnostics = {
+        "form_relative_difference": rel,
+        "mean_identity_sup": float(np.abs(p.theta * u0_1.values
+                                          + (1 - p.theta) * u0_c.values
+                                          - u.values).max()),
+        "branch_difference_sup": float(np.abs(u0_1.values - u0_c.values).max()),
+    }
+    plot = ['plot "u0_branches.csv" using 1:2 with lines, "" using 1:3 with lines, '
+            '"" using 1:4 with lines']
+    return tables, plot, results, diagnostics
 
 
-def _run_recovery_sweep(cfg, out: Path, report: RunReport):
-    params = cfg.parameters
+def _run_recovery_sweep(params):
     p = anomalous.SpectralParams(c=params["c"], theta=params["theta"])
     fn = anomalous.test_function(params["u"])
     rows = []
@@ -379,17 +356,12 @@ def _run_recovery_sweep(cfg, out: Path, report: RunReport):
         n_fine = max(params["n_min"], params["points_per_period"] * periods)
         res = anomalous.recovery_energy(p, fn, 1.0 / periods, n_fine)
         rows.append((res.eps, res.energy_eps, res.limit_energy, res.gap))
-    _write_csv(out / "recovery.csv", ["eps", "energy_eps", "limit_energy", "gap"],
-               rows)
-    report.results["sweep"] = [
-        {"eps": r[0], "energy_eps": r[1], "limit_energy": r[2], "gap": r[3]}
-        for r in rows]
-    report.diagnostics["final_gap"] = rows[-1][3]
-    report.artifacts.append(("recovery.csv", len(rows)))
-    report.artifacts.append((_plot_script(out, [
-        "set logscale x",
-        'plot "recovery.csv" using 1:4 with linespoints title "gap"',
-    ]), None))
+    header = ["eps", "energy_eps", "limit_energy", "gap"]
+    tables = {"recovery.csv": (header, rows)}
+    results = {"sweep": [dict(zip(header, row)) for row in rows]}
+    plot = ["set logscale x",
+            'plot "recovery.csv" using 1:4 with linespoints title "gap"']
+    return tables, plot, results, {"final_gap": rows[-1][3]}
 
 
 _RUNNERS = {
@@ -402,25 +374,27 @@ _RUNNERS = {
 
 
 def run(config: ExperimentConfig) -> RunReport:
-    """Execute a validated config; writes artifacts into its output_dir."""
+    """Execute a validated config, then write its artifacts into output_dir.
+
+    output_dir is created only once the runner has returned, so a run that
+    raises writes nothing; wall_seconds times the runner, not the writing.
+    """
+    start = time.perf_counter()
+    tables, plot, results, diagnostics = _RUNNERS[config.command](config.parameters)
+    report = RunReport(command=config.command,
+                       inputs={"parameters": config.parameters, "seed": config.seed},
+                       results=results, diagnostics=diagnostics,
+                       wall_seconds=time.perf_counter() - start)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report = RunReport(command=config.command,
-                       inputs={"parameters": config.parameters,
-                               "seed": config.seed})
-    start = time.perf_counter()
-    _RUNNERS[config.command](config, out, report)
-    report.wall_seconds = time.perf_counter() - start
-    for name, rows in report.artifacts:
-        path = out / name
-        if not path.exists():
-            raise NumericalError(f"declared artifact {name} was not written")
-        if rows is not None:
-            with open(path, encoding="utf-8") as fh:
-                count = sum(1 for _ in fh) - 1
-            if count != rows:
-                raise NumericalError(
-                    f"artifact {name} has {count} rows, declared {rows}")
+    for name, (header, rows) in tables.items():
+        _write_csv(out / name, header, rows)
+        report.artifacts.append((name, len(rows)))
+    if plot is not None:
+        (out / "plot.gp").write_text(
+            "\n".join(['set datafile separator ","', "set key autotitle columnhead",
+                       *plot]) + "\n", encoding="utf-8", newline="\n")
+        report.artifacts.append(("plot.gp", None))
     (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     return report
 

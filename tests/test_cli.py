@@ -150,20 +150,6 @@ def test_main_validation_exit_code(tmp_path):
     assert cli.main(["homogenize_laminate", "--config", str(cfg)]) == 1
 
 
-def test_main_numerical_exit_code(tmp_path):
-    rng = np.random.default_rng(6)
-    b = rng.normal(size=(8, 8, 2, 2))
-    samples = np.einsum("...ki,...kj->...ij", b, b)
-    co = cell.PeriodicCoefficient(dim=2, n_grid=8, samples=samples)
-    coeff_path = tmp_path / "coeff.txt"
-    cell.save_coefficient(co, coeff_path)
-    doc = {"command": "homogenize_grid", "output_dir": str(tmp_path / "out"),
-           "parameters": {"coefficient": str(coeff_path), "max_iter": 1,
-                          "tol": 1e-14}}
-    cfg = write_config(tmp_path, doc)
-    assert cli.main(["homogenize_grid", "--config", str(cfg)]) == 2
-
-
 def test_verify_conditions_run(tmp_path):
     doc = {
         "command": "verify_conditions",
@@ -184,11 +170,8 @@ def test_verify_conditions_run(tmp_path):
 
 
 def test_homogenize_grid_constant(tmp_path):
-    co = cell.constant_coefficient(np.eye(2), 2, 16)
-    coeff_path = tmp_path / "coeff.txt"
-    cell.save_coefficient(co, coeff_path)
     doc = {"command": "homogenize_grid", "output_dir": str(tmp_path / "out"),
-           "parameters": {"coefficient": str(coeff_path)}}
+           "parameters": {"coefficient": grid_coefficient(tmp_path)}}
     cfg = write_config(tmp_path, doc)
     assert cli.main(["homogenize_grid", "--config", str(cfg)]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -251,22 +234,81 @@ def test_csv_determinism(tmp_path):
         assert outputs[0] == outputs[1], command
 
 
-def test_declared_artifacts_exist_with_row_counts(tmp_path):
-    doc = dict(LAMINATE_DOC, output_dir=str(tmp_path / "out"))
-    cfg = cli.parse_config(json.dumps(doc))
-    report = cli.run(cfg)
-    for name, rows in report.artifacts:
-        path = tmp_path / "out" / name
-        assert path.exists()
-        if rows is not None:
-            assert len(path.read_text().splitlines()) == rows + 1
-
-
 GRID_DOC = {"command": "homogenize_grid", "parameters": {}}
 COUNTER_DOC = {"command": "counterexample", "parameters": {"c": 2.0, "theta": 0.5}}
 SWEEP_DOC = {"command": "recovery_sweep",
              "parameters": {"c": 2.0, "theta": 0.5, "eps_list": [0.5]}}
 VERIFY_DOC = dict(LAMINATE_DOC, command="verify_conditions")
+
+
+def grid_coefficient(tmp_path, kind="constant"):
+    """Path of a 2D grid file: the identity on 16^2, or the random PSD 8^2
+    field that CG cannot solve to 1e-14 in one iteration."""
+    if kind == "constant":
+        co = cell.constant_coefficient(np.eye(2), 2, 16)
+    else:
+        b = np.random.default_rng(6).normal(size=(8, 8, 2, 2))
+        co = cell.PeriodicCoefficient(dim=2, n_grid=8,
+                                      samples=np.einsum("...ki,...kj->...ij", b, b))
+    path = tmp_path / f"{kind}.txt"
+    cell.save_coefficient(co, path)
+    return str(path)
+
+
+@pytest.mark.parametrize("doc", [LAMINATE_DOC, VERIFY_DOC, GRID_DOC, COUNTER_DOC,
+                                 SWEEP_DOC], ids=lambda doc: doc["command"])
+def test_declared_artifacts_exist_with_row_counts(tmp_path, doc):
+    out = tmp_path / "out"
+    params = dict(doc["parameters"])
+    if doc["command"] == "homogenize_grid":
+        params["coefficient"] = grid_coefficient(tmp_path)
+    report = cli.run(cli.parse_config(json.dumps(
+        dict(doc, parameters=params, output_dir=str(out)))))
+    names = [name for name, _ in report.artifacts]
+    assert sorted(p.name for p in out.iterdir()) == sorted(names + ["report.json"])
+    assert ("plot.gp" in names) == (doc["command"] != "verify_conditions")
+    for name, rows in report.artifacts:
+        if rows is not None:
+            assert len((out / name).read_text().splitlines()) == rows + 1
+    written = json.loads((out / "report.json").read_text())["artifacts"]
+    assert written == [list(a) for a in report.artifacts]
+
+
+# probe -> (command, parameters, exit code, part of the message); each check
+# is made by the library after every key has passed PARAMETERS
+FAILING_RUNS = {
+    "phase1-not-psd": ("homogenize_laminate",
+                       dict(LAMINATE_DOC["parameters"], phase1=[[1, 0], [0, -1]]),
+                       1, "phase1 is not PSD"),
+    "direction-dimension": ("homogenize_laminate",
+                            dict(LAMINATE_DOC["parameters"], direction=[1, 0, 0]),
+                            1, "direction has dimension 3"),
+    "eps-grid-cap": ("recovery_sweep", dict(SWEEP_DOC["parameters"], eps_list=[1e-300]),
+                     1, "at most 524288 samples"),
+    "n_delta-cap": ("homogenize_grid", {"coefficient": "constant", "n_delta": 10 ** 9},
+                    1, "the delta schedule needs"),
+    "kernel-window": ("counterexample", {"c": 100.0, "theta": 0.5, "n": 16384},
+                      1, "the kernel window needs"),
+    "cg-max_iter": ("homogenize_grid", {"coefficient": "random", "max_iter": 1,
+                                        "tol": 1e-14}, 2, "CG stopped after 1"),
+}
+
+
+@pytest.mark.parametrize("probe", list(FAILING_RUNS))
+def test_failed_run_writes_nothing(tmp_path, capsys, probe):
+    command, params, code, message = FAILING_RUNS[probe]
+    if command == "homogenize_grid":
+        params = dict(params, coefficient=grid_coefficient(tmp_path, params["coefficient"]))
+    cfg = write_config(tmp_path, {"command": command, "output_dir": str(tmp_path / "out"),
+                                  "parameters": params})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, "--config", str(cfg)]) == code
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    prefix = "validation error: " if code == 1 else "numerical failure: "
+    assert err.startswith(prefix) and message in err
+    assert not (tmp_path / "out").exists()
+
 
 # probe -> (key, config document, bad value); "seed" is top level, the value
 # "csv" stands for a CSV file holding a non-number, "short" for one holding a
