@@ -19,9 +19,13 @@ Internally every computation rotates the normal onto the first coordinate
 axis, applies the axis-aligned formulas, and rotates back; orthogonal
 conjugation preserves them exactly.
 
-A spec decomposes each phase once, in its PSD check, and keeps both
-decompositions; everything below reads them, splitting range from kernel
-with ``EigenDecomp.split`` at ``RANK_TOL``.
+A spec decomposes each phase once, in its PSD check, splits each
+decomposition once into range and kernel at ``RANK_TOL``, and keeps both;
+everything below reads them.  Definiteness and ker(A*) come from the
+phases' kernels and the structure of the formula, not from A*'s
+eigenvalues: A* x.x is the least laminate energy with mean x, so x lies in
+ker(A*) exactly when x = theta y1 + (1-theta) y2 with y_i in ker(A_i) and
+y1 - y2 parallel to n (y1 = y2 on the a = 0 branch, where A* is the mean).
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 
 from .errors import ValidationError
 from . import linalg
-from .linalg import EigenDecomp, as_sym_matrix, as_vector, kernel_basis
+from .linalg import EigenDecomp, as_vector
 
 RANK_TOL = 1e-10
 
@@ -61,12 +65,18 @@ class LaminateSpec:
     phase2: np.ndarray
     theta: float
     direction: np.ndarray
-    # eigendecompositions of (phase1, phase2), made by the PSD check
+    # eigendecompositions of (phase1, phase2), made by the PSD check, and
+    # their (range, kernel) splits at RANK_TOL
     eigs: tuple[EigenDecomp, EigenDecomp] = field(init=False, repr=False, compare=False)
+    splits: tuple[tuple[list, list], tuple[list, list]] = field(
+        init=False, repr=False, compare=False)
+    # orthonormal basis of ker(A*), empty when A* is positive definite
+    effective_kernel: list[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p1 = as_sym_matrix(self.phase1, "phase1")
-        p2 = as_sym_matrix(self.phase2, "phase2")
+        eigs = (linalg.psd_eig(self.phase1, RANK_TOL, "phase1"),
+                linalg.psd_eig(self.phase2, RANK_TOL, "phase2"))
+        p1, p2 = eigs[0].matrix, eigs[1].matrix
         if p1.shape != p2.shape:
             raise ValidationError("phases must share a dimension")
         n = as_vector(self.direction, dim=p1.shape[0], name="direction")
@@ -74,11 +84,12 @@ class LaminateSpec:
             raise ValidationError("direction must be a unit vector to 1e-12")
         if not (0.0 < self.theta < 1.0):
             raise ValidationError(f"theta must lie in (0, 1), got {self.theta}")
-        object.__setattr__(self, "eigs", (linalg.psd_eig(p1, RANK_TOL, "phase1"),
-                                          linalg.psd_eig(p2, RANK_TOL, "phase2")))
+        object.__setattr__(self, "eigs", eigs)
+        object.__setattr__(self, "splits", tuple(e.split(RANK_TOL) for e in eigs))
         object.__setattr__(self, "phase1", p1)
         object.__setattr__(self, "phase2", p2)
         object.__setattr__(self, "direction", n)
+        object.__setattr__(self, "effective_kernel", _effective_kernel(self))
 
     @property
     def dim(self) -> int:
@@ -107,7 +118,12 @@ class LaminateSpec:
 
 @dataclass(frozen=True)
 class HomogenizedLaminate:
-    """a-value, effective tensor, branch taken, and its definiteness data."""
+    """a-value, effective tensor, branch taken, and its definiteness data.
+
+    ``kernel`` is the spec's ``effective_kernel``, read from the phases'
+    kernels and the normal, and ``pd`` is ``not kernel``; neither comes
+    from the eigenvalues of ``tensor``.
+    """
 
     a_value: float
     tensor: np.ndarray
@@ -149,6 +165,30 @@ def default_a_tol(spec: LaminateSpec) -> float:
     return 1e-12 * (spec.eigs[0].spectral_radius + spec.eigs[1].spectral_radius)
 
 
+def _effective_kernel(spec: LaminateSpec) -> list[np.ndarray]:
+    """Orthonormal basis of ker(A*) from the phases' kernels K1, K2.
+
+    The null vectors (c1, c2, t) of [K1 | -K2 | -n] (unit columns, one SVD
+    cut at RANK_TOL) are the pairs y1 = K1 c1, y2 = K2 c2 with
+    y1 - y2 = t n; each gives x = theta y1 + (1-theta) y2.  The a = 0
+    branch drops the -n column, leaving K1 intersect K2.
+    """
+    k1, k2 = spec.splits[0][1], spec.splits[1][1]
+    if not k1 and not k2:
+        return []
+    cols = k1 + [-v for v in k2]
+    if laminate_a(spec) > default_a_tol(spec):
+        cols.append(-spec.direction)
+    m = np.column_stack(cols)
+    _, sv, vt = np.linalg.svd(m)
+    null = vt[np.count_nonzero(sv > RANK_TOL):]
+    m1, m2 = len(k1), len(k1) + len(k2)
+    th = spec.theta
+    means = [th * (m[:, :m1] @ c[:m1]) - (1.0 - th) * (m[:, m1:m2] @ c[m1:m2])
+             for c in null]
+    return list(linalg._span_rank(means, spec.dim, RANK_TOL)[1])
+
+
 def homogenize_laminate(spec: LaminateSpec) -> HomogenizedLaminate:
     """Effective tensor of the laminate, choosing the a = 0 branch when
     the cross coefficient falls below the scale-aware ``default_a_tol``."""
@@ -167,13 +207,12 @@ def homogenize_laminate(spec: LaminateSpec) -> HomogenizedLaminate:
         branch = "degenerate_average"
     tensor = q.T @ tensor @ q
     tensor = 0.5 * (tensor + tensor.T)
-    kernel = kernel_basis(tensor)
     return HomogenizedLaminate(
         a_value=a,
         tensor=tensor,
         branch=branch,
-        pd=not kernel,
-        kernel=kernel,
+        pd=not spec.effective_kernel,
+        kernel=spec.effective_kernel,
     )
 
 
@@ -192,8 +231,7 @@ def _rank_one_vector(dec: EigenDecomp, name: str) -> np.ndarray:
     return np.sqrt(top) * dec.rotation[:, -1]
 
 
-def _rank_two_kernel(dec: EigenDecomp, name: str) -> np.ndarray:
-    ker = dec.split(RANK_TOL)[1]
+def _rank_two_kernel(ker: list[np.ndarray], name: str) -> np.ndarray:
     if len(ker) != 1:
         raise ValidationError(
             f"{name} must have rank two (one-dimensional kernel), found "
@@ -222,7 +260,7 @@ def check_conditions_2d(spec: LaminateSpec) -> ConditionReport:
     t1 = RANK_TOL * nxi
     c2 = abs(float(xi[0] * a2n[1] - xi[1] * a2n[0]))
     t2 = RANK_TOL * nxi * np.linalg.norm(a2n)
-    pd2 = not spec.eigs[1].split(RANK_TOL)[1]
+    pd2 = not spec.splits[1][1]
     details = (
         ConditionDetail("xi_not_orthogonal", c1 > t1, c1, t1),
         ConditionDetail("xi_A2n_independent", c2 > t2, c2, t2),
@@ -241,8 +279,8 @@ def check_conditions_3d(spec: LaminateSpec) -> ConditionReport:
     """
     if spec.dim != 3:
         raise ValidationError("check_conditions_3d requires 3x3 phases")
-    eta1 = _rank_two_kernel(spec.eigs[0], "phase1")
-    eta2 = _rank_two_kernel(spec.eigs[1], "phase2")
+    eta1 = _rank_two_kernel(spec.splits[0][1], "phase1")
+    eta2 = _rank_two_kernel(spec.splits[1][1], "phase2")
     n = spec.direction
     c1 = abs(float(np.linalg.det(np.column_stack([n, eta1, eta2]))))
     t1 = RANK_TOL  # all three columns are unit vectors
@@ -277,9 +315,9 @@ def v_space_basis(spec: LaminateSpec) -> list[np.ndarray]:
     """
     n = spec.direction
     th = spec.theta
-    eig1, eig2 = spec.eigs
-    p = eig1.split(RANK_TOL)[0]
-    q, ker2 = eig2.split(RANK_TOL)
+    eig1 = spec.eigs[0]
+    p = spec.splits[0][0]
+    q, ker2 = spec.splits[1]
     if spec.dim == 2 and not ker2:
         top = eig1.eigenvalues[-1]
         if top > 0.0 and abs(eig1.eigenvalues[0]) <= RANK_TOL * top:
@@ -302,5 +340,4 @@ def v_space_basis(spec: LaminateSpec) -> list[np.ndarray]:
 
 def verify_kernel_identity(spec: LaminateSpec) -> bool:
     """Check ker(A*) = (span of laminate field means)^perp for this spec."""
-    hom = homogenize_laminate(spec)
-    return linalg.span_equals_orthocomplement(v_space_basis(spec), hom.kernel)
+    return linalg.span_equals_orthocomplement(v_space_basis(spec), spec.effective_kernel)

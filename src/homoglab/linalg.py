@@ -4,8 +4,9 @@ Eigendecompositions come from LAPACK (``numpy.linalg.eigh``) and span
 ranks from an SVD.  Everything downstream (kernel detection, positive
 definiteness, PSD square roots, span comparisons) is built on these.  The
 one scale-aware degeneracy threshold, tol * max(1, spectral radius), is
-``EigenDecomp.split``: exact degenerate and grid-rounded matrices are treated
-alike, and a caller holding a decomposition splits it instead of redoing it.
+``EigenDecomp.cut``, which ``EigenDecomp.split`` applies: exact degenerate and
+grid-rounded matrices are treated alike, and a caller holding a decomposition
+splits it instead of redoing it.
 
 All functions are pure; inputs are never mutated.
 """
@@ -62,11 +63,13 @@ class EigenDecomp:
     """Orthogonal diagonalization m = rotation @ diag(eigenvalues) @ rotation.T.
 
     Eigenvalues are ascending; rotation columns are the matching
-    orthonormal eigenvectors.
+    orthonormal eigenvectors; ``matrix`` is m as validated by
+    ``as_sym_matrix``.
     """
 
     rotation: np.ndarray
     eigenvalues: np.ndarray
+    matrix: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
         return self.rotation @ np.diag(self.eigenvalues) @ self.rotation.T
@@ -75,22 +78,27 @@ class EigenDecomp:
     def spectral_radius(self) -> float:
         return float(np.abs(self.eigenvalues).max())
 
+    def cut(self, tol: float) -> float:
+        """The degeneracy threshold tol * max(1, spectral_radius)."""
+        return tol * max(1.0, self.spectral_radius)
+
     def split(self, tol: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """(range, kernel) eigenvectors: eigenvalue above, and within +-, the cut
-        tol * max(1, spectral_radius); one below -cut is in neither (not PSD)."""
-        cut = tol * max(1.0, self.spectral_radius)
+        """(range, kernel) eigenvectors: eigenvalue above, and within +-, the
+        cut; one below -cut is in neither (not PSD)."""
+        cut = self.cut(tol)
         cols = [(w, self.rotation[:, i].copy()) for i, w in enumerate(self.eigenvalues)]
         return [v for w, v in cols if w > cut], [v for w, v in cols if abs(w) <= cut]
 
 
-def sym_eig(m) -> EigenDecomp:
+def sym_eig(m, name: str = "matrix") -> EigenDecomp:
     """Eigendecomposition of a symmetric 2x2 or 3x3 matrix.
 
     Returns ascending eigenvalues and an orthogonal matrix of eigenvectors
     satisfying the reconstruction identity to 1e-10 relative.
     """
-    w, r = np.linalg.eigh(as_sym_matrix(m))
-    return EigenDecomp(rotation=r, eigenvalues=w)
+    a = as_sym_matrix(m, name)
+    w, r = np.linalg.eigh(a)
+    return EigenDecomp(rotation=r, eigenvalues=w, matrix=a)
 
 
 def spectral_radius(m) -> float:
@@ -98,10 +106,9 @@ def spectral_radius(m) -> float:
 
 
 def psd_eig(m, tol: float = DEFAULT_TOL, name: str = "matrix") -> EigenDecomp:
-    """sym_eig of a matrix that must be PSD to tol (see EigenDecomp.split)."""
-    dec = sym_eig(m)
-    rng, ker = dec.split(tol)
-    if len(rng) + len(ker) < len(dec.eigenvalues):
+    """sym_eig of a matrix that must be PSD to tol (see EigenDecomp.cut)."""
+    dec = sym_eig(m, name)
+    if dec.eigenvalues[0] < -dec.cut(tol):
         raise ValidationError(
             f"{name} is not PSD: eigenvalue {dec.eigenvalues[0]:.3e} below "
             f"-{tol:g} * max(1, spectral radius)"
