@@ -13,13 +13,13 @@ Subpackages:
 import importlib
 
 from . import anomalous, cell, laminate, linalg
-from .errors import (ConvergenceError, CrossValidationError, GridTooSmallError,
-                     HomoglabError, NumericalError, ValidationError)
+from .errors import (ConvergenceError, CrossValidationError, HomoglabError,
+                     NumericalError, ValidationError)
 
 __all__ = [
     "anomalous", "cell", "cli", "laminate", "linalg",
-    "ConvergenceError", "CrossValidationError",
-    "GridTooSmallError", "HomoglabError", "NumericalError", "ValidationError",
+    "ConvergenceError", "CrossValidationError", "HomoglabError",
+    "NumericalError", "ValidationError",
 ]
 
 __version__ = "0.1.0"

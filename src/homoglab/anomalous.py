@@ -11,7 +11,8 @@ with gradient coefficient c/c_theta plus the square of sqrt(alpha) u +
 h *_1 u for an explicit even kernel h.  This module evaluates both forms
 (the spectral one in real space, O(n) and with no transform, because
 1/k0_hat is a polynomial minus the transform of a semiseparable kernel;
-the nonlocal one by direct convolution with h), builds the two-scale
+the nonlocal one on the whole line in O(q n), because h is an exact sum
+of q decaying exponentials), builds the two-scale
 profile u0 through Sturm-Liouville problems, and measures the recovery
 energies F_eps(u0(x1, x2/eps)) against the limit.
 
@@ -27,15 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CrossValidationError, GridTooSmallError, ValidationError
+from .errors import CrossValidationError, ValidationError
 
 TWO_PI_SQ = 4.0 * np.pi ** 2
-H_TAIL_RTOL = 1e-4
-# Frequency cut-off of the kernel transform; the tail gate decides whether
-# a given cut-off is adequate.
-LAMBDA_MAX_DEFAULT = 64.0
-# Largest FFT any routine here runs: 2^22 complex samples are 64 MB per buffer.
-H_MAX_SAMPLES = 1 << 22
+# Most work, nodes x (samples + nodes) per row, spent on h's exponential sum.
+EXP_SUM_MAX_WORK = 1 << 28
 N_MAX = 1 << 19  # most samples per x1 row of a field built from a function
 MEAN_IDENTITY_TOL = 1e-4
 # Smallest Sturm-Liouville coefficient the Green-kernel check supports:
@@ -197,47 +194,46 @@ def h_transform(params: SpectralParams, lambda1):
     return f / (np.sqrt(arg) + np.sqrt(alpha))
 
 
-def _fft_length(samples: float, what: str) -> int:
-    """The power of two (at least 16) at or above samples, at most H_MAX_SAMPLES."""
-    if not samples <= H_MAX_SAMPLES:
+def h_exponential_sum(params: SpectralParams, samples: float = 1.0):
+    """Weights w and rates sigma with h(x) = sum_k w_k exp(-sigma_k |x|).
+
+    With t = 4 pi^2 lambda^2, a = 1/(alpha c_theta) and b = 1/c_theta,
+    F(h) = sqrt(alpha) (sqrt((t + a)/(t + b)) - 1) is a Stieltjes function,
+    and tau = a + (b - a)(1 - cos phi)/2, sigma = sqrt(tau) turn it into
+    h(x) = -sqrt(alpha) (b - a)/(2 pi) int_0^pi (1 - cos phi) e^(-sigma |x|)/(2 sigma) dphi.
+    The integrand is smooth and periodic in phi, so the q-point midpoint
+    rule errs by about exp(-4 q / sqrt(alpha)); q = max(8, ceil(9 sqrt(alpha))).
+    b - a = K/(alpha c_theta), K = (c - 1)^2 theta (1 - theta)/c_theta^2, is
+    not formed by subtraction, which would cancel for c near 1.  Work on
+    ``samples`` points per node and on the node pairs, q (samples + q) above
+    EXP_SUM_MAX_WORK, is refused before any per-node work.
+    """
+    alpha, cth = params.alpha, params.c_theta
+    q = max(8, math.ceil(9.0 * math.sqrt(alpha)))
+    if not q * (samples + q) <= EXP_SUM_MAX_WORK:
         raise ValidationError(
-            f"{what} needs {samples:.3g} samples, more than {H_MAX_SAMPLES}; "
-            "lower the contrast or the resolution")
-    return 1 << max(4, math.ceil(math.log2(samples)))
+            f"h's exponential sum needs {q} nodes for {samples:.3g} samples, more "
+            f"than {EXP_SUM_MAX_WORK} node-samples; lower the contrast or the resolution")
+    k = (params.c - 1.0) ** 2 * params.theta * (1.0 - params.theta) / cth ** 2
+    half_gap = np.sin((np.arange(q) + 0.5) * np.pi / (2 * q)) ** 2  # (1 - cos phi)/2
+    b_minus_a = k / (alpha * cth)
+    sigma = np.sqrt(1.0 / (alpha * cth) + b_minus_a * half_gap)
+    return -math.sqrt(alpha) * b_minus_a * half_gap / (2.0 * q * sigma), sigma
 
 
-def h_kernel(params: SpectralParams, dx: float, lambda_max: float = LAMBDA_MAX_DEFAULT,
-             half_width: float = 1.0) -> SampledField:
+def h_kernel(params: SpectralParams, dx: float, half_width: float = 1.0) -> SampledField:
     """The convolution kernel h sampled at spacing dx on [-half_width, half_width].
 
-    h is the inverse transform of h_transform truncated at lambda_max; it is
-    real and even, returned centred at x = 0 with an odd number of samples.
-    Raises GridTooSmallError when |F(h)(lambda_max)| exceeds H_TAIL_RTOL of
-    |F(h)(0)|.  The inverse FFT runs on a window 2 half_width + 46 / rate
-    long, where h decays like exp(-rate |x|), so the wrapped tails are below
-    exp(-23); a window above H_MAX_SAMPLES samples is refused.
+    h is ``h_exponential_sum``, exact to rounding: real and even, returned
+    centred at x = 0 with an odd number of samples.
     """
-    if not (math.isfinite(lambda_max) and lambda_max > 0.0):
-        raise ValidationError(f"lambda_max must be finite and > 0, got {lambda_max!r}")
     if not (dx > 0.0 and half_width > 0.0):
         raise ValidationError(
             f"dx and half_width must be positive, got {dx!r} and {half_width!r}")
-    peak = abs(float(h_transform(params, 0.0)))
-    edge = abs(float(h_transform(params, lambda_max)))
-    if peak > 0.0 and edge > H_TAIL_RTOL * peak:
-        raise GridTooSmallError(
-            f"|F(h)({lambda_max:g})| = {edge:.3e} exceeds {H_TAIL_RTOL:g} * |F(h)(0)|; "
-            "increase lambda_max")
-    rate = ((params.c - 1.0) * params.theta + 1.0) / math.sqrt(
-        (params.c ** 2 * params.theta + 1.0 - params.theta) * params.c_theta)
-    m = _fft_length((2.0 * half_width + 2.0 * 23.0 / rate) / dx, "the kernel window")
-    lam = np.fft.fftfreq(m, d=dx)
-    ft = np.where(np.abs(lam) <= lambda_max, h_transform(params, lam), 0.0)
-    vals = np.fft.ifft(ft)
-    if np.abs(vals.imag).max() > 1e-12 * max(dx, np.abs(vals.real).max()):
-        raise CrossValidationError("kernel transform produced a non-real kernel")
+    w, sigma = h_exponential_sum(params, 2.0 * half_width / dx + 1.0)
     k = int(round(half_width / dx))
-    h = vals.real[np.mod(np.arange(-k, k + 1), m)] / dx
+    dist = dx * np.abs(np.arange(-k, k + 1))
+    h = sum(wk * np.exp(-sk * dist) for wk, sk in zip(w, sigma))
     return SampledField(values=h, spacing=dx, origin=-k * dx, zero_extended=False)
 
 
@@ -316,33 +312,40 @@ def gamma_limit_fourier(params: SpectralParams, u: SampledField) -> float:
     return float(wx2 @ (grad_coeff * grad + params.alpha * mass - k * pair))
 
 
-def gamma_limit_convolution(params: SpectralParams, u: SampledField,
-                            lambda_max: float = LAMBDA_MAX_DEFAULT) -> float:
-    """Nonlocal form: int (c/c_theta)(du/dx1)^2 + (sqrt(alpha) u + h * u)^2.
+def gamma_limit_convolution(params: SpectralParams, u: SampledField) -> float:
+    """Nonlocal form: int_R (c/c_theta)(du/dx1)^2 + (sqrt(alpha) u + h * u)^2.
 
-    The kernel is sampled in real space at the field's spacing (transform
-    truncated at lambda_max, see h_kernel) and applied by direct discrete
-    linear convolution, so this route shares no quadrature with the
-    spectral form.
+    h = sum_k w_k exp(-sigma_k |x|) (``h_exponential_sum``).  Inside [0, 1],
+    h * u at the nodes is, per node k, a prefix and a suffix running sum of
+    p = trapezoid weights * u: the trapezoid product rule, second order as
+    the kink of exp(-sigma |x - x_i|) sits on a node.  Outside, u vanishes
+    and h * u = sum_k A_k exp(-sigma_k dist), A_k = w_k * (the running sum
+    at the nearer end), so its square integrates in closed form to
+    sum_kl A_k A_l / (sigma_k + sigma_l) on each side.  The loop over the
+    nodes keeps memory O(size of u).  sigma <= 1 and x in [0, 1] keep every
+    factor within [1/e, e].  No kernel is shared with the spectral form.
     """
     _check_zero_extended(u)
     rows, wx2 = _rows_and_weights(u)
     dx = u.spacing
-    # h is only needed on [-1, 1]: u lives on [0, 1] and so does the output.
-    hw = h_kernel(params, dx, lambda_max, half_width=1.0 + 2 * dx).values
-    m0 = (len(hw) - 1) // 2
-    sqrt_alpha = math.sqrt(params.alpha)
-    grad_coeff = params.c / params.c_theta
-    n = rows.shape[1]
-    trap = _trapezoid_weights(n, dx)
-    total = 0.0
-    for row, w in zip(rows, wx2):
-        du = _derivative(row[None, :], dx)[0]
-        conv_full = np.convolve(row, hw) * dx
-        conv = conv_full[m0:m0 + n]
-        local = sqrt_alpha * row + conv
-        total += w * float((grad_coeff * du ** 2 + local ** 2) @ trap)
-    return total
+    w, sigma = h_exponential_sum(params, u.n)
+    trap = _trapezoid_weights(u.n, dx)
+    p = rows * trap
+    conv = np.zeros_like(rows)
+    ends = np.empty((2, len(w), rows.shape[0]))  # A_k at x = 0 and at x = 1
+    outside = 0.0
+    for k, (wk, sk) in enumerate(zip(w, sigma)):
+        decay = np.exp(-sk * u.x)
+        below = np.cumsum(p / decay, axis=1) * decay  # sum_(j<=i) p_j e^(-s(x_i-x_j))
+        above = np.cumsum((p * decay)[:, ::-1], axis=1)[:, ::-1] / decay
+        conv += wk * (below + above - p)
+        a = ends[:, k] = wk * np.stack([above[:, 0], below[:, -1]])
+        # the pair (k, k) once and each pair (k, l < k) twice
+        earlier = np.tensordot(1.0 / (sk + sigma[:k]), ends[:, :k], axes=(0, 1))
+        outside = outside + (a * (a / (2.0 * sk) + 2.0 * earlier)).sum(axis=0)
+    local = math.sqrt(params.alpha) * rows + conv
+    grad = (params.c / params.c_theta) * np.square(_derivative(rows, dx))
+    return float(wx2 @ ((grad + np.square(local)) @ trap + outside))
 
 
 # ---------------------------------------------------------------------------

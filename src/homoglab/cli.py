@@ -7,8 +7,9 @@ A config file is a single JSON document: {"command": ..., "output_dir": ...,
 each command's keys with their checks and defaults (the README's command
 table names the same keys): laminate matrices are row-major nested arrays,
 ``u`` is a test-function name (``sin_1`` by default) or, for counterexample,
-a CSV path, ``eps_list`` holds reciprocals of integers, and ``lambda_max`` is
-the kernel transform's cut-off.  Every key is checked before any output is
+a CSV path, ``eps_list`` holds reciprocals of integers, and ``lambda_max``
+sets the lambda range of kernel.csv and h.csv's spacing 0.5/lambda_max (the
+limit forms do not depend on it).  Every key is checked before any output is
 written and all failures are reported together; a key the table does not
 list is an error.  report.json's inputs.parameters holds the effective
 values, defaults filled in.
@@ -165,7 +166,7 @@ PARAMETERS = {
         **_CONTRAST,
         "u": (_kept(_u_field), "sin_1"),
         "n": (_integer(16, anomalous.N_MAX), 1024),
-        "lambda_max": (_real(0.0), anomalous.LAMBDA_MAX_DEFAULT),
+        "lambda_max": (_real(0.0), 64.0),
     },
     "recovery_sweep": {
         **_CONTRAST,
@@ -220,11 +221,23 @@ def parse_config(document: str) -> ExperimentConfig:
                             output_dir=str(doc.get("output_dir", ".")), seed=seed)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+CSV_BLOCK_ROWS = 1024  # rows formatted and written at a time
+
+
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write equal-length columns under header, a block of rows at a time."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            cells = [_fmt_column(col[start:start + CSV_BLOCK_ROWS]) for col in columns]
+            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+
+
+def _fmt_column(col) -> list[str]:
+    """_fmt of each value; a float array takes one tolist() and float.__repr__."""
+    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+        return list(map(float.__repr__, col.tolist()))
+    return [_fmt(v) for v in col]
 
 
 def _fmt(v) -> str:
@@ -237,21 +250,24 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _tensor_rows(t: np.ndarray):
-    d = t.shape[0]
-    return [(i, j, t[i, j]) for i in range(d) for j in range(d)]
+def _tensor_columns(tensors: np.ndarray) -> list:
+    """Columns i, j, value of one d x d tensor or of a stack of them."""
+    d = tensors.shape[-1]
+    i, j = np.divmod(np.arange(tensors.size) % (d * d), d)
+    return [i, j, tensors.reshape(-1)]
 
 
 # A runner takes the effective parameters and writes no file.  It returns
 # (tables, plot, results, diagnostics): tables maps each CSV name, in artifact
-# order, to (header, list of rows); plot is plot.gp's lines or None.
+# order, to (header, columns), one equal-length sequence per header entry;
+# plot is plot.gp's lines or None.
 
 def _run_homogenize_laminate(params):
     hom = laminate.homogenize_laminate(laminate.LaminateSpec.from_dict(params))
     tables = {
-        "tensor.csv": (["i", "j", "value"], _tensor_rows(hom.tensor)),
+        "tensor.csv": (["i", "j", "value"], _tensor_columns(hom.tensor)),
         "summary.csv": (["a_value", "branch", "pd", "kernel_dim"],
-                        [(hom.a_value, hom.branch, hom.pd, len(hom.kernel))]),
+                        [[hom.a_value], [hom.branch], [hom.pd], [len(hom.kernel)]]),
     }
     results = {
         "a_value": hom.a_value,
@@ -270,8 +286,9 @@ def _run_verify_conditions(params):
     rep = check(spec)
     hom = laminate.homogenize_laminate(spec)
     identity = laminate.verify_kernel_identity(spec)
-    rows = [(d.name, d.passed, d.value, d.threshold) for d in rep.details]
-    tables = {"conditions.csv": (["condition", "passed", "value", "threshold"], rows)}
+    columns = [[getattr(d, key) for d in rep.details]
+               for key in ("name", "passed", "value", "threshold")]
+    tables = {"conditions.csv": (["condition", "passed", "value", "threshold"], columns)}
     results = {
         "h2_holds": rep.h2_holds,
         "pd": hom.pd,
@@ -288,10 +305,11 @@ def _run_homogenize_grid(params):
     res = cell.homogenize_general(coeff, solver)
     tables, results = {}, {}
     if res.estimate is not None:
-        tables["estimate.csv"] = (["i", "j", "value"], _tensor_rows(res.estimate))
+        tables["estimate.csv"] = (["i", "j", "value"], _tensor_columns(res.estimate))
         results["estimate"] = res.estimate.tolist()
+    stack = np.stack(res.tensors)
     tables["tensors_by_delta.csv"] = (["delta", "i", "j", "value"], [
-        (delta, *row) for delta, t in zip(res.deltas, res.tensors) for row in _tensor_rows(t)])
+        np.repeat(res.deltas, stack[0].size), *_tensor_columns(stack)])
     results["deltas"] = res.deltas.tolist()
     diagnostics = {
         "fit_residual": res.fit_residual,
@@ -314,19 +332,19 @@ def _run_counterexample(params):
     lam = np.linspace(-lambda_max, lambda_max, 2049)
     k0 = anomalous.k0_hat(p, lam)
     alpha, f = anomalous.alpha_f(p, lam)
-    h = anomalous.h_kernel(p, 0.5 / lambda_max, lambda_max, half_width=4.0)
+    h = anomalous.h_kernel(p, 0.5 / lambda_max, half_width=4.0)
     ff = anomalous.gamma_limit_fourier(p, u)
-    fc = anomalous.gamma_limit_convolution(p, u, lambda_max)
+    fc = anomalous.gamma_limit_convolution(p, u)
     rel = abs(ff - fc) / ff if ff else 0.0
     u0_1, u0_c, _ = anomalous.two_scale_profile(p, u)
     tables = {
         "kernel.csv": (["lambda", "k0_hat", "inv_k0", "alpha_plus_f"],
-                       list(zip(lam, k0, 1.0 / k0, alpha + f))),
-        "h.csv": (["x", "h"], list(zip(h.x, h.values))),
-        "energies.csv": (["form", "value"], [("fourier", ff), ("convolution", fc),
-                                             ("relative_difference", rel)]),
+                       [lam, k0, 1.0 / k0, alpha + f]),
+        "h.csv": (["x", "h"], [h.x, h.values]),
+        "energies.csv": (["form", "value"], [["fourier", "convolution",
+                                              "relative_difference"], [ff, fc, rel]]),
         "u0_branches.csv": (["x1", "u", "u0_phase1", "u0_phasec"],
-                            list(zip(u.x, u.values, u0_1.values, u0_c.values))),
+                            [u.x, u.values, u0_1.values, u0_c.values]),
     }
     results = {
         "fourier_energy": ff,
@@ -357,7 +375,7 @@ def _run_recovery_sweep(params):
         res = anomalous.recovery_energy(p, fn, 1.0 / periods, n_fine)
         rows.append((res.eps, res.energy_eps, res.limit_energy, res.gap))
     header = ["eps", "energy_eps", "limit_energy", "gap"]
-    tables = {"recovery.csv": (header, rows)}
+    tables = {"recovery.csv": (header, list(zip(*rows)))}
     results = {"sweep": [dict(zip(header, row)) for row in rows]}
     plot = ["set logscale x",
             'plot "recovery.csv" using 1:4 with linespoints title "gap"']
@@ -387,9 +405,9 @@ def run(config: ExperimentConfig) -> RunReport:
                        wall_seconds=time.perf_counter() - start)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, (header, rows) in tables.items():
-        _write_csv(out / name, header, rows)
-        report.artifacts.append((name, len(rows)))
+    for name, (header, columns) in tables.items():
+        _write_csv(out / name, header, columns)
+        report.artifacts.append((name, len(columns[0])))
     if plot is not None:
         (out / "plot.gp").write_text(
             "\n".join(['set datafile separator ","', "set key autotitle columnhead",

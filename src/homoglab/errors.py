@@ -30,9 +30,5 @@ class ConvergenceError(NumericalError):
         self.residual = residual
 
 
-class GridTooSmallError(NumericalError):
-    """Frequency or spatial grid cannot represent the requested object."""
-
-
 class CrossValidationError(NumericalError):
     """Two independent computations of the same quantity disagree."""

@@ -240,14 +240,14 @@ def test_criterion_6_spectral_identities():
 
 
 def test_criterion_7_two_form_equivalence():
-    with Budget(7, "spectral and convolution limit forms agree to 1e-3", 10.0):
+    with Budget(7, "spectral and convolution limit forms agree to 1e-4", 10.0):
         p = an.SpectralParams(c=2.0, theta=0.5)
         names = ["sin_1", "sin_2", "sin_3", "sin_4", "bump"]
         for name in names:
             u = an.SampledField.from_function(an.test_function(name), 1024)
             ff = an.gamma_limit_fourier(p, u)
-            fc = an.gamma_limit_convolution(p, u, lambda_max=64.0)
-            assert abs(ff - fc) <= 1e-3 * ff, f"{name}: {abs(ff-fc)/ff:.2e}"
+            fc = an.gamma_limit_convolution(p, u)
+            assert abs(ff - fc) <= 1e-4 * ff, f"{name}: {abs(ff-fc)/ff:.2e}"
 
 
 def test_criterion_8_sturm_liouville_oracle():

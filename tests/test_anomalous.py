@@ -13,7 +13,7 @@ import pytest
 
 import homoglab
 from homoglab import anomalous as an
-from homoglab.errors import CrossValidationError, GridTooSmallError, ValidationError
+from homoglab.errors import CrossValidationError, ValidationError
 
 P = an.SpectralParams(c=2.0, theta=0.5)
 
@@ -100,30 +100,28 @@ def test_h_kernel_peak_and_parity():
                                rtol=0.0, atol=1e-14 * scale)
 
 
-@pytest.mark.parametrize("c, theta, lambda_max", [(2.0, 0.5, 64.0), (10.0, 0.9, 128.0)])
-def test_h_kernel_matches_fine_reference(c, theta, lambda_max):
-    # reference: the same truncated transform inverted on 2^22 samples, whose
-    # window is long enough for the wrapped tails to vanish in double precision
+# (c, theta) from alpha = 1 + 2.5e-7 to alpha = 98, near theta = 1/2 and far off it
+EXP_SUM_CASES = [(2.0, 0.5), (10.0, 0.5), (100.0, 0.5), (5.0, 0.25), (1e4, 0.99),
+                 (100.0, 0.1), (1e4, 0.01), (1.001, 0.5)]
+
+
+@pytest.mark.parametrize("c, theta", EXP_SUM_CASES)
+def test_h_exponential_sum_transform_matches_h_transform(c, theta):
+    # F(w exp(-sigma |x|)) = 2 w sigma / (sigma^2 + 4 pi^2 lambda^2)
     p = an.SpectralParams(c=c, theta=theta)
-    dx = 0.5 / lambda_max
-    m = 1 << 22
-    lam = np.fft.rfftfreq(m, d=dx)
-    ref = np.fft.irfft(np.where(lam <= lambda_max, an.h_transform(p, lam), 0.0), m) / dx
-    h = an.h_kernel(p, dx, lambda_max, half_width=4.0)
-    k = h.n // 2
-    want = ref[np.mod(np.arange(-k, k + 1), m)]
-    assert np.abs(h.values - want).max() <= 1e-10 * np.abs(want).max()
+    w, sigma = an.h_exponential_sum(p)
+    lam = np.linspace(0.0, 256.0, 4097)[:, None]
+    ft = (2.0 * w * sigma / (sigma ** 2 + an.TWO_PI_SQ * lam ** 2)).sum(axis=1)
+    want = an.h_transform(p, lam[:, 0])
+    assert np.abs(ft - want).max() <= 1e-13 * abs(want[0])
 
 
-def test_h_tail_gate_trips_on_small_lambda_max():
-    with pytest.raises(GridTooSmallError, match="exceeds"):
-        an.h_kernel(P, 1.0 / 1023, lambda_max=1.0)
-
-
-@pytest.mark.parametrize("lambda_max", [0.0, -1.0, math.inf, math.nan])
-def test_lambda_max_must_be_finite_and_positive(lambda_max):
-    with pytest.raises(ValidationError, match="lambda_max"):
-        an.h_kernel(P, 1.0 / 1023, lambda_max)
+@pytest.mark.parametrize("c, theta", EXP_SUM_CASES)
+def test_h_exponential_sum_mass(c, theta):
+    # int h = F(h)(0) = 1 - sqrt(alpha)
+    p = an.SpectralParams(c=c, theta=theta)
+    w, sigma = an.h_exponential_sum(p)
+    assert abs((2.0 * w / sigma).sum() - (1.0 - math.sqrt(p.alpha))) <= 1e-14
 
 
 def _traced_peak_mb(fn, *args):
@@ -146,12 +144,23 @@ def _refused_peak_mb(match, fn, *args):
         tracemalloc.stop()
 
 
-def test_h_kernel_window_is_capped_before_allocating():
-    # c = 1e4, theta = 0.99: h decays at rate ~0.01, so n = 4096 would need
-    # a window of 2^25 samples (512 MB per complex buffer)
-    p = an.SpectralParams(c=1e4, theta=0.99)
-    u = field_of("sin_1", 4096)
-    assert _refused_peak_mb("kernel window", an.gamma_limit_convolution, p, u) < 8.0
+def test_exponential_sum_work_is_capped_before_allocating():
+    # c = 1e12, theta = 1e-12: alpha = 2.5e11 asks for 4.5e6 nodes
+    p = an.SpectralParams(c=1e12, theta=1e-12)
+    u = field_of("sin_1", 1024)
+    assert _refused_peak_mb("exponential sum", an.gamma_limit_convolution, p, u) < 1.0
+    assert _refused_peak_mb("exponential sum", an.h_kernel, p, 1e-3) < 1.0
+    # at c = 2 the nodes are few, but 1e9 kernel samples are not
+    assert _refused_peak_mb("exponential sum", an.h_kernel, P, 1e-9) < 1.0
+
+
+def test_convolution_form_memory_is_linear():
+    # 2^19 + 1 samples (4 MB): the loop over the nodes holds a few arrays
+    # of that size, never one per node
+    x = np.linspace(0.0, 1.0, an.N_MAX + 1)
+    long = an.SampledField.on_unit_interval(np.sin(np.pi * x))
+    an.gamma_limit_convolution(P, field_of("sin_1", 64))
+    assert _traced_peak_mb(an.gamma_limit_convolution, P, long) < 48.0
 
 
 def test_every_fft_and_field_is_capped_before_allocating():
@@ -172,7 +181,7 @@ def test_every_fft_and_field_is_capped_before_allocating():
 def test_convolution_theorem_discrete():
     u = field_of("sin_2", 256)
     dx = u.spacing
-    hw = an.h_kernel(P, dx, 64.0, half_width=1.0 + 2 * dx).values
+    hw = an.h_kernel(P, dx, half_width=1.0 + 2 * dx).values
     conv = np.convolve(u.values, hw) * dx
     m = 1 << math.ceil(math.log2(len(conv) + 1))
     lhs = np.fft.fft(conv, m)
@@ -240,6 +249,26 @@ def test_gamma_limit_fourier_is_second_order(c):
             for n in (1024, 4096, 16384)]
     for coarse, fine in zip(errs[:-1], errs[1:]):
         assert math.log(coarse / fine, 4.0) == pytest.approx(2.0, abs=0.1)
+
+
+@pytest.mark.parametrize("c", [2.0, 10.0, 100.0])
+def test_gamma_limit_convolution_is_second_order(c):
+    p = an.SpectralParams(c=c, theta=0.5)
+    errs = [an.gamma_limit_convolution(p, field_of("sin_1", n)) - _gamma_sin_1(p)
+            for n in (1024, 4096, 16384)]
+    for coarse, fine in zip(errs[:-1], errs[1:]):
+        assert math.log(coarse / fine, 4.0) == pytest.approx(2.0, abs=0.1)
+
+
+@pytest.mark.parametrize("c, theta", [(100.0, 0.5), (1e4, 0.01)])
+def test_gamma_limit_forms_agree_on_fine_grids(c, theta):
+    # the convolution form covers the whole line, so the two forms meet as
+    # the grid is refined, at high contrast too
+    p = an.SpectralParams(c=c, theta=theta)
+    for name in ("bump", "sin_1"):
+        u = field_of(name, 16384)
+        ff = an.gamma_limit_fourier(p, u)
+        assert abs(an.gamma_limit_convolution(p, u) - ff) <= 1e-6 * ff
 
 
 def test_gamma_limit_fourier_matches_padded_transform():

@@ -275,7 +275,10 @@ def test_declared_artifacts_exist_with_row_counts(tmp_path, doc):
 
 
 # probe -> (command, parameters, exit code, part of the message); each check
-# is made by the library after every key has passed PARAMETERS
+# is made by the library after every key has passed PARAMETERS; "ones" stands
+# for a u CSV of 32 ones, which does not vanish at the ends of [0, 1];
+# "kernel-window" is the cap on h's nodes times samples, which took over from
+# the cap on the FFT window of the kernel
 FAILING_RUNS = {
     "phase1-not-psd": ("homogenize_laminate",
                        dict(LAMINATE_DOC["parameters"], phase1=[[1, 0], [0, -1]]),
@@ -287,8 +290,10 @@ FAILING_RUNS = {
                      1, "at most 524288 samples"),
     "n_delta-cap": ("homogenize_grid", {"coefficient": "constant", "n_delta": 10 ** 9},
                     1, "the delta schedule needs"),
-    "kernel-window": ("counterexample", {"c": 100.0, "theta": 0.5, "n": 16384},
-                      1, "the kernel window needs"),
+    "kernel-window": ("counterexample", {"c": 1e12, "theta": 1e-12},
+                      1, "h's exponential sum needs"),
+    "u-not-zero-at-ends": ("counterexample", {"c": 2.0, "theta": 0.5, "u": "ones"},
+                           1, "must vanish at x1 = 0 and 1"),
     "cg-max_iter": ("homogenize_grid", {"coefficient": "random", "max_iter": 1,
                                         "tol": 1e-14}, 2, "CG stopped after 1"),
 }
@@ -299,6 +304,9 @@ def test_failed_run_writes_nothing(tmp_path, capsys, probe):
     command, params, code, message = FAILING_RUNS[probe]
     if command == "homogenize_grid":
         params = dict(params, coefficient=grid_coefficient(tmp_path, params["coefficient"]))
+    if params.get("u") == "ones":
+        (tmp_path / "u.csv").write_text("1.0\n" * 32)
+        params = dict(params, u=str(tmp_path / "u.csv"))
     cfg = write_config(tmp_path, {"command": command, "output_dir": str(tmp_path / "out"),
                                   "parameters": params})
     with warnings.catch_warnings():
@@ -377,16 +385,29 @@ def test_main_bad_value_is_a_validation_error(tmp_path, capsys, probe):
 
 
 @pytest.mark.parametrize("literal, code", [("0", 1), ("-1", 1), ("1e400", 1),
-                                           ("NaN", 1), ("1", 2)])
+                                           ("NaN", 1), ("1", 0)])
 def test_counterexample_lambda_max_exit_codes(tmp_path, capsys, literal, code):
-    # 1e400 parses as inf; lambda_max = 1 is valid but trips the kernel tail gate
+    # 1e400 parses as inf; lambda_max = 1 only coarsens kernel.csv and h.csv
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"command": "counterexample", "output_dir": %s, "parameters": '
                    '{"c": 2.0, "theta": 0.5, "n": 64, "lambda_max": %s}}'
                    % (json.dumps(str(tmp_path / "out")), literal))
     assert cli.main(["counterexample", "--config", str(cfg)]) == code
-    err = capsys.readouterr().err.strip().splitlines()[-1]
     if code == 1:
+        err = capsys.readouterr().err.strip().splitlines()[-1]
         assert err.startswith("validation error: parameters.lambda_max")
+        assert not (tmp_path / "out").exists()
     else:
-        assert err.startswith("numerical failure: ") and "exceeds" in err
+        rows = (tmp_path / "out" / "h.csv").read_text().splitlines()[1:]
+        x = np.array([float(row.split(",")[0]) for row in rows])
+        assert len(x) == 17 and np.all(np.diff(x) == 0.5)
+
+
+def test_counterexample_high_contrast_fine_grid(tmp_path):
+    # h is an exponential sum, so no kernel window limits c = 100 at n = 16384
+    doc = {"command": "counterexample", "output_dir": str(tmp_path / "out"),
+           "parameters": {"c": 100.0, "theta": 0.5, "n": 16384}}
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["counterexample", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["diagnostics"]["form_relative_difference"] <= 1e-6
