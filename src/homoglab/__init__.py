@@ -2,7 +2,7 @@
 
 Subpackages:
 
-* ``linalg``     small symmetric eigenproblems, kernels, PSD square roots
+* ``linalg``     small symmetric eigenproblems, PSD checks and span ranks
 * ``laminate``   explicit rank-one laminate formula and structure conditions
 * ``cell``       regularized periodic cell problems and delta extrapolation
 * ``anomalous``  the two-dimensional anomalous limit: spectral and

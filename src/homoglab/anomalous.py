@@ -46,15 +46,17 @@ class SpectralParams:
 
     c_theta = c theta + 1 - theta and alpha = (c^2 theta + 1 - theta) /
     c_theta^2.  c = 1 (no contrast) is allowed as a consistency limit;
-    the counter-example proper needs c > 1.
+    the counter-example proper needs c > 1.  c is refused where (c - 1)^2
+    overflows a double (c above about 1.34e154).
     """
 
     c: float
     theta: float
 
     def __post_init__(self):
-        if not (self.c >= 1.0 and math.isfinite(self.c)):
-            raise ValidationError(f"contrast c must be >= 1, got {self.c}")
+        if not (self.c >= 1.0 and math.isfinite((self.c - 1.0) * (self.c - 1.0))):
+            raise ValidationError(
+                f"contrast c must be >= 1 with (c - 1)^2 finite, got {self.c}")
         if not (0.0 < self.theta < 1.0):
             raise ValidationError(f"theta must lie in (0, 1), got {self.theta}")
 
@@ -155,12 +157,6 @@ def k0_hat(params: SpectralParams, lambda1):
     return params.theta / (t + 1.0) + (1.0 - params.theta) / (params.c * t + 1.0)
 
 
-def k0_hat_closed(params: SpectralParams, lambda1):
-    """Closed rational form (c_theta t + 1) / ((t + 1)(c t + 1))."""
-    t = TWO_PI_SQ * np.square(lambda1)
-    return (params.c_theta * t + 1.0) / ((t + 1.0) * (params.c * t + 1.0))
-
-
 def alpha_f(params: SpectralParams, lambda1):
     """The constant alpha and the non-positive correction f(lambda).
 
@@ -172,26 +168,6 @@ def alpha_f(params: SpectralParams, lambda1):
     t = TWO_PI_SQ * np.square(lambda1)
     f = (c - 1.0) ** 2 * th * (th - 1.0) / cth ** 2 / (cth * t + 1.0)
     return params.alpha, f
-
-
-def inv_k0_decomposed(params: SpectralParams, lambda1):
-    """(c/c_theta) 4 pi^2 lambda^2 + alpha + f(lambda)."""
-    alpha, f = alpha_f(params, lambda1)
-    t = TWO_PI_SQ * np.square(lambda1)
-    return params.c / params.c_theta * t + alpha + f
-
-
-def h_transform(params: SpectralParams, lambda1):
-    """Fourier transform of the convolution kernel: sqrt(alpha + f) - sqrt(alpha).
-
-    Evaluated as f / (sqrt(alpha + f) + sqrt(alpha)), which does not cancel
-    when f is small against alpha (contrast c near 1).
-    """
-    alpha, f = alpha_f(params, lambda1)
-    arg = alpha + f
-    if np.any(arg <= 0.0):
-        raise ValidationError("alpha + f must stay positive; invalid parameters")
-    return f / (np.sqrt(arg) + np.sqrt(alpha))
 
 
 def h_exponential_sum(params: SpectralParams, samples: float = 1.0):
@@ -375,20 +351,6 @@ def _sl_matrix_solve(a_value: float, rhs: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def green_kernel(a_value: float, x, s) -> np.ndarray:
-    """Dirichlet Green kernel of -a u'' + u on (0, 1).
-
-    G(x, s) = sinh(min/sqrt(a)) sinh((1 - max)/sqrt(a)) /
-              (sqrt(a) sinh(1/sqrt(a))); symmetric in (x, s).
-    """
-    ra = math.sqrt(a_value)
-    x = np.asarray(x, dtype=float)
-    s = np.asarray(s, dtype=float)
-    lo = np.minimum(x[..., None], s[None, ...])
-    hi = np.maximum(x[..., None], s[None, ...])
-    return np.sinh(lo / ra) * np.sinh((1.0 - hi) / ra) / (ra * math.sinh(1.0 / ra))
-
-
 def _sl_green_solve(a_value: float, rhs: np.ndarray, h: float) -> np.ndarray:
     """Trapezoid quadrature of int G(x, s) rhs(s) ds at the nodes, in O(n).
 
@@ -396,8 +358,8 @@ def _sl_green_solve(a_value: float, rhs: np.ndarray, h: float) -> np.ndarray:
     sinh(s/r) sinh((1 - x)/r) / S for s <= x and sinh(x/r) sinh((1 - s)/r) / S
     for s > x, so the quadrature splits into a prefix and a strict suffix
     running sum (the kernel is semiseparable).  Dividing by S before
-    multiplying by the sums keeps every factor finite wherever
-    ``green_kernel`` is.
+    multiplying by the sums keeps every factor finite wherever the dense
+    kernel is.
     """
     n = rhs.shape[0]
     x = np.linspace(0.0, 1.0, n)

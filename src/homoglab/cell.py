@@ -17,8 +17,7 @@ based at the smallest delta, solves all of them; a shift is frozen once it
 has converged.  No corrector field is formed: by adjointness
 A*_delta = mean(A) + delta I - B^T V_delta / cells, with B the right-hand
 sides and V_delta the correctors, and each shift carries only the numbers
-B^T v.  ``solve_cell_problem`` is the same CG with one shift and returns
-the corrector and its quadrature energy.
+B^T v.
 
 Discretization: corrector values live on the periodic node grid, the
 gradient is the edge-averaged first-order difference per cell (exact under
@@ -33,7 +32,7 @@ built once per grid.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,19 +97,6 @@ class PeriodicCoefficient:
     @property
     def h(self) -> float:
         return 1.0 / self.n_grid
-
-
-@dataclass(frozen=True)
-class CellSolution:
-    """One corrector solve: direction, regularization, energy, gradient field."""
-
-    delta: float
-    direction: np.ndarray
-    corrector: np.ndarray  # node values, shape (n,)*dim, mean zero
-    corrector_grad: np.ndarray  # shape (n,)*dim + (dim,), cell-based
-    energy: float
-    residual: float  # relative CG residual at exit
-    iterations: int
 
 
 @dataclass(frozen=True)
@@ -283,21 +269,6 @@ def _precond_inverse(dim: int, n: int) -> np.ndarray:
     return inv
 
 
-def energy_of_field(coeff: PeriodicCoefficient, delta: float, direction,
-                    corrector_grad: np.ndarray) -> float:
-    """Quadrature of (lam + g) . A_delta (lam + g) over the cell grid."""
-    lam = np.asarray(direction, dtype=float)
-    if lam.shape != (coeff.dim,):
-        raise ValidationError(f"direction must have shape ({coeff.dim},)")
-    g = np.asarray(corrector_grad, dtype=float)
-    want = (coeff.n_grid,) * coeff.dim + (coeff.dim,)
-    if g.shape != want:
-        raise ValidationError(f"corrector_grad must have shape {want}, got {g.shape}")
-    field = g + lam
-    flux = np.einsum("...ij,...j->...i", coeff.samples, field) + delta * field
-    return float(np.sum(field * flux) * coeff.h ** coeff.dim)
-
-
 def _rhs(coeff: PeriodicCoefficient, lam: np.ndarray) -> np.ndarray:
     """b = -G^T A lam, the right-hand side for direction lam.
 
@@ -395,35 +366,6 @@ def _shifted_cg(entries: list[list[np.ndarray]], h: float, rhs: np.ndarray,
         it += 1
     dots[...] = read_v
     return x, dots, iterations, residuals
-
-
-def solve_cell_problem(coeff: PeriodicCoefficient, delta: float, direction,
-                       cfg: SolverConfig = SolverConfig()) -> CellSolution:
-    """Minimize the regularized cell energy for one macroscopic direction.
-
-    Preconditioned CG from zero on G^T A_delta G v = -G^T A lam (the
-    one-shift case of ``_shifted_cg``); converges when the relative residual
-    drops below cfg.tol.  The energy is the quadrature ``energy_of_field``
-    of the corrector gradient, independent of the CG recurrences.
-    """
-    if delta <= 0:
-        raise ValidationError("delta must be positive")
-    lam = np.asarray(direction, dtype=float)
-    if lam.shape != (coeff.dim,) or abs(np.linalg.norm(lam) - 1.0) > 1e-12:
-        raise ValidationError("direction must be a unit vector of the grid dimension")
-    n, h, dim = coeff.n_grid, coeff.h, coeff.dim
-    grid = (n,) * dim
-    v, _, iterations, residuals = _shifted_cg(
-        _coeff_entries(coeff.samples, delta), h, _rhs(coeff, lam), [0.0],
-        np.zeros((0,) + grid), cfg)
-    v -= v.mean()
-    # The CG fields are freed: the gradient and energy fields set the peak memory.
-    grad = np.empty(grid + (dim,))
-    _cell_gradient(v, h, out=np.moveaxis(grad, -1, 0))
-    return CellSolution(delta=delta, direction=lam, corrector=v,
-                        corrector_grad=grad,
-                        energy=energy_of_field(coeff, delta, lam, grad),
-                        residual=float(residuals[0]), iterations=int(iterations[0]))
 
 
 def homogenize_general(coeff: PeriodicCoefficient,

@@ -1,12 +1,11 @@
 """Small-dimension symmetric linear algebra (d = 2 or 3).
 
 Eigendecompositions come from LAPACK (``numpy.linalg.eigh``) and span
-ranks from an SVD.  Everything downstream (kernel detection, positive
-definiteness, PSD square roots, span comparisons) is built on these.  The
-one scale-aware degeneracy threshold, tol * max(1, spectral radius), is
-``EigenDecomp.cut``, which ``EigenDecomp.split`` applies: exact degenerate and
-grid-rounded matrices are treated alike, and a caller holding a decomposition
-splits it instead of redoing it.
+ranks from an SVD.  The one scale-aware degeneracy threshold,
+tol * max(1, spectral radius), is ``EigenDecomp.cut``, which
+``EigenDecomp.split`` applies: exact degenerate and grid-rounded matrices
+are treated alike, and a caller holding a decomposition splits it instead
+of redoing it.
 
 All functions are pure; inputs are never mutated.
 """
@@ -20,7 +19,6 @@ import numpy as np
 from .errors import ValidationError
 
 SYM_RTOL = 1e-12
-DEFAULT_TOL = 1e-10
 
 
 def _as_float_array(x, name: str) -> np.ndarray:
@@ -71,9 +69,6 @@ class EigenDecomp:
     eigenvalues: np.ndarray
     matrix: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return self.rotation @ np.diag(self.eigenvalues) @ self.rotation.T
-
     @property
     def spectral_radius(self) -> float:
         return float(np.abs(self.eigenvalues).max())
@@ -101,11 +96,7 @@ def sym_eig(m, name: str = "matrix") -> EigenDecomp:
     return EigenDecomp(rotation=r, eigenvalues=w, matrix=a)
 
 
-def spectral_radius(m) -> float:
-    return sym_eig(m).spectral_radius
-
-
-def psd_eig(m, tol: float = DEFAULT_TOL, name: str = "matrix") -> EigenDecomp:
+def psd_eig(m, tol: float, name: str = "matrix") -> EigenDecomp:
     """sym_eig of a matrix that must be PSD to tol (see EigenDecomp.cut)."""
     dec = sym_eig(m, name)
     if dec.eigenvalues[0] < -dec.cut(tol):
@@ -114,37 +105,6 @@ def psd_eig(m, tol: float = DEFAULT_TOL, name: str = "matrix") -> EigenDecomp:
             f"-{tol:g} * max(1, spectral radius)"
         )
     return dec
-
-
-def kernel_basis(m, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of the near-kernel of a symmetric PSD matrix.
-
-    Returns the eigenvectors whose eigenvalue is at most
-    tol * max(1, spectral radius); empty when the matrix is positive
-    definite above that threshold.  Raises when an eigenvalue dips below
-    the negative of the same threshold.
-    """
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
-    return psd_eig(m, tol).split(tol)[1]
-
-
-def is_positive_definite(m, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the smallest eigenvalue exceeds tol * max(1, spectral radius)."""
-    dec = sym_eig(m)
-    return len(dec.split(tol)[0]) == len(dec.eigenvalues)
-
-
-def sqrt_psd(m) -> np.ndarray:
-    """Symmetric PSD square root.
-
-    Eigenvalues in [-1e-10 * max(1, spectral radius), 0) are clamped to
-    zero; anything lower raises.
-    """
-    dec = psd_eig(m)
-    w = np.maximum(dec.eigenvalues, 0.0)
-    root = dec.rotation @ np.diag(np.sqrt(w)) @ dec.rotation.T
-    return 0.5 * (root + root.T)
 
 
 def _span_rank(vectors, dim: int, tol: float) -> tuple[int, np.ndarray]:
@@ -159,27 +119,3 @@ def _span_rank(vectors, dim: int, tol: float) -> tuple[int, np.ndarray]:
     _, sv, vt = np.linalg.svd(np.array(units))
     rank = int(np.count_nonzero(sv > tol))
     return rank, vt[:rank]
-
-
-def span_equals_orthocomplement(spanners, kernel, tol: float = DEFAULT_TOL) -> bool:
-    """True iff span(spanners) is exactly the orthogonal complement of span(kernel).
-
-    Decided by rank: rank(S) + rank(K) must equal the ambient dimension and
-    every spanner must be orthogonal to every kernel vector, both with
-    threshold ``tol``.
-    """
-    spanners = [as_vector(v, name="spanner") for v in spanners]
-    kernel = [as_vector(v, name="kernel vector") for v in kernel]
-    dims = {v.shape[0] for v in spanners} | {v.shape[0] for v in kernel}
-    if len(dims) > 1:
-        raise ValidationError(f"mixed vector dimensions {sorted(dims)}")
-    if not dims:
-        raise ValidationError("at least one vector is required to fix the dimension")
-    d = dims.pop()
-    rs, bs = _span_rank(spanners, d, tol)
-    rk, bk = _span_rank(kernel, d, tol)
-    if rs + rk != d:
-        return False
-    if rs and rk and np.abs(bs @ bk.T).max() > tol:
-        return False
-    return True

@@ -14,6 +14,7 @@ import pytest
 import homoglab
 from homoglab import anomalous as an
 from homoglab.errors import CrossValidationError, ValidationError
+from oracles import green_kernel, h_transform, inv_k0_decomposed, k0_hat_closed
 
 P = an.SpectralParams(c=2.0, theta=0.5)
 
@@ -27,6 +28,10 @@ def test_params_validation_and_derived_constants():
         an.SpectralParams(c=2.0, theta=1.0)
     with pytest.raises(ValidationError, match=">= 1"):
         an.SpectralParams(c=0.5, theta=0.5)
+    # (c - 1)^2 overflows a double above c = 1.34e154
+    with pytest.raises(ValidationError, match="finite"):
+        an.SpectralParams(c=1e200, theta=0.5)
+    assert an.SpectralParams(c=1e154, theta=0.5).alpha == pytest.approx(2.0)
     p = an.SpectralParams(c=3.0, theta=0.25)
     assert abs(p.c_theta - (3.0 * 0.25 + 0.75)) <= 1e-14
     assert abs(p.alpha - (9.0 * 0.25 + 0.75) / p.c_theta ** 2) <= 1e-14
@@ -37,7 +42,7 @@ def test_k0_hat_values():
     # lambda = 1/(2 pi) gives 4 pi^2 lambda^2 = 1: 0.5/2 + 0.5/3 = 5/12
     assert an.k0_hat(P, 1.0 / (2 * np.pi)) == pytest.approx(5.0 / 12.0, rel=1e-14)
     lam = np.linspace(-80, 80, 4001)
-    np.testing.assert_allclose(an.k0_hat(P, lam), an.k0_hat_closed(P, lam),
+    np.testing.assert_allclose(an.k0_hat(P, lam), k0_hat_closed(P, lam),
                                rtol=1e-13)
     # large-lambda leading order ~ c_theta / (c 4 pi^2 lambda^2)
     big = 1e4
@@ -50,13 +55,13 @@ def test_alpha_f_hand_values():
     alpha, f0 = an.alpha_f(P, 0.0)
     assert alpha == pytest.approx(10.0 / 9.0, rel=1e-14)
     assert f0 == pytest.approx(-1.0 / 9.0, rel=1e-14)
-    assert an.inv_k0_decomposed(P, 0.0) == pytest.approx(1.0, rel=1e-13)
+    assert inv_k0_decomposed(P, 0.0) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_reciprocal_kernel_decomposition_identity():
     lam = np.linspace(-64, 64, 8193)
     lhs = 1.0 / an.k0_hat(P, lam)
-    rhs = an.inv_k0_decomposed(P, lam)
+    rhs = inv_k0_decomposed(P, lam)
     assert np.max(np.abs(lhs - rhs) / lhs) <= 1e-12
 
 
@@ -83,13 +88,12 @@ def test_h_transform_near_unit_contrast():
     p = an.SpectralParams(c=1.0 + 1e-6, theta=0.5)
     want = (-p.theta * (1.0 - p.theta) * (p.c - 1.0) ** 2
             / (p.c_theta ** 2 * (1.0 + math.sqrt(p.alpha))))
-    assert an.h_transform(p, 0.0) == pytest.approx(want, rel=1e-12)
+    assert h_transform(p, 0.0) == pytest.approx(want, rel=1e-12)
 
 
 def test_h_kernel_peak_and_parity():
     h = an.h_kernel(P, 1.0 / 128, half_width=4.0)
-    assert an.h_transform(P, 0.0) == pytest.approx(1.0 - math.sqrt(10.0 / 9.0),
-                                                   rel=1e-12)
+    assert h_transform(P, 0.0) == pytest.approx(1.0 - math.sqrt(10.0 / 9.0), rel=1e-12)
     assert h.n == 1025 and not h.zero_extended
     center = h.n // 2
     assert h.x[center] == 0.0 and h.x[0] == -4.0 and h.x[-1] == 4.0
@@ -112,7 +116,7 @@ def test_h_exponential_sum_transform_matches_h_transform(c, theta):
     w, sigma = an.h_exponential_sum(p)
     lam = np.linspace(0.0, 256.0, 4097)[:, None]
     ft = (2.0 * w * sigma / (sigma ** 2 + an.TWO_PI_SQ * lam ** 2)).sum(axis=1)
-    want = an.h_transform(p, lam[:, 0])
+    want = h_transform(p, lam[:, 0])
     assert np.abs(ft - want).max() <= 1e-13 * abs(want[0])
 
 
@@ -313,7 +317,7 @@ def test_sturm_liouville_constant_rhs_closed_form():
 
 def test_green_kernel_symmetry():
     x = np.array([0.1, 0.35, 0.8])
-    g = an.green_kernel(2.0, x, x)
+    g = green_kernel(2.0, x, x)
     np.testing.assert_allclose(g, g.T, rtol=1e-14)
 
 
@@ -345,7 +349,7 @@ def test_sl_green_solve_matches_dense_quadrature(a_value, n):
     w = np.full(n, h)
     w[0] *= 0.5
     w[-1] *= 0.5
-    dense = an.green_kernel(a_value, x, x) @ (w * f)
+    dense = green_kernel(a_value, x, x) @ (w * f)
     fast = an._sl_green_solve(a_value, f, h)
     assert np.abs(fast - dense).max() <= 1e-13 * np.abs(dense).max()
 

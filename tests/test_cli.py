@@ -296,6 +296,11 @@ FAILING_RUNS = {
                            1, "must vanish at x1 = 0 and 1"),
     "cg-max_iter": ("homogenize_grid", {"coefficient": "random", "max_iter": 1,
                                         "tol": 1e-14}, 2, "CG stopped after 1"),
+    # (c - 1)^2 overflows a double above c = 1.34e154
+    "contrast-overflow": ("counterexample", {"c": 1e200, "theta": 0.5},
+                          1, "(c - 1)^2 finite"),
+    "contrast-overflow-sweep": ("recovery_sweep", dict(SWEEP_DOC["parameters"], c=1e200),
+                                1, "(c - 1)^2 finite"),
 }
 
 

@@ -95,8 +95,9 @@ def test_formula_invariants_random():
         n /= np.linalg.norm(n)
         spec = laminate.LaminateSpec(phase1=a1, phase2=a2, theta=th, direction=n)
         hom = laminate.homogenize_laminate(spec)
-        rho = max(1.0, linalg.spectral_radius(hom.tensor))
-        assert linalg.sym_eig(hom.tensor).eigenvalues[0] >= -1e-10 * rho
+        dec = linalg.sym_eig(hom.tensor)
+        rho = max(1.0, dec.spectral_radius)
+        assert dec.eigenvalues[0] >= -1e-10 * rho
         mean = th * a1 + (1 - th) * a2
         assert linalg.sym_eig(mean - hom.tensor).eigenvalues[0] >= -1e-10 * rho
         # exchange symmetry
@@ -219,6 +220,23 @@ def test_verify_kernel_identity_examples():
     assert laminate.verify_kernel_identity(spec2(np.outer(xi, xi), I2))
     assert laminate.verify_kernel_identity(spec2(E2XE2, I2))
     assert laminate.verify_kernel_identity(spec2(I2, I2))
+
+
+R2 = np.sqrt(0.5)
+
+
+@pytest.mark.parametrize("kernel, holds", [
+    ([np.array([-1.0, 0.0])], True),  # the right kernel, another basis
+    ([], False),  # too few vectors
+    ([np.array([1.0, 0.0]), np.array([0.0, 1.0])], False),  # too many
+    ([np.array([R2, R2])], False),  # the right count, not orthogonal to V
+], ids=["other-basis", "too-few", "too-many", "not-orthogonal"])
+def test_verify_kernel_identity_decides_from_the_spec_kernel(kernel, holds):
+    # V = span{e2} and ker(A*) = span{e1}; the check reads the spec's kernel
+    spec = spec2(E2XE2, I2)
+    assert laminate.verify_kernel_identity(spec)
+    object.__setattr__(spec, "effective_kernel", kernel)
+    assert laminate.verify_kernel_identity(spec) is holds
 
 
 def test_v_space_near_orthogonal_rank_one_range():
