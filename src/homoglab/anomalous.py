@@ -13,12 +13,15 @@ h *_1 u for an explicit even kernel h.  This module evaluates both forms
 1/k0_hat is a polynomial minus the transform of a semiseparable kernel;
 the nonlocal one on the whole line in O(q n), because h is an exact sum
 of q decaying exponentials), builds the two-scale
-profile u0 through Sturm-Liouville problems, and measures the recovery
-energies F_eps(u0(x1, x2/eps)) against the limit.
+profile u0_a = (-a d^2 + 1)^-1 b, a in {1, c}, with b = u / k0_hat taken
+in the sine basis of the Dirichlet second difference and one checked
+Sturm-Liouville solve per phase, and measures the recovery energies
+F_eps(u0(x1, x2/eps)) against the limit.
 
 Conventions: Fourier transform F(u)(lambda) = int exp(-2 pi i lambda x)
 u(x) dx; functions of x1 live on [0, 1] sampled at n equispaced points
-including the endpoints and are extended by zero outside.
+including the endpoints (``SampledField``) and are extended by zero
+outside.  Only the kernel h (``h_kernel``) is sampled elsewhere.
 """
 
 from __future__ import annotations
@@ -76,29 +79,26 @@ class SpectralParams:
 
 @dataclass(frozen=True)
 class SampledField:
-    """Uniform samples of a real function with grid metadata.
+    """Samples of a real function at n equispaced points of [0, 1], ends included.
 
-    1D values have shape (n,); 2D values have shape (n2, n1) with the
-    first index the x2 row.  ``origin`` and ``spacing`` refer to the x1
-    axis; fields on the unit interval use origin 0, spacing 1/(n-1).
-    ``zero_extended`` marks functions treated as zero outside (0, 1) in x1.
+    1D values have shape (n,); 2D values have shape (n2, n1) with the first
+    index the x2 row, the rows likewise spanning [0, 1] in x2.  Every axis
+    holds at least 16 samples.  The x1 spacing 1/(n - 1) and nodes x derive
+    from n.  The limit forms and the profile treat a field as zero outside
+    (0, 1) in x1 and check that it vanishes at x1 = 0 and 1.
     """
 
     values: np.ndarray
-    spacing: float
-    origin: float = 0.0
-    zero_extended: bool = True
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.ndim not in (1, 2):
             raise ValidationError(f"values must be 1- or 2-dimensional, got {v.ndim}")
-        if v.shape[-1] < 16:
-            raise ValidationError("fields need at least 16 samples per axis")
+        if min(v.shape) < 16:
+            raise ValidationError(
+                f"fields need at least 16 samples per axis, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValidationError("field has non-finite values")
-        if self.spacing <= 0:
-            raise ValidationError("spacing must be positive")
         object.__setattr__(self, "values", v)
 
     @property
@@ -106,23 +106,19 @@ class SampledField:
         return self.values.shape[-1]
 
     @property
-    def x(self) -> np.ndarray:
-        return self.origin + self.spacing * np.arange(self.n)
+    def spacing(self) -> float:
+        return 1.0 / (self.n - 1)
 
-    @classmethod
-    def on_unit_interval(cls, values, zero_extended: bool = True) -> "SampledField":
-        v = np.asarray(values, dtype=float)
-        # a single sample gets spacing 1 and is refused by the size check
-        return cls(values=v, spacing=1.0 / max(v.shape[-1] - 1, 1), origin=0.0,
-                   zero_extended=zero_extended)
+    @property
+    def x(self) -> np.ndarray:
+        return self.spacing * np.arange(self.n)
 
     @classmethod
     def from_function(cls, fn, n: int) -> "SampledField":
         """fn at n equispaced points of [0, 1]; n above N_MAX is refused."""
         if not n <= N_MAX:
             raise ValidationError(f"a field holds at most {N_MAX} samples per row")
-        x = np.linspace(0.0, 1.0, n)
-        return cls.on_unit_interval(fn(x))
+        return cls(fn(np.linspace(0.0, 1.0, n)))
 
 
 def test_function(name: str):
@@ -153,7 +149,11 @@ def test_function(name: str):
 
 def k0_hat(params: SpectralParams, lambda1):
     """Phase average of 1/(4 pi^2 a lambda^2 + 1); equals 1 at lambda = 0."""
-    t = TWO_PI_SQ * np.square(lambda1)
+    return _k0_of_symbol(params, TWO_PI_SQ * np.square(lambda1))
+
+
+def _k0_of_symbol(params: SpectralParams, t):
+    """k0_hat as a function of the symbol t = 4 pi^2 lambda^2 of -d^2/dx^2."""
     return params.theta / (t + 1.0) + (1.0 - params.theta) / (params.c * t + 1.0)
 
 
@@ -197,8 +197,8 @@ def h_exponential_sum(params: SpectralParams, samples: float = 1.0):
     return -math.sqrt(alpha) * b_minus_a * half_gap / (2.0 * q * sigma), sigma
 
 
-def h_kernel(params: SpectralParams, dx: float, half_width: float = 1.0) -> SampledField:
-    """The convolution kernel h sampled at spacing dx on [-half_width, half_width].
+def h_kernel(params: SpectralParams, dx: float, half_width: float = 1.0):
+    """(x, h): the convolution kernel h at spacing dx on [-half_width, half_width].
 
     h is ``h_exponential_sum``, exact to rounding: real and even, returned
     centred at x = 0 with an odd number of samples.
@@ -210,7 +210,7 @@ def h_kernel(params: SpectralParams, dx: float, half_width: float = 1.0) -> Samp
     k = int(round(half_width / dx))
     dist = dx * np.abs(np.arange(-k, k + 1))
     h = sum(wk * np.exp(-sk * dist) for wk, sk in zip(w, sigma))
-    return SampledField(values=h, spacing=dx, origin=-k * dx, zero_extended=False)
+    return dx * np.arange(2 * k + 1) - k * dx, h
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +234,8 @@ def _rows_and_weights(u: SampledField) -> tuple[np.ndarray, np.ndarray]:
     return v, _trapezoid_weights(n2, 1.0 / (n2 - 1))
 
 
-def _check_unit_interval(field: SampledField, what: str):
-    if abs(field.origin) > 1e-12 or abs(field.spacing * (field.n - 1) - 1.0) > 1e-9:
-        raise ValidationError(f"{what} must be sampled on [0, 1] inclusive")
-
-
 def _check_zero_extended(u: SampledField):
-    if not u.zero_extended:
-        raise ValidationError("u must be declared zero-extended outside (0, 1)")
-    _check_unit_interval(u, "a zero-extended field")
+    """u is zero outside (0, 1) in x1, so it must vanish at both ends."""
     scale = max(1.0, float(np.abs(u.values).max()))
     rows, _ = _rows_and_weights(u)
     if max(np.abs(rows[:, 0]).max(), np.abs(rows[:, -1]).max()) > 1e-9 * scale:
@@ -337,18 +330,28 @@ def _dst1(f: np.ndarray) -> np.ndarray:
     return -0.5 * np.fft.rfft(odd).imag[1:m + 1]
 
 
-def _sl_matrix_solve(a_value: float, rhs: np.ndarray, h: float) -> np.ndarray:
-    """Dirichlet solve of -a u'' + u = rhs on the interior nodes.
-
-    The type-I sine transform diagonalizes the constant-coefficient
-    finite-difference matrix and is its own inverse up to 2 / (m + 1).
-    """
-    m = rhs.shape[0] - 2
+def _dirichlet_symbol(m: int, h: float) -> np.ndarray:
+    """Eigenvalues mu_k = (4/h^2) sin^2(k pi / (2(m + 1))), k = 1..m, of the
+    second difference -D^2 with Dirichlet ends on m interior nodes."""
     k = np.arange(1, m + 1)
-    eig = 1.0 + (4.0 * a_value / h ** 2) * np.sin(k * np.pi / (2 * (m + 1))) ** 2
+    return (4.0 / h ** 2) * np.sin(k * np.pi / (2 * (m + 1))) ** 2
+
+
+def _sine_divide(values: np.ndarray, divisor: np.ndarray) -> np.ndarray:
+    """Divide the sine coefficients of the interior nodes by divisor; ends are 0.
+
+    The type-I sine transform diagonalizes -D^2 and is its own inverse up
+    to 2 / (m + 1).
+    """
+    m = values.shape[0] - 2
     out = np.zeros(m + 2)
-    out[1:-1] = (2.0 / (m + 1)) * _dst1(_dst1(rhs[1:-1]) / eig)
+    out[1:-1] = (2.0 / (m + 1)) * _dst1(_dst1(values[1:-1]) / divisor)
     return out
+
+
+def _sl_matrix_solve(a_value: float, rhs: np.ndarray, h: float) -> np.ndarray:
+    """Dirichlet solve of -a u'' + u = rhs on the interior nodes."""
+    return _sine_divide(rhs, 1.0 + a_value * _dirichlet_symbol(rhs.shape[0] - 2, h))
 
 
 def _sl_green_solve(a_value: float, rhs: np.ndarray, h: float) -> np.ndarray:
@@ -388,8 +391,7 @@ def solve_sturm_liouville(a_value: float, b: SampledField) -> SampledField:
             f"a_value = {a_value:.3g} is below {SL_MIN_A:.3g}, the smallest the "
             "Green-kernel check supports (sinh(1/sqrt(a)) overflows)")
     if b.values.ndim != 1:
-        raise ValidationError("b must be a 1D field on [0, 1]")
-    _check_unit_interval(b, "b")
+        raise ValidationError("b must be a 1D field")
     h = b.spacing
     fd = _sl_matrix_solve(a_value, b.values, h)
     green = _sl_green_solve(a_value, b.values, h)
@@ -400,44 +402,33 @@ def solve_sturm_liouville(a_value: float, b: SampledField) -> SampledField:
         raise CrossValidationError(
             f"finite-difference and Green-kernel solutions differ by {gap:.3e} "
             f"(gate {gate:.3e})")
-    return SampledField.on_unit_interval(fd)
-
-
-def _second_difference(row: np.ndarray, h: float) -> np.ndarray:
-    d2 = np.zeros_like(row)
-    d2[1:-1] = (row[2:] - 2.0 * row[1:-1] + row[:-2]) / h ** 2
-    return d2
+    return SampledField(fd)
 
 
 def two_scale_profile(params: SpectralParams, u: SampledField):
     """Optimal two-scale profile of u under the phase-mean constraint.
 
-    Returns (u0_phase1, u0_phasec, b_common): both branches solve
-    -a u0'' + u0 = b_common with their own a in {1, c} and homogeneous
-    Dirichlet data, and their theta-weighted mean reproduces u.  The
-    common right-hand side is obtained by eliminating the constraint,
-    which reduces to a single solve with coefficient c_theta.
+    Returns (u0_phase1, u0_phasec), the solutions of -a u0'' + u0 = b for
+    a in {1, c} with homogeneous Dirichlet data (``solve_sturm_liouville``,
+    so each is cross-checked), where b = u / k0_hat: in the sine basis, u's
+    coefficients divided by k0_hat at the symbol mu_k of -D^2.  The branch
+    coefficients are then u_k / (k0_hat(mu_k) (1 + a mu_k)), and their
+    theta-weighted mean is u exactly, up to rounding.
     """
     _check_zero_extended(u)
     if u.values.ndim != 1:
         raise ValidationError("the two-scale profile is built one x1 row at a time")
     row = u.values
-    h = u.spacing
-    c, th = params.c, params.theta
-    rhs1 = -c * _second_difference(row, h) + row
-    w1 = _sl_matrix_solve(params.c_theta, rhs1, h)
-    b_common = -_second_difference(w1, h) + w1
-    b_field = SampledField.on_unit_interval(b_common, zero_extended=False)
-    wc = solve_sturm_liouville(c, b_field).values if c > 1.0 else w1.copy()
-    mean = th * w1 + (1.0 - th) * wc
+    mu = _dirichlet_symbol(u.n - 2, u.spacing)
+    b = SampledField(_sine_divide(row, _k0_of_symbol(params, mu)))
+    w1, wc = (solve_sturm_liouville(a, b) for a in (1.0, params.c))
+    mean = params.theta * w1.values + (1.0 - params.theta) * wc.values
     gap = float(np.abs(mean - row).max())
     if gap > MEAN_IDENTITY_TOL * max(1.0, float(np.abs(row).max())):
         raise CrossValidationError(
             f"phase-mean identity violated by {gap:.3e} (tolerance "
             f"{MEAN_IDENTITY_TOL:g}); profile construction is inconsistent")
-    return (SampledField.on_unit_interval(w1),
-            SampledField.on_unit_interval(wc),
-            b_field)
+    return w1, wc
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +471,7 @@ def recovery_energy(params: SpectralParams, u, eps: float, n_fine: int) -> Recov
             raise ValidationError("u must be a 1D field sampled at n_fine points")
     if float(np.abs(field.values).max()) == 0.0:
         return RecoveryResult(eps=eps, energy_eps=0.0, limit_energy=0.0, gap=0.0)
-    w1, wc, _ = two_scale_profile(params, field)
+    w1, wc = two_scale_profile(params, field)
     dx = field.spacing
     # x2 midpoint sampling keeps the phase fractions exact whenever
     # theta * (points per period) is an integer.  Every x2 row of

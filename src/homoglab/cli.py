@@ -122,7 +122,10 @@ def _u_field(value, n: int = 16) -> anomalous.SampledField:
         samples = np.loadtxt(path, delimiter=",", dtype=float, ndmin=1)
     except ValueError as exc:
         raise ValidationError(f"{path} is not numeric: {exc}") from None
-    return anomalous.SampledField.on_unit_interval(samples)
+    if samples.ndim != 1:
+        raise ValidationError(
+            f"{path} holds {samples.shape[0]} rows; u is one x1 row of samples")
+    return anomalous.SampledField(samples)
 
 
 def _kept(validate):
@@ -332,15 +335,15 @@ def _run_counterexample(params):
     lam = np.linspace(-lambda_max, lambda_max, 2049)
     k0 = anomalous.k0_hat(p, lam)
     alpha, f = anomalous.alpha_f(p, lam)
-    h = anomalous.h_kernel(p, 0.5 / lambda_max, half_width=4.0)
+    h_x, h = anomalous.h_kernel(p, 0.5 / lambda_max, half_width=4.0)
     ff = anomalous.gamma_limit_fourier(p, u)
     fc = anomalous.gamma_limit_convolution(p, u)
     rel = abs(ff - fc) / ff if ff else 0.0
-    u0_1, u0_c, _ = anomalous.two_scale_profile(p, u)
+    u0_1, u0_c = anomalous.two_scale_profile(p, u)
     tables = {
         "kernel.csv": (["lambda", "k0_hat", "inv_k0", "alpha_plus_f"],
                        [lam, k0, 1.0 / k0, alpha + f]),
-        "h.csv": (["x", "h"], [h.x, h.values]),
+        "h.csv": (["x", "h"], [h_x, h]),
         "energies.csv": (["form", "value"], [["fourier", "convolution",
                                               "relative_difference"], [ff, fc, rel]]),
         "u0_branches.csv": (["x1", "u", "u0_phase1", "u0_phasec"],

@@ -15,9 +15,9 @@ one or both phases are singular, which is the regime of interest here:
 ``A*`` may then lose definiteness, and the condition checkers below decide
 whether it does.
 
-Internally every computation rotates the normal onto the first coordinate
-axis, applies the axis-aligned formulas, and rotates back; orthogonal
-conjugation preserves them exactly.
+``homogenize_laminate`` evaluates this formula as written, with
+j = (A2 - A1) n: the mean plus a multiple of j otimes j is symmetric
+exactly, and for an axis normal j is a column of A2 - A1.
 
 A spec decomposes each phase once, in its PSD check, splits each
 decomposition once into range and kernel at ``RANK_TOL``, and keeps both;
@@ -192,21 +192,15 @@ def _effective_kernel(spec: LaminateSpec) -> list[np.ndarray]:
 def homogenize_laminate(spec: LaminateSpec) -> HomogenizedLaminate:
     """Effective tensor of the laminate, choosing the a = 0 branch when
     the cross coefficient falls below the scale-aware ``default_a_tol``."""
-    q = rotation_to_axis(spec.direction)
-    a1 = q @ spec.phase1 @ q.T
-    a2 = q @ spec.phase2 @ q.T
     th = spec.theta
     a = laminate_a(spec)
-    mean = th * a1 + (1.0 - th) * a2
+    tensor = th * spec.phase1 + (1.0 - th) * spec.phase2
     if a > default_a_tol(spec):
-        jump = (a2 - a1)[:, 0]  # (A2 - A1) e1 in the rotated frame
-        tensor = mean - (th * (1.0 - th) / a) * np.outer(jump, jump)
+        jump = (spec.phase2 - spec.phase1) @ spec.direction
+        tensor = tensor - (th * (1.0 - th) / a) * np.outer(jump, jump)
         branch = "regular"
     else:
-        tensor = mean
         branch = "degenerate_average"
-    tensor = q.T @ tensor @ q
-    tensor = 0.5 * (tensor + tensor.T)
     return HomogenizedLaminate(
         a_value=a,
         tensor=tensor,

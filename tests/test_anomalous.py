@@ -92,15 +92,16 @@ def test_h_transform_near_unit_contrast():
 
 
 def test_h_kernel_peak_and_parity():
-    h = an.h_kernel(P, 1.0 / 128, half_width=4.0)
+    x, h = an.h_kernel(P, 1.0 / 128, half_width=4.0)
     assert h_transform(P, 0.0) == pytest.approx(1.0 - math.sqrt(10.0 / 9.0), rel=1e-12)
-    assert h.n == 1025 and not h.zero_extended
-    center = h.n // 2
-    assert h.x[center] == 0.0 and h.x[0] == -4.0 and h.x[-1] == 4.0
-    assert np.argmax(np.abs(h.values)) == center
+    # sampled on [-4, 4], where h does not vanish at the ends
+    assert len(x) == len(h) == 1025 and h[0] != 0.0 and h[-1] != 0.0
+    center = len(h) // 2
+    assert x[center] == 0.0 and x[0] == -4.0 and x[-1] == 4.0
+    assert np.argmax(np.abs(h)) == center
     # even kernel
-    scale = np.abs(h.values).max()
-    np.testing.assert_allclose(h.values[center + 1:], h.values[:center][::-1],
+    scale = np.abs(h).max()
+    np.testing.assert_allclose(h[center + 1:], h[:center][::-1],
                                rtol=0.0, atol=1e-14 * scale)
 
 
@@ -162,7 +163,7 @@ def test_convolution_form_memory_is_linear():
     # 2^19 + 1 samples (4 MB): the loop over the nodes holds a few arrays
     # of that size, never one per node
     x = np.linspace(0.0, 1.0, an.N_MAX + 1)
-    long = an.SampledField.on_unit_interval(np.sin(np.pi * x))
+    long = an.SampledField(np.sin(np.pi * x))
     an.gamma_limit_convolution(P, field_of("sin_1", 64))
     assert _traced_peak_mb(an.gamma_limit_convolution, P, long) < 48.0
 
@@ -178,14 +179,14 @@ def test_every_fft_and_field_is_capped_before_allocating():
     # 2^19 + 1 samples (4 MB) holds at most five arrays of its size
     an.gamma_limit_fourier(P, field_of("sin_1", 64))
     x = np.linspace(0.0, 1.0, an.N_MAX + 1)
-    long = an.SampledField.on_unit_interval(np.sin(np.pi * x))
+    long = an.SampledField(np.sin(np.pi * x))
     assert _traced_peak_mb(an.gamma_limit_fourier, P, long) < 20.0
 
 
 def test_convolution_theorem_discrete():
     u = field_of("sin_2", 256)
     dx = u.spacing
-    hw = an.h_kernel(P, dx, half_width=1.0 + 2 * dx).values
+    _, hw = an.h_kernel(P, dx, half_width=1.0 + 2 * dx)
     conv = np.convolve(u.values, hw) * dx
     m = 1 << math.ceil(math.log2(len(conv) + 1))
     lhs = np.fft.fft(conv, m)
@@ -195,7 +196,7 @@ def test_convolution_theorem_discrete():
 
 
 def test_gamma_limit_zero():
-    zeros = an.SampledField.on_unit_interval(np.zeros(64))
+    zeros = an.SampledField(np.zeros(64))
     assert an.gamma_limit_fourier(P, zeros) == 0.0
     assert an.gamma_limit_convolution(P, zeros) == 0.0
 
@@ -212,7 +213,7 @@ def test_gamma_limit_forms_agree_2d_bump_product():
     n = 256
     x = np.linspace(0.0, 1.0, n)
     bump = an.test_function("bump")(x)
-    u = an.SampledField.on_unit_interval(np.outer(bump, bump))
+    u = an.SampledField(np.outer(bump, bump))
     ff = an.gamma_limit_fourier(P, u)
     fc = an.gamma_limit_convolution(P, u)
     assert abs(ff - fc) <= 1e-3 * ff
@@ -289,24 +290,24 @@ def test_gamma_limit_fourier_matches_padded_transform():
     assert an.gamma_limit_fourier(p, u) == pytest.approx(want, rel=1e-6)
 
 
-def test_zero_extended_fields_span_the_unit_interval():
-    x = np.linspace(0.0, 1.0, 1000)
-    values = np.sin(np.pi * x)
-    for field in (an.SampledField(values, spacing=1.0),
-                  an.SampledField(values, spacing=1.0 / 999, origin=0.5)):
-        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
-            an.gamma_limit_fourier(P, field)
+def test_fields_need_16_samples_on_every_axis():
+    # a (1, 64) field once reached the x2 trapezoid weights, 1/(n2 - 1)
+    for shape in ((1, 64), (15, 64), (64, 15), (15,)):
+        with pytest.raises(ValidationError, match="16 samples per axis"):
+            an.SampledField(np.zeros(shape))
+    u = an.SampledField(np.zeros((16, 16)))
+    assert an.gamma_limit_fourier(P, u) == an.gamma_limit_convolution(P, u) == 0.0
 
 
 def test_sturm_liouville_zero_rhs():
-    b = an.SampledField.on_unit_interval(np.zeros(64), zero_extended=False)
+    b = an.SampledField(np.zeros(64))
     u0 = an.solve_sturm_liouville(1.0, b)
     assert np.abs(u0.values).max() == 0.0
 
 
 def test_sturm_liouville_constant_rhs_closed_form():
     n = 4097
-    b = an.SampledField.on_unit_interval(np.ones(n), zero_extended=False)
+    b = an.SampledField(np.ones(n))
     u0 = an.solve_sturm_liouville(1.0, b)
     x = u0.x
     exact = 1.0 - np.cosh(x - 0.5) / np.cosh(0.5)
@@ -325,7 +326,7 @@ def test_sturm_liouville_second_order_convergence():
     # error against the closed form shrinks ~4x per grid doubling
     errs = []
     for n in (257, 513, 1025):
-        b = an.SampledField.on_unit_interval(np.ones(n), zero_extended=False)
+        b = an.SampledField(np.ones(n))
         u0 = an.solve_sturm_liouville(1.0, b)
         exact = 1.0 - np.cosh(u0.x - 0.5) / np.cosh(0.5)
         errs.append(np.abs(u0.values - exact).max())
@@ -334,7 +335,7 @@ def test_sturm_liouville_second_order_convergence():
 
 
 def test_sturm_liouville_validates_inputs():
-    b = an.SampledField.on_unit_interval(np.ones(64), zero_extended=False)
+    b = an.SampledField(np.ones(64))
     with pytest.raises(ValidationError, match="positive"):
         an.solve_sturm_liouville(-1.0, b)
 
@@ -380,28 +381,54 @@ def test_sturm_liouville_small_coefficient():
 
 
 def test_two_scale_profile_zero():
-    zeros = an.SampledField.on_unit_interval(np.zeros(64))
-    u1, uc, _ = an.two_scale_profile(P, zeros)
+    zeros = an.SampledField(np.zeros(64))
+    u1, uc = an.two_scale_profile(P, zeros)
     assert np.abs(u1.values).max() == 0.0
     assert np.abs(uc.values).max() == 0.0
 
 
 def test_two_scale_profile_c1_branches_collapse():
+    # no contrast: k0_hat = 1/(1 + mu), so b = (-D^2 + 1) u and both branches are u
     p1 = an.SpectralParams(c=1.0, theta=0.5)
-    u = field_of("sin_1", 513)
-    u1, uc, _ = an.two_scale_profile(p1, u)
-    assert np.abs(u1.values - u.values).max() <= 1e-10
-    assert np.abs(uc.values - u.values).max() <= 1e-10
+    for name in ("sin_1", "sin_7", "bump"):
+        u = field_of(name, 4097)
+        u1, uc = an.two_scale_profile(p1, u)
+        assert np.abs(u1.values - u.values).max() <= 1e-13
+        assert np.abs(uc.values - u.values).max() <= 1e-13
+
+
+@pytest.mark.parametrize("c, theta", [(2.0, 0.5), (100.0, 0.01), (1e4, 0.01)])
+def test_two_scale_profile_sin_1_is_the_discrete_multiplier(c, theta):
+    # sin(pi x) is the first eigenvector of the Dirichlet second difference,
+    # with mu_1 = (4/h^2) sin^2(pi h / 2), so w1 = (1 + c mu_1)/(1 + c_theta mu_1) u
+    p = an.SpectralParams(c=c, theta=theta)
+    u = field_of("sin_1", 4097)
+    u1, _ = an.two_scale_profile(p, u)
+    h = u.spacing
+    mu1 = (4.0 / h ** 2) * np.sin(np.pi * h / 2.0) ** 2
+    k1 = (1.0 + c * mu1) / (1.0 + p.c_theta * mu1)
+    assert np.abs(u1.values - k1 * u.values).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["sin_1", "sin_7", "bump"])
+@pytest.mark.parametrize("c, theta", [(2.0, 0.5), (100.0, 0.5), (1e4, 0.01)])
+def test_two_scale_profile_mean_identity_to_rounding(name, c, theta):
+    # theta / (1 + mu) + (1 - theta) / (1 + c mu) = k0_hat(mu), mode by mode
+    p = an.SpectralParams(c=c, theta=theta)
+    u = field_of(name, 4097)
+    u1, uc = an.two_scale_profile(p, u)
+    mean = theta * u1.values + (1.0 - theta) * uc.values
+    assert np.abs(mean - u.values).max() <= 1e-14 * np.abs(u.values).max()
 
 
 def test_two_scale_profile_mean_identity_and_branch_separation():
     u = field_of("sin_1", 1025)
-    u1, uc, _ = an.two_scale_profile(P, u)
+    u1, uc = an.two_scale_profile(P, u)
     mean = P.theta * u1.values + (1 - P.theta) * uc.values
     assert np.abs(mean - u.values).max() <= 1e-4
     assert np.abs(u1.values - uc.values).max() >= 1e-3
     # the a = 1 branch carries more oscillation energy than the a = c one
-    # (analytically w1 = (c pi^2 + 1)/(c_theta pi^2 + 1) sin on this input)
+    # (in the continuum w1 = (c pi^2 + 1)/(c_theta pi^2 + 1) sin on this input)
     k1 = (2 * np.pi ** 2 + 1) / (1.5 * np.pi ** 2 + 1)
     assert np.abs(u1.values - k1 * u.values).max() <= 1e-6
 
@@ -437,7 +464,7 @@ def test_recovery_energy_matches_explicit_field(c, theta, eps):
     fn = an.test_function("sin_1")
     res = an.recovery_energy(p, fn, eps, n)
     u = an.SampledField.from_function(fn, n)
-    u1, uc, _ = an.two_scale_profile(p, u)
+    u1, uc = an.two_scale_profile(p, u)
     x2 = (np.arange(n) + 0.5) / n
     a = p.conductivity(x2 / eps)
     rows = np.where((a == 1.0)[:, None], u1.values[None, :], uc.values[None, :])
@@ -489,7 +516,7 @@ def test_counterexample_runs_without_scipy(tmp_path):
 def test_recovery_coercivity_and_gap():
     res = an.recovery_energy(P, an.test_function("sin_1"), 0.125, 256)
     u = field_of("sin_1", 256)
-    u1, uc, _ = an.two_scale_profile(P, u)
+    u1, uc = an.two_scale_profile(P, u)
     l2_min = min(float(np.trapezoid(u1.values ** 2, dx=u.spacing)),
                  float(np.trapezoid(uc.values ** 2, dx=u.spacing)))
     assert res.energy_eps >= l2_min

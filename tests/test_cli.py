@@ -275,8 +275,9 @@ def test_declared_artifacts_exist_with_row_counts(tmp_path, doc):
 
 
 # probe -> (command, parameters, exit code, part of the message); each check
-# is made by the library after every key has passed PARAMETERS; "ones" stands
-# for a u CSV of 32 ones, which does not vanish at the ends of [0, 1];
+# but "u-several-rows" is made by the library after every key has passed
+# PARAMETERS; "ones" stands for a u CSV of 32 ones, which does not vanish at
+# the ends of [0, 1], and "rows" for one of 20 rows of 64 samples that do;
 # "kernel-window" is the cap on h's nodes times samples, which took over from
 # the cap on the FFT window of the kernel
 FAILING_RUNS = {
@@ -294,6 +295,8 @@ FAILING_RUNS = {
                       1, "h's exponential sum needs"),
     "u-not-zero-at-ends": ("counterexample", {"c": 2.0, "theta": 0.5, "u": "ones"},
                            1, "must vanish at x1 = 0 and 1"),
+    "u-several-rows": ("counterexample", {"c": 2.0, "theta": 0.5, "u": "rows"},
+                       1, "parameters.u: "),
     "cg-max_iter": ("homogenize_grid", {"coefficient": "random", "max_iter": 1,
                                         "tol": 1e-14}, 2, "CG stopped after 1"),
     # (c - 1)^2 overflows a double above c = 1.34e154
@@ -311,6 +314,10 @@ def test_failed_run_writes_nothing(tmp_path, capsys, probe):
         params = dict(params, coefficient=grid_coefficient(tmp_path, params["coefficient"]))
     if params.get("u") == "ones":
         (tmp_path / "u.csv").write_text("1.0\n" * 32)
+        params = dict(params, u=str(tmp_path / "u.csv"))
+    if params.get("u") == "rows":
+        rows = np.outer(np.ones(20), np.sin(np.pi * np.linspace(0.0, 1.0, 64)))
+        np.savetxt(tmp_path / "u.csv", rows, delimiter=",")
         params = dict(params, u=str(tmp_path / "u.csv"))
     cfg = write_config(tmp_path, {"command": command, "output_dir": str(tmp_path / "out"),
                                   "parameters": params})
