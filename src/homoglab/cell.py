@@ -23,16 +23,25 @@ Discretization: corrector values live on the periodic node grid, the
 gradient is the edge-averaged first-order difference per cell (exact under
 axis permutations and reflections of the grid), and the coefficient is
 sampled at cell centers.  CG works on component-major fields, shape
-(dim,) + (n,)*dim, so each gradient component and each coefficient entry
-is one contiguous array.  The preconditioner is the pseudo-inverse of
-G^T G in Fourier space: its symbol lives on the rfftn half spectrum and is
-built once per grid.
+(dim,) + (n,)*dim, so each gradient component is one contiguous array.
+The preconditioner is the pseudo-inverse of G^T G in Fourier space: its
+symbol lives on the rfftn half spectrum and is built once per grid.
+
+Storage: a coefficient is its dim (dim + 1) / 2 upper-triangle channels,
+one contiguous n^dim array each, in the file format's order, from file to
+CG; no per-cell dim x dim array is formed.  The solver copies only the
+diagonal of A + delta I and reads the off-diagonal entries, the columns of
+A for the right-hand sides and mean(A) from the channels.  Measured on a
+random 32^3 field: homogenize_general peaks at about 15 n^3 doubles on top
+of the coefficient's 6, and loading a text file at 12 (its table and the
+channels).  The tests' corrector oracle runs a plain CG of its own.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -59,44 +68,81 @@ class SolverConfig:
         return self.delta0 * DELTA_SHRINK ** (-np.arange(self.n_delta, dtype=float))
 
 
+VALIDATE_BLOCK = 1 << 14  # cells per eigvalsh call of the PSD check
+
+
+def _triu_indices(dim: int) -> list[tuple[int, int]]:
+    """The (i, j), i <= j, of the channels: the row-major upper triangle."""
+    return [(i, j) for i in range(dim) for j in range(i, dim)]
+
+
 @dataclass(frozen=True)
 class PeriodicCoefficient:
     """Cell-centered samples of a periodic symmetric PSD coefficient field.
 
-    ``samples`` has shape (n,)*dim + (dim, dim); cell (i, j, ...) covers
-    [i h, (i+1) h) x ... with h = 1/n and is sampled at its center.
+    Stored as its dim (dim + 1) / 2 upper-triangle channels: ``channels`` has
+    shape (dim (dim + 1) / 2,) + (n,)*dim, and channel k, one contiguous
+    n^dim array, holds entry ``_triu_indices(dim)[k]`` of every cell (the
+    file format's order: a11 a12 a22, or a11 a12 a13 a22 a23 a33).  Cell
+    (i, j, ...) covers [i h, (i+1) h) x ... with h = 1/n and is sampled at
+    its center.  Full per-cell matrices may be given instead as ``samples``,
+    shape (n,)*dim + (dim, dim); they are converted once and not kept.
     """
 
     dim: int
     n_grid: int
-    samples: np.ndarray
+    channels: np.ndarray | None = None
+    samples: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, samples):
         if self.dim not in (2, 3):
             raise ValidationError(f"dim must be 2 or 3, got {self.dim}")
         n = self.n_grid
         if n < 4 or (n & (n - 1)) != 0:
             raise ValidationError(f"n_grid must be a power of two >= 4, got {n}")
-        a = np.asarray(self.samples, dtype=float)
-        want = (n,) * self.dim + (self.dim, self.dim)
+        if (samples is None) == (self.channels is None):
+            raise ValidationError("give exactly one of channels and samples")
+        grid = (n,) * self.dim
+        pairs = _triu_indices(self.dim)
+        if samples is None:
+            name, a = "channels", np.ascontiguousarray(self.channels, dtype=float)
+            want = (len(pairs),) + grid
+        else:
+            name, a = "samples", np.asarray(samples, dtype=float)
+            want = grid + (self.dim, self.dim)
         if a.shape != want:
-            raise ValidationError(f"samples must have shape {want}, got {a.shape}")
-        if not np.all(np.isfinite(a)):
+            raise ValidationError(f"{name} must have shape {want}, got {a.shape}")
+        # min and max are NaN or infinite exactly when some entry is
+        lo, hi = float(a.min()), float(a.max())
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValidationError("samples contain non-finite values")
-        flat = a.reshape(-1, self.dim, self.dim)
-        scale = max(1.0, float(np.abs(flat).max()))
-        if np.abs(flat - flat.transpose(0, 2, 1)).max() > 1e-12 * scale:
-            raise ValidationError("samples are not symmetric to 1e-12 relative")
-        evals = np.linalg.eigvalsh(flat)
-        if evals.min() < -1e-10 * scale:
-            raise ValidationError(
-                f"samples are not PSD (smallest eigenvalue {evals.min():.3e})"
-            )
-        object.__setattr__(self, "samples", a)
+        scale = max(1.0, hi, -lo)
+        if samples is not None:
+            for i, j in pairs:
+                if i < j and np.abs(a[..., i, j] - a[..., j, i]).max() > 1e-12 * scale:
+                    raise ValidationError("samples are not symmetric to 1e-12 relative")
+            a = np.stack([a[..., i, j] for i, j in pairs])
+        # eigvalsh a block of cells at a time, so no temporary is field-sized
+        flat = a.reshape(len(pairs), -1)
+        block = np.empty((min(VALIDATE_BLOCK, flat.shape[1]), self.dim, self.dim))
+        lowest = np.inf
+        for start in range(0, flat.shape[1], VALIDATE_BLOCK):
+            part = flat[:, start:start + VALIDATE_BLOCK]
+            mats = block[:part.shape[1]]
+            for k, (i, j) in enumerate(pairs):
+                mats[:, i, j] = mats[:, j, i] = part[k]
+            lowest = min(lowest, float(np.linalg.eigvalsh(mats).min()))
+        if lowest < -1e-10 * scale:
+            raise ValidationError(f"samples are not PSD (smallest eigenvalue {lowest:.3e})")
+        object.__setattr__(self, "channels", a)
 
     @property
     def h(self) -> float:
         return 1.0 / self.n_grid
+
+    def entry(self, i: int, j: int) -> np.ndarray:
+        """Entry (i, j) = (j, i) of every cell: its channel, not a copy."""
+        return self.channels[_triu_indices(self.dim).index((min(i, j), max(i, j)))]
 
 
 @dataclass(frozen=True)
@@ -121,7 +167,7 @@ class ExtrapolationResult:
 
 def constant_coefficient(matrix, dim: int, n_grid: int) -> PeriodicCoefficient:
     m = np.asarray(matrix, dtype=float)
-    samples = np.broadcast_to(m, (n_grid,) * dim + m.shape).copy()
+    samples = np.broadcast_to(m, (n_grid,) * dim + m.shape)
     return PeriodicCoefficient(dim=dim, n_grid=n_grid, samples=samples)
 
 
@@ -133,12 +179,10 @@ def laminate_coefficient(phase1, phase2, theta: float, dim: int, n_grid: int,
     a1 = np.asarray(phase1, dtype=float)
     a2 = np.asarray(phase2, dtype=float)
     centers = (np.arange(n_grid) + 0.5) / n_grid
-    chi = centers < theta
-    samples = np.empty((n_grid,) * dim + a1.shape)
     shape = [1] * dim
     shape[axis] = n_grid
-    mask = chi.reshape(shape + [1, 1])
-    samples[...] = np.where(mask, a1, a2)
+    mask = (centers < theta).reshape(shape + [1, 1])
+    samples = np.broadcast_to(np.where(mask, a1, a2), (n_grid,) * dim + a1.shape)
     return PeriodicCoefficient(dim=dim, n_grid=n_grid, samples=samples)
 
 
@@ -152,42 +196,54 @@ def checkerboard_coefficient(alpha: float, beta: float, n_grid: int) -> Periodic
     return PeriodicCoefficient(dim=2, n_grid=n_grid, samples=samples)
 
 
-def _triu_indices(dim: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(dim) for j in range(i, dim)]
-
-
 def save_coefficient(coeff: PeriodicCoefficient, path) -> None:
-    """Write 'dim n_grid channels' header then row-major upper-triangle floats."""
-    idx = _triu_indices(coeff.dim)
-    flat = coeff.samples.reshape(-1, coeff.dim, coeff.dim)
-    cols = np.column_stack([flat[:, i, j] for i, j in idx])
+    """Write the channel array to a .npy path, else the text format: the
+    header 'dim n_grid channels', then one cell per line, row-major."""
+    if Path(path).suffix == ".npy":
+        np.save(path, coeff.channels)
+        return
+    cols = coeff.channels.reshape(len(coeff.channels), -1).T
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{coeff.dim} {coeff.n_grid} {len(idx)}\n")
+        fh.write(f"{coeff.dim} {coeff.n_grid} {len(coeff.channels)}\n")
         for row in cols:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
 def load_coefficient(path) -> PeriodicCoefficient:
+    """Read a coefficient file: a .npy channel array, else the text format.
+
+    Either way the result is the channel array and nothing else: the text
+    table is transposed into channels and dropped before validation.
+    """
+    if Path(path).suffix == ".npy":
+        try:
+            channels = np.load(path, allow_pickle=False)
+        except (ValueError, EOFError) as exc:
+            raise ValidationError(f"{path} is not a .npy array: {exc}") from None
+        if channels.dtype.kind not in "iuf" or channels.ndim not in (3, 4):
+            raise ValidationError(
+                f"{path} must hold a real array of shape (channels,) + (n,)*dim, "
+                f"got {channels.dtype} {channels.shape}")
+        return PeriodicCoefficient(dim=channels.ndim - 1, n_grid=channels.shape[-1],
+                                   channels=channels)
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValidationError("coefficient file must start with 'dim n_grid channels'")
-        dim, n, channels = (int(x) for x in header)
-        want = dim * (dim + 1) // 2
-        if channels != want:
-            raise ValidationError(f"expected {want} channels for dim {dim}, got {channels}")
-        data = np.loadtxt(fh, dtype=float, ndmin=2)
+        try:
+            dim, n, count = (int(x) for x in fh.readline().split())
+            data = np.loadtxt(fh, dtype=float, ndmin=2)
+        except ValueError as exc:
+            raise ValidationError("coefficient file must start with 'dim n_grid channels' "
+                                  f"and then hold floats ({exc})") from None
+    want = dim * (dim + 1) // 2
+    if count != want:
+        raise ValidationError(f"expected {want} channels for dim {dim}, got {count}")
     cells = n ** dim
-    if data.shape != (cells, channels):
+    if data.shape != (cells, count):
         raise ValidationError(
-            f"expected {cells} rows of {channels} floats, got shape {data.shape}"
+            f"expected {cells} rows of {count} floats, got shape {data.shape}"
         )
-    flat = np.zeros((cells, dim, dim))
-    for k, (i, j) in enumerate(_triu_indices(dim)):
-        flat[:, i, j] = data[:, k]
-        flat[:, j, i] = data[:, k]
-    samples = flat.reshape((n,) * dim + (dim, dim))
-    return PeriodicCoefficient(dim=dim, n_grid=n, samples=samples)
+    channels = np.ascontiguousarray(data.T).reshape((count,) + (n,) * dim)
+    del data
+    return PeriodicCoefficient(dim=dim, n_grid=n, channels=channels)
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +267,13 @@ def _cell_gradient(v: np.ndarray, h: float, out: np.ndarray | None = None) -> np
     return out
 
 
-def _cell_gradient_adjoint(w: np.ndarray, h: float) -> np.ndarray:
-    """Adjoint of _cell_gradient for the unweighted inner products."""
-    dim = w.shape[0]
-    out = np.zeros(w.shape[1:])
+def _cell_gradient_adjoint(w, h: float) -> np.ndarray:
+    """Adjoint of _cell_gradient for the unweighted inner products.
+
+    w is a component-major field or any sequence of its dim components.
+    """
+    dim = len(w)
+    out = np.zeros(w[0].shape)
     for ax in range(dim):
         g = w[ax]
         for other in range(dim):
@@ -226,14 +285,17 @@ def _cell_gradient_adjoint(w: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _coeff_entries(samples: np.ndarray, delta: float) -> list[list[np.ndarray]]:
-    """Contiguous entries of A + delta I; entry [j][i] is the array of [i][j]."""
-    dim = samples.shape[-1]
+def _coeff_entries(coeff: PeriodicCoefficient, delta: float) -> list[list[np.ndarray]]:
+    """Contiguous entries of A + delta I; entry [j][i] is the array of [i][j].
+
+    Only the diagonal is copied (to add delta); the off-diagonal entries are
+    the coefficient's channels themselves.
+    """
+    dim = coeff.dim
     entries = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        entries[i][i] = samples[..., i, i] + delta
-        for j in range(i + 1, dim):
-            entries[i][j] = entries[j][i] = samples[..., i, j].copy()
+    for k, (i, j) in enumerate(_triu_indices(dim)):
+        channel = coeff.channels[k]
+        entries[i][j] = entries[j][i] = channel + delta if i == j else channel
     return entries
 
 
@@ -269,13 +331,13 @@ def _precond_inverse(dim: int, n: int) -> np.ndarray:
     return inv
 
 
-def _rhs(coeff: PeriodicCoefficient, lam: np.ndarray) -> np.ndarray:
-    """b = -G^T A lam, the right-hand side for direction lam.
+def _rhs(coeff: PeriodicCoefficient, i: int) -> np.ndarray:
+    """b_i = -G^T A e_i, the right-hand side for axis e_i.
 
-    G^T of the constant field delta lam vanishes, so b is the same for every
-    delta of the schedule.
+    Column i of A is read off the channels.  G^T of the constant field
+    delta e_i vanishes, so b_i is the same for every delta of the schedule.
     """
-    b = _cell_gradient_adjoint(np.moveaxis(coeff.samples @ lam, -1, 0), coeff.h)
+    b = _cell_gradient_adjoint([coeff.entry(j, i) for j in range(coeff.dim)], coeff.h)
     b *= -1.0
     return b
 
@@ -294,23 +356,23 @@ def _shifted_cg(entries: list[list[np.ndarray]], h: float, rhs: np.ndarray,
     one base run.  Shift s is frozen (its zeta no longer updated, which
     would underflow) once |zeta_s| |r| / |rhs| <= cfg.tol.
 
-    No field is kept per shift, only the numbers readout[j] . v_s, recurred
-    from readout . z once per iteration.  Returns the base iterate, those
-    numbers (shape (len(shifts), len(readout))), and per shift the iteration
-    at which it froze and its relative residual there.
+    No iterate is formed, not even the base shift's: each shift carries only
+    the numbers readout[j] . v_s, recurred from readout . z once per
+    iteration.  Returns those numbers (shape (len(shifts), len(readout))),
+    and per shift the iteration at which it froze and its relative residual
+    there.
     """
     grid = rhs.shape
     axes = tuple(range(rhs.ndim))
     inv_sym = _precond_inverse(rhs.ndim, grid[0])
     rows = readout.reshape(len(readout), rhs.size)
     shifts = [float(s) for s in shifts]
-    x = np.zeros(grid)
     dots = np.zeros((len(shifts), len(rows)))
     iterations = np.zeros(len(shifts), dtype=int)
     residuals = np.zeros(len(shifts))
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
-        return x, dots, iterations, residuals
+        return dots, iterations, residuals
 
     def precond(r):
         return np.fft.irfftn(np.fft.rfftn(r, axes=axes) * inv_sym, s=grid, axes=axes)
@@ -341,7 +403,6 @@ def _shifted_cg(entries: list[list[np.ndarray]], h: float, rhs: np.ndarray,
                 f"(limit {cfg.max_iter}, residual {worst:.3e})", worst)
         ap = _cell_gradient_adjoint(_apply_coeff(entries, _cell_gradient(p, h)), h)
         alpha = rz / float(np.vdot(p, ap))
-        x += alpha * p
         ap *= alpha
         r -= ap
         del ap  # free before the preconditioner
@@ -365,7 +426,7 @@ def _shifted_cg(entries: list[list[np.ndarray]], h: float, rhs: np.ndarray,
         alpha_old, beta_old, rz = alpha, beta, rz_new
         it += 1
     dots[...] = read_v
-    return x, dots, iterations, residuals
+    return dots, iterations, residuals
 
 
 def homogenize_general(coeff: PeriodicCoefficient,
@@ -388,17 +449,20 @@ def homogenize_general(coeff: PeriodicCoefficient,
     """
     deltas = cfg.deltas()
     dim = coeff.dim
-    flat = coeff.samples.reshape(-1, dim, dim)
-    cells = flat.shape[0]
-    mean_a = flat.mean(axis=0)
-    rhs = np.stack([_rhs(coeff, lam) for lam in np.eye(dim)])
+    cells = coeff.n_grid ** dim
+    mean_a = np.empty((dim, dim))
+    for k, (i, j) in enumerate(_triu_indices(dim)):
+        mean_a[i, j] = mean_a[j, i] = coeff.channels[k].mean()
+    rhs = np.empty((dim,) + coeff.channels.shape[1:])
+    for i in range(dim):
+        rhs[i] = _rhs(coeff, i)
     base = float(deltas.min())
-    entries = _coeff_entries(coeff.samples, base)
+    entries = _coeff_entries(coeff, base)
     table = np.empty((len(deltas), dim, dim))
     iterations = np.empty((len(deltas), dim), dtype=int)
     residuals = np.empty((len(deltas), dim))
     for i in range(dim):
-        _, dots, iterations[:, i], residuals[:, i] = _shifted_cg(
+        dots, iterations[:, i], residuals[:, i] = _shifted_cg(
             entries, coeff.h, rhs[i], deltas - base, rhs, cfg)
         table[:, :, i] = mean_a[:, i] - dots / cells
         table[:, i, i] += deltas

@@ -7,17 +7,20 @@ A config file is a single JSON document: {"command": ..., "output_dir": ...,
 each command's keys with their checks and defaults (the README's command
 table names the same keys): laminate matrices are row-major nested arrays,
 ``u`` is a test-function name (``sin_1`` by default) or, for counterexample,
-a CSV path, ``eps_list`` holds reciprocals of integers, and ``lambda_max``
-sets the lambda range of kernel.csv and h.csv's spacing 0.5/lambda_max (the
-limit forms do not depend on it).  Every key is checked before any output is
-written and all failures are reported together; a key the table does not
-list is an error.  report.json's inputs.parameters holds the effective
-values, defaults filled in.
+a CSV path (``n`` is then its sample count), ``eps_list`` holds reciprocals
+of integers, and ``lambda_max`` sets the lambda range of kernel.csv and
+h.csv's spacing 0.5/lambda_max (the limit forms do not depend on it).
+Every key is checked before any output is written and all failures are
+reported together; a key the table does not list is an error.
+report.json's inputs.parameters holds the effective values, defaults
+filled in.
 
 Grid coefficient file format: a text header line ``dim n_grid channels``
 followed by whitespace-separated row-major floats, one cell per line, the
 channels being the upper triangle of the symmetric matrix in row-major
-order (2D: a11 a12 a22; 3D: a11 a12 a13 a22 a23 a33).
+order (2D: a11 a12 a22; 3D: a11 a12 a13 a22 a23 a33).  A path ending in
+``.npy`` holds the channel array itself instead, shape
+(channels,) + (n_grid,)*dim, channel k being the k-th entry of that order.
 
 CSV artifacts are comma-separated with a header row, '.' decimal, UTF-8,
 LF line endings.  A successful run also writes report.json and, for every
@@ -110,9 +113,13 @@ def _file(value) -> str:
     raise ValidationError(f"not the path of a file, got {value!r}")
 
 
+def _is_profile_name(value) -> bool:
+    return isinstance(value, str) and (value.startswith("sin_") or value == "bump")
+
+
 def _u_field(value, n: int = 16) -> anomalous.SampledField:
     """The test function named value at n points, or the CSV file at value."""
-    if isinstance(value, str) and (value.startswith("sin_") or value == "bump"):
+    if _is_profile_name(value):
         return anomalous.SampledField.from_function(anomalous.test_function(value), n)
     path = _file(value)
     lines = Path(path).read_bytes().splitlines()
@@ -218,6 +225,13 @@ def parse_config(document: str) -> ExperimentConfig:
         seed = 0 if seed is None else _integer(-math.inf)(seed)
     except ValidationError as exc:
         errors.append(f"seed: {exc}")
+    if command == "counterexample" and not errors \
+            and not _is_profile_name(effective["u"]):
+        # a u CSV sets the sample count; n, if given, must agree with it
+        size = _u_field(effective["u"]).values.size
+        if params.get("n") is not None and effective["n"] != size:
+            errors.append(f"parameters.n: u holds {size} samples, not {effective['n']}")
+        effective["n"] = size
     if errors:
         raise ValidationError("; ".join(errors))
     return ExperimentConfig(command=command, parameters=effective,

@@ -3,8 +3,8 @@
 None of these is on a computing path of the package.  They are either
 closed forms the package evaluates another way (the rational k0_hat, the
 reciprocal-kernel decomposition, the transform of h, the dense Green
-kernel) or a cold single-direction cell solve whose energy comes from an
-independent quadrature of the corrector field.
+kernel) or a cold single-direction cell solve, by a plain CG of its own,
+whose energy comes from an independent quadrature of the corrector field.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 
 from homoglab import cell
 from homoglab.anomalous import TWO_PI_SQ, SpectralParams, alpha_f
+from homoglab.errors import ConvergenceError
 
 # ---------------------------------------------------------------------------
 # anomalous limit
@@ -74,11 +75,21 @@ class CellSolution:
     iterations: int
 
 
+def full_samples(coeff: cell.PeriodicCoefficient) -> np.ndarray:
+    """The per-cell matrices, shape (n,)*dim + (dim, dim), rebuilt from the channels."""
+    dim = coeff.dim
+    out = np.empty((coeff.n_grid,) * dim + (dim, dim))
+    for i in range(dim):
+        for j in range(dim):
+            out[..., i, j] = coeff.entry(i, j)
+    return out
+
+
 def energy_of_field(coeff: cell.PeriodicCoefficient, delta: float, direction,
                     corrector_grad: np.ndarray) -> float:
     """Quadrature of (lam + g) . A_delta (lam + g) over the cell grid."""
     field = corrector_grad + np.asarray(direction, dtype=float)
-    flux = np.einsum("...ij,...j->...i", coeff.samples, field) + delta * field
+    flux = np.einsum("...ij,...j->...i", full_samples(coeff), field) + delta * field
     return float(np.sum(field * flux) * coeff.h ** coeff.dim)
 
 
@@ -86,17 +97,50 @@ def solve_cell_problem(coeff: cell.PeriodicCoefficient, delta: float, direction,
                        cfg: cell.SolverConfig = cell.SolverConfig()) -> CellSolution:
     """Minimize the delta-regularized cell energy for one direction, cold.
 
-    The one-shift case of ``cell._shifted_cg`` from zero on
-    G^T A_delta G v = -G^T A lam; the energy is ``energy_of_field`` of the
-    corrector gradient, not the multi-shift read-out.
+    Plain preconditioned CG from zero on G^T A_delta G v = -G^T A lam with
+    the package's operators and preconditioner but its own recurrence, which
+    forms the corrector v; the right-hand side comes from the rebuilt full
+    matrices and the energy is ``energy_of_field`` of the corrector gradient,
+    not the multi-shift read-out.
     """
     lam = np.asarray(direction, dtype=float)
-    grid = (coeff.n_grid,) * coeff.dim
-    v, _, iterations, residuals = cell._shifted_cg(
-        cell._coeff_entries(coeff.samples, delta), coeff.h, cell._rhs(coeff, lam),
-        [0.0], np.zeros((0,) + grid), cfg)
-    grad = np.empty(grid + (coeff.dim,))
-    cell._cell_gradient(v, coeff.h, out=np.moveaxis(grad, -1, 0))
+    h, dim = coeff.h, coeff.dim
+    grid = (coeff.n_grid,) * dim
+    axes = tuple(range(dim))
+    entries = cell._coeff_entries(coeff, delta)
+    inv_sym = cell._precond_inverse(dim, coeff.n_grid)
+
+    def operator(p):
+        return cell._cell_gradient_adjoint(
+            cell._apply_coeff(entries, cell._cell_gradient(p, h)), h)
+
+    def precond(r):
+        return np.fft.irfftn(np.fft.rfftn(r, axes=axes) * inv_sym, s=grid, axes=axes)
+
+    r = -cell._cell_gradient_adjoint(np.moveaxis(full_samples(coeff) @ lam, -1, 0), h)
+    v = np.zeros(grid)
+    bnorm = float(np.linalg.norm(r))
+    residual, it = 0.0, 0
+    if bnorm > 0.0:
+        z = precond(r)
+        p, rz = z, float(np.vdot(r, z))
+        while True:
+            residual = float(np.linalg.norm(r)) / bnorm
+            if residual <= cfg.tol:
+                break
+            if it >= cfg.max_iter or not np.isfinite(residual):
+                raise ConvergenceError(f"oracle CG stopped after {it} iterations", residual)
+            ap = operator(p)
+            alpha = rz / float(np.vdot(p, ap))
+            v += alpha * p
+            r -= alpha * ap
+            z = precond(r)
+            rz_new = float(np.vdot(r, z))
+            p = z + (rz_new / rz) * p
+            rz = rz_new
+            it += 1
+    grad = np.empty(grid + (dim,))
+    cell._cell_gradient(v, h, out=np.moveaxis(grad, -1, 0))
     return CellSolution(corrector_grad=grad,
                         energy=energy_of_field(coeff, delta, lam, grad),
-                        residual=float(residuals[0]), iterations=int(iterations[0]))
+                        residual=residual, iterations=it)

@@ -7,7 +7,7 @@ import pytest
 
 from homoglab import cell, laminate
 from homoglab.errors import ConvergenceError, ValidationError
-from oracles import energy_of_field, solve_cell_problem
+from oracles import energy_of_field, full_samples, solve_cell_problem
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -50,7 +50,7 @@ def cold_tensor(co, delta, cfg):
     for i, lam in enumerate(np.eye(dim)):
         sol = solve_cell_problem(co, delta, lam, cfg)
         field = sol.corrector_grad + lam
-        flux[:, i] = (np.einsum("...ij,...j->...i", co.samples, field)
+        flux[:, i] = (np.einsum("...ij,...j->...i", full_samples(co), field)
                       + delta * field).mean(axis=tuple(range(dim)))
         energy[i] = sol.energy
     t = 0.5 * (flux + flux.T)
@@ -70,6 +70,52 @@ def test_coefficient_validation():
     bad = np.broadcast_to(np.diag([-1.0, 1.0]), (4, 4, 2, 2)).copy()
     with pytest.raises(ValidationError, match="PSD"):
         cell.PeriodicCoefficient(dim=2, n_grid=4, samples=bad)
+    with pytest.raises(ValidationError, match="exactly one"):
+        cell.PeriodicCoefficient(dim=2, n_grid=4)
+    with pytest.raises(ValidationError, match=r"channels must have shape \(3, 4, 4\)"):
+        cell.PeriodicCoefficient(dim=2, n_grid=4, channels=np.zeros((4, 4, 4)))
+
+
+def test_nonsymmetric_samples_are_refused():
+    full = full_samples(random_psd_coefficient(3, 4, 8))
+    full[1, 2, 3, 0, 2] += 1e-9 * np.abs(full).max()
+    with pytest.raises(ValidationError, match="not symmetric"):
+        cell.PeriodicCoefficient(dim=3, n_grid=4, samples=full)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("form", ["samples", "channels"])
+def test_nonfinite_samples_are_refused(value, form):
+    co = random_psd_coefficient(2, 8, 8)
+    arrays = {"samples": full_samples(co), "channels": co.channels.copy()}
+    arrays[form][(0,) * arrays[form].ndim] = value
+    with pytest.raises(ValidationError, match="non-finite"):
+        cell.PeriodicCoefficient(dim=2, n_grid=8, **{form: arrays[form]})
+
+
+@pytest.mark.parametrize("block", [cell.VALIDATE_BLOCK, 1000])
+def test_non_psd_cell_in_last_validation_block_is_caught(monkeypatch, block):
+    # 32^3 cells are two blocks of the default size; blocks of 1000 leave a
+    # partial last block of 768 cells
+    monkeypatch.setattr(cell, "VALIDATE_BLOCK", block)
+    n = 32
+    assert n ** 3 > block
+    channels = cell.constant_coefficient(np.eye(3), 3, n).channels.copy()
+    channels[3, -1, -1, -1] = -1e-3  # a22 of the last cell
+    with pytest.raises(ValidationError, match="smallest eigenvalue -1.000e-03"):
+        cell.PeriodicCoefficient(dim=3, n_grid=n, channels=channels)
+
+
+def test_coefficient_holds_only_its_channels():
+    # full matrices are converted once: no per-cell (d, d) array is kept, and
+    # the solver's off-diagonal entries are the channels themselves
+    co = random_psd_coefficient(3, 8, 1)
+    assert set(vars(co)) == {"dim", "n_grid", "channels"}
+    assert co.channels.shape == (6, 8, 8, 8) and co.channels.flags.c_contiguous
+    np.testing.assert_array_equal(co.entry(2, 0), co.channels[2])
+    entries = cell._coeff_entries(co, 0.5)
+    assert entries[0][2] is entries[2][0] and entries[0][2].base is co.channels
+    np.testing.assert_array_equal(entries[1][1], co.channels[3] + 0.5)
 
 
 def test_constant_coefficient_zero_corrector():
@@ -272,9 +318,9 @@ def test_3d_rank_two_laminate_exact_along_schedule():
 
 def test_homogenize_general_keeps_no_field_per_shift():
     # the schedule adds only scalars per shift: 12 deltas cost no more than
-    # 2 (plus one n^3 field of slack); the absolute guard is 24 n^3 doubles
-    # (measured 20.0: coefficient entries, right-hand sides, CG vectors and
-    # the temporaries of one operator application)
+    # 2 (plus one n^3 field of slack); the absolute guard is 16.1 n^3 doubles
+    # (measured 15.1: the diagonal entries of A + delta I, right-hand sides,
+    # CG vectors and the temporaries of one operator application)
     n = 32
     co = random_psd_coefficient(3, n, 5)
     field = 8 * n ** 3
@@ -288,7 +334,7 @@ def test_homogenize_general_keeps_no_field_per_shift():
         finally:
             tracemalloc.stop()
     assert peaks[12] <= peaks[2] + field, peaks
-    assert peaks[12] <= 24 * field, f"peak {peaks[12] / field:.1f} n^3 doubles"
+    assert peaks[12] <= 16.1 * field, f"peak {peaks[12] / field:.1f} n^3 doubles"
 
 
 @pytest.mark.parametrize("delta0, n_delta", [(0.0, 6), (-1e-2, 6), (np.nan, 6), (0.1, 0)])
@@ -380,19 +426,21 @@ def test_corrector_grad_is_c_contiguous(dim, n):
     assert isinstance(sol.iterations, int) and isinstance(sol.residual, float)
 
 
-def test_solve_peak_memory_3d():
-    # every field the CG loop keeps is a few n^3 arrays; the guard is 20 of them
+def test_load_coefficient_peak_memory_3d(tmp_path):
+    # the text table and the channels it becomes are 6 n^3 doubles each
+    # (measured peak 12.0; a per-cell 3 x 3 array would add 9); the guard is 13
     n = 32
-    co = random_psd_coefficient(3, n, 5)
+    path = tmp_path / "coeff.txt"
+    cell.save_coefficient(random_psd_coefficient(3, n, 5), path)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        sol = solve_cell_problem(co, 1e-1, np.array([1.0, 0.0, 0.0]))
+        co = cell.load_coefficient(path)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert sol.iterations > 10  # the CG loop ran
-    assert peak <= 20 * 8 * n ** 3, f"peak {peak / (8 * n ** 3):.1f} n^3 doubles"
+    assert co.channels.shape == (6, n, n, n)
+    assert peak <= 13 * 8 * n ** 3, f"peak {peak / (8 * n ** 3):.1f} n^3 doubles"
 
 
 def test_coefficient_file_round_trip(tmp_path):
@@ -404,11 +452,51 @@ def test_coefficient_file_round_trip(tmp_path):
     cell.save_coefficient(co, path)
     again = cell.load_coefficient(path)
     assert again.dim == 3 and again.n_grid == 4
-    np.testing.assert_array_equal(again.samples, co.samples)
+    np.testing.assert_array_equal(again.channels, co.channels)
+    np.testing.assert_array_equal(full_samples(again), samples)
+
+
+def test_npy_coefficient_file_round_trip(tmp_path):
+    co = random_psd_coefficient(2, 8, 17)
+    path = tmp_path / "coeff.npy"
+    cell.save_coefficient(co, path)
+    assert np.load(path).shape == (3, 8, 8)
+    again = cell.load_coefficient(path)
+    assert again.dim == 2 and again.n_grid == 8
+    np.testing.assert_array_equal(again.channels, co.channels)
+
+
+def test_npy_coefficient_file_is_validated(tmp_path):
+    path = tmp_path / "coeff.npy"
+    channels = cell.constant_coefficient(np.eye(2), 2, 4).channels.copy()
+    channels[0, 1, 2] = -1.0
+    np.save(path, channels)
+    with pytest.raises(ValidationError, match="PSD"):
+        cell.load_coefficient(path)
+    np.save(path, channels[:2])
+    with pytest.raises(ValidationError, match="channels must have shape"):
+        cell.load_coefficient(path)
+    np.save(path, channels.astype(complex))
+    with pytest.raises(ValidationError, match="real array"):
+        cell.load_coefficient(path)
+    path.write_text("2 4 3\n")
+    with pytest.raises(ValidationError, match="not a .npy array"):
+        cell.load_coefficient(path)
 
 
 def test_load_coefficient_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2 8\n1 0 1\n")
+    with pytest.raises(ValidationError, match="dim n_grid channels"):
+        cell.load_coefficient(path)
+
+
+@pytest.mark.parametrize("text", ["2.5 4 3\n", "2 4 3\n" + "1 x 1\n" * 16],
+                         ids=["fractional-header", "word-in-cell"])
+def test_load_coefficient_rejects_text_that_is_not_numbers(tmp_path, text):
+    # a fractional header or a cell that is not numbers is a validation
+    # error, not a bare ValueError
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
     with pytest.raises(ValidationError, match="dim n_grid channels"):
         cell.load_coefficient(path)

@@ -241,18 +241,36 @@ SWEEP_DOC = {"command": "recovery_sweep",
 VERIFY_DOC = dict(LAMINATE_DOC, command="verify_conditions")
 
 
-def grid_coefficient(tmp_path, kind="constant"):
-    """Path of a 2D grid file: the identity on 16^2, or the random PSD 8^2
-    field that CG cannot solve to 1e-14 in one iteration."""
+def grid_coefficient(tmp_path, kind="constant", suffix=".txt"):
+    """Path of a 2D grid file: the identity on 16^2, the random PSD 8^2
+    field that CG cannot solve to 1e-14 in one iteration, or the 4^2 text
+    file "not-psd" with a11 = -1 in every cell."""
+    path = tmp_path / f"{kind}{suffix}"
+    if kind == "not-psd":
+        path.write_text("2 4 3\n" + "-1 0 1\n" * 16)
+        return str(path)
     if kind == "constant":
         co = cell.constant_coefficient(np.eye(2), 2, 16)
     else:
         b = np.random.default_rng(6).normal(size=(8, 8, 2, 2))
         co = cell.PeriodicCoefficient(dim=2, n_grid=8,
                                       samples=np.einsum("...ki,...kj->...ij", b, b))
-    path = tmp_path / f"{kind}.txt"
     cell.save_coefficient(co, path)
     return str(path)
+
+
+def test_homogenize_grid_npy_matches_text(tmp_path):
+    # the same field as text and as a .npy channel array gives the same CSVs
+    outputs = []
+    for suffix in (".txt", ".npy"):
+        out = tmp_path / f"out{suffix}"
+        doc = {"command": "homogenize_grid", "output_dir": str(out),
+               "parameters": {"coefficient": grid_coefficient(tmp_path, "random", suffix)}}
+        cfg = write_config(tmp_path, doc, name=f"grid{suffix}.json")
+        assert cli.main(["homogenize_grid", "--config", str(cfg)]) == 0
+        outputs.append([(out / name).read_bytes()
+                        for name in ("estimate.csv", "tensors_by_delta.csv")])
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("doc", [LAMINATE_DOC, VERIFY_DOC, GRID_DOC, COUNTER_DOC,
@@ -297,6 +315,8 @@ FAILING_RUNS = {
                            1, "must vanish at x1 = 0 and 1"),
     "u-several-rows": ("counterexample", {"c": 2.0, "theta": 0.5, "u": "rows"},
                        1, "parameters.u: "),
+    "coefficient-not-psd": ("homogenize_grid", {"coefficient": "not-psd"},
+                            1, "samples are not PSD"),
     "cg-max_iter": ("homogenize_grid", {"coefficient": "random", "max_iter": 1,
                                         "tol": 1e-14}, 2, "CG stopped after 1"),
     # (c - 1)^2 overflows a double above c = 1.34e154
@@ -413,6 +433,28 @@ def test_counterexample_lambda_max_exit_codes(tmp_path, capsys, literal, code):
         rows = (tmp_path / "out" / "h.csv").read_text().splitlines()[1:]
         x = np.array([float(row.split(",")[0]) for row in rows])
         assert len(x) == 17 and np.all(np.diff(x) == 0.5)
+
+
+@pytest.mark.parametrize("n, code", [(None, 0), (64, 0), (1024, 1)])
+def test_counterexample_csv_reports_its_sample_count(tmp_path, capsys, n, code):
+    # a u CSV of 64 samples sets n = 64; a different n given is refused
+    path = tmp_path / "u.csv"
+    np.savetxt(path, np.sin(np.pi * np.linspace(0.0, 1.0, 64)))
+    params = {"c": 2.0, "theta": 0.5, "u": str(path)}
+    if n is not None:
+        params["n"] = n
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"command": "counterexample", "output_dir": str(out),
+                                  "parameters": params})
+    assert cli.main(["counterexample", "--config", str(cfg)]) == code
+    if code == 1:
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert err == "validation error: parameters.n: u holds 64 samples, not 1024"
+        assert not out.exists()
+    else:
+        report = json.loads((out / "report.json").read_text())
+        assert report["inputs"]["parameters"]["n"] == 64
+        assert len((out / "u0_branches.csv").read_text().splitlines()) == 64 + 1
 
 
 def test_counterexample_high_contrast_fine_grid(tmp_path):
