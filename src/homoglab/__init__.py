@@ -2,8 +2,10 @@
 
 Subpackages:
 
-* ``linalg``     small symmetric eigenproblems, PSD checks and span ranks
-* ``laminate``   explicit rank-one laminate formula and structure conditions
+* ``linalg``     input validators, small symmetric eigenproblems, PSD checks
+* ``laminate``   explicit rank-one laminate formula, structure conditions and
+                 the kernel identity, both sides SVD null spaces cut at
+                 RANK_TOL and mapped through the theta-weighted phase bases
 * ``cell``       regularized periodic cell problems and delta extrapolation
 * ``anomalous``  the two-dimensional anomalous limit: spectral and
                  convolution forms, two-scale profiles, recovery energies

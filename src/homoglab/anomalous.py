@@ -36,7 +36,7 @@ from .errors import CrossValidationError, ValidationError
 TWO_PI_SQ = 4.0 * np.pi ** 2
 # Most work, nodes x (samples + nodes) per row, spent on h's exponential sum.
 EXP_SUM_MAX_WORK = 1 << 28
-N_MAX = 1 << 19  # most samples per x1 row of a field built from a function
+N_MAX = 1 << 19  # most samples per x1 row of a field built from a function, or of h
 MEAN_IDENTITY_TOL = 1e-4
 # Smallest Sturm-Liouville coefficient the Green-kernel check supports:
 # sinh(1/sqrt(a)) overflows a double beyond 1/sqrt(a) = 710.47.
@@ -201,13 +201,17 @@ def h_kernel(params: SpectralParams, dx: float, half_width: float = 1.0):
     """(x, h): the convolution kernel h at spacing dx on [-half_width, half_width].
 
     h is ``h_exponential_sum``, exact to rounding: real and even, returned
-    centred at x = 0 with an odd number of samples.
+    centred at x = 0 with an odd number of samples, at most N_MAX.
     """
     if not (dx > 0.0 and half_width > 0.0):
         raise ValidationError(
             f"dx and half_width must be positive, got {dx!r} and {half_width!r}")
     w, sigma = h_exponential_sum(params, 2.0 * half_width / dx + 1.0)
     k = int(round(half_width / dx))
+    if not 2 * k + 1 <= N_MAX:
+        raise ValidationError(
+            f"h holds at most {N_MAX} samples, not {2 * k + 1} (spacing {dx:g} "
+            f"on [-{half_width:g}, {half_width:g}])")
     dist = dx * np.abs(np.arange(-k, k + 1))
     h = sum(wk * np.exp(-sk * dist) for wk, sk in zip(w, sigma))
     return dx * np.arange(2 * k + 1) - k * dx, h
@@ -454,21 +458,16 @@ class RecoveryResult:
 def recovery_energy(params: SpectralParams, u, eps: float, n_fine: int) -> RecoveryResult:
     """Discrete oscillating energy of u0(x1, x2/eps) against the limit form.
 
-    ``u`` is a callable x1-profile or a 1D SampledField already on the
-    n_fine grid.  eps must pass ``eps_periods``, and n_fine must provide at
-    least 16 x2 samples per period.
+    ``u`` is a callable x1-profile, sampled at n_fine points.  eps must
+    pass ``eps_periods``, and n_fine must provide at least 16 x2 samples
+    per period.
     """
     periods = eps_periods(eps)
     if n_fine < 16 * periods:
         raise ValidationError(
             f"n_fine = {n_fine} gives fewer than 16 x2 points per period for "
             f"eps = 1/{periods}")
-    if callable(u):
-        field = SampledField.from_function(u, n_fine)
-    else:
-        field = u
-        if field.values.ndim != 1 or field.n != n_fine:
-            raise ValidationError("u must be a 1D field sampled at n_fine points")
+    field = SampledField.from_function(u, n_fine)
     if float(np.abs(field.values).max()) == 0.0:
         return RecoveryResult(eps=eps, energy_eps=0.0, limit_energy=0.0, gap=0.0)
     w1, wc = two_scale_profile(params, field)

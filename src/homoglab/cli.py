@@ -187,14 +187,16 @@ PARAMETERS = {
     },
 }
 COMMANDS = tuple(PARAMETERS)
+TOP_LEVEL_KEYS = ("command", "output_dir", "seed", "parameters")
 
 
 def parse_config(document: str) -> ExperimentConfig:
     """Parse a JSON config document and check it against PARAMETERS.
 
     Every key of the command is checked in one pass and all failures are
-    reported together; a key the table does not list is a failure.  The
-    returned parameters are the effective JSON values, defaults filled in.
+    reported together; a key the table does not list is a failure, and so
+    is a top-level key other than those of TOP_LEVEL_KEYS.  The returned
+    parameters are the effective JSON values, defaults filled in.
     """
     try:
         doc = json.loads(document)
@@ -210,7 +212,8 @@ def parse_config(document: str) -> ExperimentConfig:
     if not isinstance(params, dict):
         raise ValidationError("parameters: not an object")
     table = PARAMETERS[command]
-    errors = [f"parameters.{key}: unknown key" for key in params if key not in table]
+    errors = [f"{key}: unknown key" for key in doc if key not in TOP_LEVEL_KEYS]
+    errors += [f"parameters.{key}: unknown key" for key in params if key not in table]
     effective = {}
     for key, (check, default) in table.items():
         value = params.get(key)
@@ -225,6 +228,9 @@ def parse_config(document: str) -> ExperimentConfig:
         seed = 0 if seed is None else _integer(-math.inf)(seed)
     except ValidationError as exc:
         errors.append(f"seed: {exc}")
+    output_dir = doc.get("output_dir", ".")
+    if not (isinstance(output_dir, str) and output_dir):
+        errors.append(f"output_dir: must be a non-empty string, got {output_dir!r}")
     if command == "counterexample" and not errors \
             and not _is_profile_name(effective["u"]):
         # a u CSV sets the sample count; n, if given, must agree with it
@@ -235,7 +241,7 @@ def parse_config(document: str) -> ExperimentConfig:
     if errors:
         raise ValidationError("; ".join(errors))
     return ExperimentConfig(command=command, parameters=effective,
-                            output_dir=str(doc.get("output_dir", ".")), seed=seed)
+                            output_dir=output_dir, seed=seed)
 
 
 CSV_BLOCK_ROWS = 1024  # rows formatted and written at a time

@@ -26,6 +26,11 @@ phases' kernels and the structure of the formula, not from A*'s
 eigenvalues: A* x.x is the least laminate energy with mean x, so x lies in
 ker(A*) exactly when x = theta y1 + (1-theta) y2 with y_i in ker(A_i) and
 y1 - y2 parallel to n (y1 = y2 on the a = 0 branch, where A* is the mean).
+
+Both sides of ker(A*) = V^perp, V the span of the means of divergence-free
+laminate fields, are the SVD null space, cut at ``RANK_TOL``, of a linear
+constraint on pairs of phase vectors, mapped to the pairs' means by one
+product with the theta-weighted phase bases.
 """
 
 from __future__ import annotations
@@ -39,22 +44,6 @@ from . import linalg
 from .linalg import EigenDecomp, as_vector
 
 RANK_TOL = 1e-10
-
-
-def rotation_to_axis(n: np.ndarray) -> np.ndarray:
-    """Orthogonal Q with Q n = e1, the identity when n is already e1.
-
-    Householder reflection through the bisector of n and e1; returning the
-    exact identity for n = e1 keeps axis-aligned inputs bit-exact.
-    """
-    d = n.shape[0]
-    e1 = np.zeros(d)
-    e1[0] = 1.0
-    v = n - e1
-    nv2 = v @ v
-    if nv2 < 1e-28:
-        return np.eye(d)
-    return np.eye(d) - 2.0 * np.outer(v, v) / nv2
 
 
 @dataclass(frozen=True)
@@ -165,28 +154,45 @@ def default_a_tol(spec: LaminateSpec) -> float:
     return 1e-12 * (spec.eigs[0].spectral_radius + spec.eigs[1].spectral_radius)
 
 
-def _effective_kernel(spec: LaminateSpec) -> list[np.ndarray]:
-    """Orthonormal basis of ker(A*) from the phases' kernels K1, K2.
+def _null_space(m: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning m's null space: one SVD, cut at RANK_TOL."""
+    _, sv, vt = np.linalg.svd(m)
+    return vt[np.count_nonzero(sv > RANK_TOL):]
 
-    The null vectors (c1, c2, t) of [K1 | -K2 | -n] (unit columns, one SVD
-    cut at RANK_TOL) are the pairs y1 = K1 c1, y2 = K2 c2 with
-    y1 - y2 = t n; each gives x = theta y1 + (1-theta) y2.  The a = 0
-    branch drops the -n column, leaving K1 intersect K2.
-    """
+
+def _span_rank(vectors, dim: int) -> tuple[int, np.ndarray]:
+    """Rank of the span and an orthonormal basis from one SVD of the unit
+    vectors; vectors of norm, and singular values, at most RANK_TOL drop."""
+    units = [v / nv for v in vectors if (nv := np.linalg.norm(v)) > RANK_TOL]
+    if not units:
+        return 0, np.zeros((0, dim))
+    _, sv, vt = np.linalg.svd(np.array(units))
+    rank = int(np.count_nonzero(sv > RANK_TOL))
+    return rank, vt[:rank]
+
+
+def _phase_means(spec: LaminateSpec, basis1, basis2, pairs) -> np.ndarray:
+    """Rows theta basis1 c1 + (1-theta) basis2 c2, where (c1, c2) leads a
+    row of pairs."""
+    stack = np.array(basis1 + basis2)
+    stack[:len(basis1)] *= spec.theta
+    stack[len(basis1):] *= 1.0 - spec.theta
+    return pairs[:, :len(stack)] @ stack
+
+
+def _effective_kernel(spec: LaminateSpec) -> list[np.ndarray]:
+    """Orthonormal basis of ker(A*) from the phases' kernels K1, K2: the null
+    vectors (c1, c2, t) of [K1 | -K2 | -n] are the pairs y1 = K1 c1,
+    y2 = K2 c2 with y1 - y2 = t n, each giving x = theta y1 + (1-theta) y2.
+    The a = 0 branch drops the -n column, leaving K1 intersect K2."""
     k1, k2 = spec.splits[0][1], spec.splits[1][1]
     if not k1 and not k2:
         return []
     cols = k1 + [-v for v in k2]
     if laminate_a(spec) > default_a_tol(spec):
         cols.append(-spec.direction)
-    m = np.column_stack(cols)
-    _, sv, vt = np.linalg.svd(m)
-    null = vt[np.count_nonzero(sv > RANK_TOL):]
-    m1, m2 = len(k1), len(k1) + len(k2)
-    th = spec.theta
-    means = [th * (m[:, :m1] @ c[:m1]) - (1.0 - th) * (m[:, m1:m2] @ c[m1:m2])
-             for c in null]
-    return list(linalg._span_rank(means, spec.dim, RANK_TOL)[1])
+    null = _null_space(np.column_stack(cols))
+    return list(_span_rank(_phase_means(spec, k1, k2, null), spec.dim)[1])
 
 
 def homogenize_laminate(spec: LaminateSpec) -> HomogenizedLaminate:
@@ -289,47 +295,21 @@ def check_conditions_3d(spec: LaminateSpec) -> ConditionReport:
     return ConditionReport(h2_holds=all(d.passed for d in details), details=details)
 
 
-def _unit_complement(n: np.ndarray) -> list[np.ndarray]:
-    """Orthonormal basis of the hyperplane orthogonal to unit n."""
-    q = rotation_to_axis(n)
-    return [q.T[:, k].copy() for k in range(1, n.shape[0])]
+def v_space_basis(spec: LaminateSpec) -> np.ndarray:
+    """Generators (rows) of the span V of divergence-free laminate field means.
 
-
-def v_space_basis(spec: LaminateSpec) -> list[np.ndarray]:
-    """Generators of the space of mean values of divergence-free laminate fields.
-
-    The admissible fields are piecewise constant per phase, each phase
-    value in the range of its matrix, with the jump across the interface
-    orthogonal to the lamination normal; the generator attached to a pair
-    (xi1, xi2) is theta xi1 + (1 - theta) xi2.  The rank-one/PD family in
-    2D keeps the explicit basis {xi, (1 - theta) t}, t a unit vector
-    orthogonal to n; in every other case (rank-two pairs in 3D, general
-    PSD phases) the pair space is computed as the kernel of the single
-    interface constraint over range(A1) x range(A2).
+    The admissible fields are piecewise constant, each phase value in the
+    range of its matrix, with the jump orthogonal to n: the pairs
+    xi1 = P1 c1, xi2 = P2 c2 null the interface row n^T [P1 | -P2], and
+    each gives theta xi1 + (1 - theta) xi2.  A row within RANK_TOL of zero
+    (both ranges orthogonal to n) leaves every pair admissible.
     """
-    n = spec.direction
-    th = spec.theta
-    eig1 = spec.eigs[0]
-    p = spec.splits[0][0]
-    q, ker2 = spec.splits[1]
-    if spec.dim == 2 and not ker2:
-        top = eig1.eigenvalues[-1]
-        if top > 0.0 and abs(eig1.eigenvalues[0]) <= RANK_TOL * top:
-            t = _unit_complement(n)[0]
-            return [_rank_one_vector(eig1, "phase1"), (1.0 - th) * t]
+    p, q = spec.splits[0][0], spec.splits[1][0]
     if not p or not q:
         raise ValidationError("both phases must be nonzero to carry a flux field")
-    row = np.array([v @ n for v in p] + [-(v @ n) for v in q])
-    nr = np.linalg.norm(row)
-    # A zero row (both ranges orthogonal to n, the a = 0 branch) leaves
-    # every pair admissible.
-    pairs = _unit_complement(row / nr) if nr > 0 else list(np.eye(len(row)))
-    gens = []
-    for coeff in pairs:
-        xi1 = sum(coeff[k] * p[k] for k in range(len(p)))
-        xi2 = sum(coeff[len(p) + k] * q[k] for k in range(len(q)))
-        gens.append(th * xi1 + (1.0 - th) * xi2)
-    return gens
+    n = spec.direction
+    row = np.array([[v @ n for v in p] + [-(v @ n) for v in q]])
+    return _phase_means(spec, p, q, _null_space(row))
 
 
 def verify_kernel_identity(spec: LaminateSpec) -> bool:
@@ -340,7 +320,7 @@ def verify_kernel_identity(spec: LaminateSpec) -> bool:
     identity holds when rank(B_V) + len(K) is the dimension and
     ||B_V K^T||_2 <= RANK_TOL.
     """
-    rank, basis = linalg._span_rank(v_space_basis(spec), spec.dim, RANK_TOL)
+    rank, basis = _span_rank(v_space_basis(spec), spec.dim)
     kernel = spec.effective_kernel
     if rank + len(kernel) != spec.dim:
         return False

@@ -1,11 +1,13 @@
 """Small-dimension symmetric linear algebra (d = 2 or 3).
 
-Eigendecompositions come from LAPACK (``numpy.linalg.eigh``) and span
-ranks from an SVD.  The one scale-aware degeneracy threshold,
-tol * max(1, spectral radius), is ``EigenDecomp.cut``, which
-``EigenDecomp.split`` applies: exact degenerate and grid-rounded matrices
-are treated alike, and a caller holding a decomposition splits it instead
-of redoing it.
+Input validators for symmetric matrices and vectors, and
+eigendecompositions from LAPACK (``numpy.linalg.eigh``).  The one
+scale-aware degeneracy threshold, tol * max(1, spectral radius), is
+``EigenDecomp.cut``, which ``EigenDecomp.split`` applies: exact degenerate
+and grid-rounded matrices are treated alike, and a caller holding a
+decomposition splits it instead of redoing it.  The SVD null spaces and
+span ranks behind the laminate kernel identity live in ``laminate``, next
+to their one user, cut at its ``RANK_TOL``.
 
 All functions are pure; inputs are never mutated.
 """
@@ -105,17 +107,3 @@ def psd_eig(m, tol: float, name: str = "matrix") -> EigenDecomp:
             f"-{tol:g} * max(1, spectral radius)"
         )
     return dec
-
-
-def _span_rank(vectors, dim: int, tol: float) -> tuple[int, np.ndarray]:
-    """Rank of the span and an orthonormal basis, via SVD of the unit vectors.
-
-    Vectors of norm at most ``tol`` are dropped; the rank counts singular
-    values above ``tol``.
-    """
-    units = [v / nv for v in vectors if (nv := np.linalg.norm(v)) > tol]
-    if not units:
-        return 0, np.zeros((0, dim))
-    _, sv, vt = np.linalg.svd(np.array(units))
-    rank = int(np.count_nonzero(sv > tol))
-    return rank, vt[:rank]

@@ -350,7 +350,8 @@ def test_failed_run_writes_nothing(tmp_path, capsys, probe):
     assert not (tmp_path / "out").exists()
 
 
-# probe -> (key, config document, bad value); "seed" is top level, the value
+# probe -> (key, config document, bad value); the keys of TOP_LEVEL are set
+# on the document itself, the others under "parameters"; the value
 # "csv" stands for a CSV file holding a non-number, "short" for one holding a
 # single sample, "empty" for an empty one, "comments" for one holding only
 # comments and blank lines, and "dir" for a directory
@@ -365,6 +366,10 @@ BAD_VALUES = {
     "eps_list": ("eps_list", SWEEP_DOC, [True]),
     "seed": ("seed", LAMINATE_DOC, "x"),
     "seed-fractional": ("seed", LAMINATE_DOC, 1.5),
+    "output_dir-null": ("output_dir", LAMINATE_DOC, None),
+    "output_dir-list": ("output_dir", LAMINATE_DOC, ["a", "b"]),
+    "output_dir-empty": ("output_dir", LAMINATE_DOC, ""),
+    "outptu_dir": ("outptu_dir", LAMINATE_DOC, "elsewhere"),
     "xi": ("xi", VERIFY_DOC, [0, 1]),
     "a_tol": ("a_tol", LAMINATE_DOC, float("nan")),
     "u": ("u", COUNTER_DOC, "csv"),
@@ -383,12 +388,16 @@ BAD_VALUES = {
 }
 
 
+TOP_LEVEL = {"seed", "output_dir", "outptu_dir"}
 CSV_TEXT = {"csv": "0.0\n0.5\nnot-a-number\n", "short": "0.5\n", "empty": "",
             "comments": "# u on [0, 1]\n\n"}
 
 
 @pytest.mark.parametrize("probe", list(BAD_VALUES))
-def test_main_bad_value_is_a_validation_error(tmp_path, capsys, probe):
+def test_main_bad_value_is_a_validation_error(tmp_path, capsys, monkeypatch, probe):
+    # run from tmp_path, so that an output_dir taken as a relative path
+    # would show up in it
+    monkeypatch.chdir(tmp_path)
     key, doc, value = BAD_VALUES[probe]
     doc = dict(doc, output_dir=str(tmp_path / "out"),
                parameters=dict(doc["parameters"]))
@@ -398,8 +407,8 @@ def test_main_bad_value_is_a_validation_error(tmp_path, capsys, probe):
         value = str(path)
     elif value == "dir":
         value = str(tmp_path)
-    if key == "seed":
-        doc["seed"] = value
+    if key in TOP_LEVEL:
+        doc[key] = value
     else:
         doc["parameters"][key] = value
     if doc["command"] == "homogenize_grid" and key != "coefficient":
@@ -407,19 +416,22 @@ def test_main_bad_value_is_a_validation_error(tmp_path, capsys, probe):
         cell.save_coefficient(cell.constant_coefficient(np.eye(2), 2, 4), coeff_path)
         doc["parameters"]["coefficient"] = str(coeff_path)
     cfg = write_config(tmp_path, doc)
+    before = sorted(tmp_path.iterdir())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main([doc["command"], "--config", str(cfg)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].startswith("validation error: ")
     assert key in err[-1]
-    assert not (tmp_path / "out").exists()
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("literal, code", [("0", 1), ("-1", 1), ("1e400", 1),
-                                           ("NaN", 1), ("1", 0)])
+                                           ("NaN", 1), ("1", 0), ("1e5", 1)])
 def test_counterexample_lambda_max_exit_codes(tmp_path, capsys, literal, code):
-    # 1e400 parses as inf; lambda_max = 1 only coarsens kernel.csv and h.csv
+    # 1e400 parses as inf; lambda_max = 1 only coarsens kernel.csv and h.csv;
+    # 1e5 passes the key's check, but h.csv would hold 16 lambda_max + 1 rows,
+    # more than the N_MAX samples h_kernel allows
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"command": "counterexample", "output_dir": %s, "parameters": '
                    '{"c": 2.0, "theta": 0.5, "n": 64, "lambda_max": %s}}'
@@ -427,7 +439,8 @@ def test_counterexample_lambda_max_exit_codes(tmp_path, capsys, literal, code):
     assert cli.main(["counterexample", "--config", str(cfg)]) == code
     if code == 1:
         err = capsys.readouterr().err.strip().splitlines()[-1]
-        assert err.startswith("validation error: parameters.lambda_max")
+        source = "h holds at most" if literal == "1e5" else "parameters.lambda_max"
+        assert err.startswith("validation error: " + source)
         assert not (tmp_path / "out").exists()
     else:
         rows = (tmp_path / "out" / "h.csv").read_text().splitlines()[1:]

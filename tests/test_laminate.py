@@ -192,18 +192,30 @@ def test_conditions_3d_rejects_wrong_rank():
         laminate.check_conditions_3d(spec3(_rank_two([0, 1, 0]), np.eye(3)))
 
 
+def _same_span(a, b, dim):
+    rank = laminate._span_rank(a, dim)[0]
+    return rank == laminate._span_rank(b, dim)[0] == laminate._span_rank(
+        list(a) + list(b), dim)[0]
+
+
 def test_v_space_2d_spans_plane():
-    xi = np.array([1.0, 1.0])
-    gens = laminate.v_space_basis(spec2(np.outer(xi, xi), I2))
-    assert len(gens) == 2
-    np.testing.assert_allclose(gens[0], xi, atol=1e-12)
-    np.testing.assert_allclose(np.abs(gens[1]), [0.0, 0.5], atol=1e-12)
-    assert linalg._span_rank(gens, 2, 1e-10)[0] == 2
+    # The paper's basis of V for the rank-one/PD family is the oracle:
+    # {xi, (1 - theta) t}, t a unit vector orthogonal to n.
+    for xi, phase2, theta, n in [
+            ([1.0, 1.0], I2, 0.5, E1_2),
+            ([0.0, 1.0], I2, 0.5, E1_2),  # xi orthogonal to n: V = span{e2}
+            ([0.3, -1.2], np.array([[2.0, 0.5], [0.5, 1.0]]), 0.3, np.array([0.6, 0.8])),
+            ([0.8, 0.6], 3.0 * I2, 0.7, np.array([0.6, -0.8]))]:  # xi along t
+        xi = np.array(xi)
+        t = np.array([-n[1], n[0]])
+        spec = spec2(np.outer(xi, xi), phase2, theta, n)
+        assert _same_span(laminate.v_space_basis(spec), [xi, (1.0 - theta) * t], 2)
+        assert laminate.verify_kernel_identity(spec)
 
 
 def test_v_space_2d_orthogonal_xi_degenerates():
     gens = laminate.v_space_basis(spec2(E2XE2, I2))
-    rank, basis = linalg._span_rank(gens, 2, 1e-10)
+    rank, basis = laminate._span_rank(gens, 2)
     assert rank == 1
     assert abs(abs(basis[0][1]) - 1.0) < 1e-12  # span {e2}
 
@@ -212,7 +224,7 @@ def test_v_space_3d_spans_space():
     gens = laminate.v_space_basis(
         spec3(_rank_two([0, 1, 0]), _rank_two(np.array([1.0, 0, 1.0]) / np.sqrt(2))))
     assert len(gens) == 3
-    assert linalg._span_rank(gens, 3, 1e-10)[0] == 3
+    assert laminate._span_rank(gens, 3)[0] == 3
 
 
 def test_verify_kernel_identity_examples():
@@ -257,21 +269,25 @@ def test_v_space_near_orthogonal_rank_one_range():
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_v_space_zero_cross_coefficient(dim):
-    # Both ranges are orthogonal to n (a = 0): every pair is admissible and
-    # the generators span the common range e2.
+    # Both ranges are orthogonal to n, or tilted from it by 1e-11 or 1e-9,
+    # so a = 0 to the tolerance and the interface row is zero, within
+    # RANK_TOL of zero, or just above it.  The generators, whatever their
+    # count, span the common range e2 in every case.
     e2 = np.eye(dim)[1]
-    spec = laminate.LaminateSpec(phase1=np.outer(e2, e2), phase2=2.0 * np.outer(e2, e2),
-                                 theta=0.3, direction=np.eye(dim)[0])
-    rank, basis = linalg._span_rank(laminate.v_space_basis(spec), dim, 1e-10)
-    assert rank == 1
-    assert abs(abs(basis[0] @ e2) - 1.0) < 1e-12
-    assert laminate.verify_kernel_identity(spec)
-    # A* is the mean, whose kernel is K1 intersect K2 = e2^perp: {e1} in 2D,
-    # {e1, e3} in 3D.
-    kernel = laminate.homogenize_laminate(spec).kernel
-    assert len(kernel) == dim - 1
-    np.testing.assert_allclose(sum(np.outer(v, v) for v in kernel),
-                               np.eye(dim) - np.outer(e2, e2), atol=1e-14)
+    for tilt in (0.0, 1e-11, 1e-9):
+        n = np.cos(tilt) * np.eye(dim)[0] + np.sin(tilt) * e2
+        spec = laminate.LaminateSpec(phase1=np.outer(e2, e2), phase2=2.0 * np.outer(e2, e2),
+                                     theta=0.3, direction=n)
+        rank, basis = laminate._span_rank(laminate.v_space_basis(spec), dim)
+        assert rank == 1
+        assert abs(abs(basis[0] @ e2) - 1.0) < 1e-12
+        assert laminate.verify_kernel_identity(spec)
+        # A* is the mean, whose kernel is K1 intersect K2 = e2^perp: {e1} in
+        # 2D, {e1, e3} in 3D.
+        kernel = laminate.homogenize_laminate(spec).kernel
+        assert len(kernel) == dim - 1
+        np.testing.assert_allclose(sum(np.outer(v, v) for v in kernel),
+                                   np.eye(dim) - np.outer(e2, e2), atol=1e-14)
 
 
 # One spec per family from seeded draws of the benchmark's laminate_batch.
