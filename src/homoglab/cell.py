@@ -13,11 +13,11 @@ through the two smallest delta.
 The right-hand side b_i = -G^T A e_i does not depend on delta, so the whole
 schedule is one family of shifted systems (G^T A G + delta G^T G) v = b_i.
 One multi-shift CG run per axis, started from zero (no warm start) and
-based at the smallest delta, solves all of them; a shift is frozen once it
-has converged.  No corrector field is formed: by adjointness
-A*_delta = mean(A) + delta I - B^T V_delta / cells, with B the right-hand
-sides and V_delta the correctors, and each shift carries only the numbers
-B^T v.
+based at A itself, with the schedule's delta as the shifts, solves all of
+them; a shift is frozen once it has converged.  No corrector field is
+formed: by adjointness A*_delta = mean(A) + delta I - B^T V_delta / cells,
+with B the right-hand sides and V_delta the correctors, and each shift
+carries only the numbers B^T v.
 
 Discretization: corrector values live on the periodic node grid, the
 gradient is the edge-averaged first-order difference per cell (exact under
@@ -29,11 +29,11 @@ symbol lives on the rfftn half spectrum and is built once per grid.
 
 Storage: a coefficient is its dim (dim + 1) / 2 upper-triangle channels,
 one contiguous n^dim array each, in the file format's order, from file to
-CG; no per-cell dim x dim array is formed.  The solver copies only the
-diagonal of A + delta I and reads the off-diagonal entries, the columns of
-A for the right-hand sides and mean(A) from the channels.  Measured on a
-random 32^3 field: homogenize_general peaks at about 15 n^3 doubles on top
-of the coefficient's 6, and loading a text file at 12 (its table and the
+CG; no per-cell dim x dim array is formed.  The solver copies nothing: the
+operator's entries, the columns of A for the right-hand sides and mean(A)
+are read from the channels.  Measured on a random 32^3 field:
+homogenize_general peaks at about 12 n^3 doubles on top of the
+coefficient's 6, and loading a text file at 12 (its table and the
 channels).  The tests' corrector oracle runs a plain CG of its own.
 """
 
@@ -285,28 +285,14 @@ def _cell_gradient_adjoint(w, h: float) -> np.ndarray:
     return out
 
 
-def _coeff_entries(coeff: PeriodicCoefficient, delta: float) -> list[list[np.ndarray]]:
-    """Contiguous entries of A + delta I; entry [j][i] is the array of [i][j].
-
-    Only the diagonal is copied (to add delta); the off-diagonal entries are
-    the coefficient's channels themselves.
-    """
-    dim = coeff.dim
-    entries = [[None] * dim for _ in range(dim)]
-    for k, (i, j) in enumerate(_triu_indices(dim)):
-        channel = coeff.channels[k]
-        entries[i][j] = entries[j][i] = channel + delta if i == j else channel
-    return entries
-
-
-def _apply_coeff(entries: list[list[np.ndarray]], w: np.ndarray) -> np.ndarray:
-    """sum_j (A + delta I)_ij w_j per cell for a component-major field w."""
+def _apply_coeff(coeff: PeriodicCoefficient, w: np.ndarray) -> np.ndarray:
+    """sum_j A_ij w_j per cell for a component-major field w, A read off its channels."""
     out = np.empty(w.shape)
     term = np.empty(w.shape[1:])
-    for i, row in enumerate(entries):
-        np.multiply(row[0], w[0], out=out[i])
-        for j in range(1, len(row)):
-            out[i] += np.multiply(row[j], w[j], out=term)
+    for i in range(coeff.dim):
+        np.multiply(coeff.entry(i, 0), w[0], out=out[i])
+        for j in range(1, coeff.dim):
+            out[i] += np.multiply(coeff.entry(i, j), w[j], out=term)
     return out
 
 
@@ -342,27 +328,29 @@ def _rhs(coeff: PeriodicCoefficient, i: int) -> np.ndarray:
     return b
 
 
-def _shifted_cg(entries: list[list[np.ndarray]], h: float, rhs: np.ndarray,
-                shifts, readout: np.ndarray, cfg: SolverConfig):
-    """Preconditioned CG from zero on (G^T A_b G + s G^T G) v_s = rhs, all s at once.
+def _shifted_cg(coeff: PeriodicCoefficient, rhs: np.ndarray, shifts,
+                readout: np.ndarray, cfg: SolverConfig):
+    """Preconditioned CG from zero on (G^T A G + s G^T G) v_s = rhs, all s at once.
 
-    ``entries`` are those of the base coefficient A_b = A + delta_b I and
-    ``shifts`` the offsets s >= 0 of the systems to solve (0 is the base).
-    The preconditioner P is the pseudo-inverse of G^T G, so
-    P (G^T A_b G + s G^T G) is the base's preconditioned operator plus s I:
-    the Krylov space is shared, the residuals stay collinear, r_s = zeta_s r,
-    and the zeta / alpha / beta recurrences of multi-shift CG (Jegerlehner
-    1996; van den Eshof & Sleijpen 2004) give every shift's steps from the
-    one base run.  Shift s is frozen (its zeta no longer updated, which
-    would underflow) once |zeta_s| |r| / |rhs| <= cfg.tol.
+    The base operator G^T A G is read off the coefficient's channels, and
+    ``shifts`` are the s >= 0 of the systems to solve.  The preconditioner
+    P is the pseudo-inverse of G^T G, so P (G^T A G + s G^T G) is the
+    base's preconditioned operator plus s I: the Krylov space is shared,
+    the residuals stay collinear, r_s = zeta_s r, and the zeta / alpha /
+    beta recurrences of multi-shift CG (Jegerlehner 1996; van den Eshof &
+    Sleijpen 2004) give every shift's steps from the one base run.  The
+    base is singular where A is, but consistent (rhs = -G^T A e_i lies in
+    its range), so PCG from zero does not break down before the shifts
+    converge (Kaasschieter 1988).  Shift s is frozen (its zeta no longer
+    updated, which would underflow) once |zeta_s| |r| / |rhs| <= cfg.tol.
 
-    No iterate is formed, not even the base shift's: each shift carries only
+    No iterate is formed, not even the base's: each shift carries only
     the numbers readout[j] . v_s, recurred from readout . z once per
     iteration.  Returns those numbers (shape (len(shifts), len(readout))),
     and per shift the iteration at which it froze and its relative residual
     there.
     """
-    grid = rhs.shape
+    grid, h = rhs.shape, coeff.h
     axes = tuple(range(rhs.ndim))
     inv_sym = _precond_inverse(rhs.ndim, grid[0])
     rows = readout.reshape(len(readout), rhs.size)
@@ -401,7 +389,7 @@ def _shifted_cg(entries: list[list[np.ndarray]], h: float, rhs: np.ndarray,
             raise ConvergenceError(
                 f"cell problem CG stopped after {it} iterations "
                 f"(limit {cfg.max_iter}, residual {worst:.3e})", worst)
-        ap = _cell_gradient_adjoint(_apply_coeff(entries, _cell_gradient(p, h)), h)
+        ap = _cell_gradient_adjoint(_apply_coeff(coeff, _cell_gradient(p, h)), h)
         alpha = rz / float(np.vdot(p, ap))
         ap *= alpha
         r -= ap
@@ -434,18 +422,18 @@ def homogenize_general(coeff: PeriodicCoefficient,
     """Effective tensor of a grid coefficient via the vanishing-delta schedule.
 
     One multi-shift CG run per axis e_i, started from zero (no warm start)
-    and based at the smallest delta, solves the corrector v_i^delta for
-    every delta of the schedule.  By adjointness the tensor needs no
-    corrector field: A*_delta = mean(A) + delta I - B^T V_delta / cells,
-    where the columns of B are the delta-independent right-hand sides
+    and based at A itself, with the schedule's delta as the shifts, solves
+    the corrector v_i^delta for every delta.  By adjointness the tensor
+    needs no corrector field: A*_delta = mean(A) + delta I - B^T V_delta /
+    cells, where the columns of B are the delta-independent right-hand sides
     b_j = -G^T A e_j and those of V_delta the correctors; it is
-    symmetrized.  ``iterations[k, i]`` is
-    the iteration of axis i's run at which delta_k converged.  The
-    delta -> 0 limit is estimated by the straight line through the two
-    smallest delta.  ``fit_residual`` is the largest relative deviation of
-    the remaining schedule points from that line; ``monotone`` flags whether
-    A*_delta decreased as quadratic forms along the schedule; ``stalled``
-    (estimate withheld) flags a clearly non-PSD extrapolation.
+    symmetrized.  ``iterations[k, i]`` is the iteration of axis i's run at
+    which delta_k converged.  The delta -> 0 limit is estimated by the
+    straight line through the two smallest delta.  ``fit_residual`` is the
+    largest relative deviation of the remaining schedule points from that
+    line; ``monotone`` flags whether A*_delta decreased as quadratic forms
+    along the schedule; ``stalled`` (estimate withheld) flags a clearly
+    non-PSD extrapolation.
     """
     deltas = cfg.deltas()
     dim = coeff.dim
@@ -456,14 +444,11 @@ def homogenize_general(coeff: PeriodicCoefficient,
     rhs = np.empty((dim,) + coeff.channels.shape[1:])
     for i in range(dim):
         rhs[i] = _rhs(coeff, i)
-    base = float(deltas.min())
-    entries = _coeff_entries(coeff, base)
     table = np.empty((len(deltas), dim, dim))
     iterations = np.empty((len(deltas), dim), dtype=int)
     residuals = np.empty((len(deltas), dim))
     for i in range(dim):
-        dots, iterations[:, i], residuals[:, i] = _shifted_cg(
-            entries, coeff.h, rhs[i], deltas - base, rhs, cfg)
+        dots, iterations[:, i], residuals[:, i] = _shifted_cg(coeff, rhs[i], deltas, rhs, cfg)
         table[:, :, i] = mean_a[:, i] - dots / cells
         table[:, i, i] += deltas
     tensors = list(0.5 * (table + table.transpose(0, 2, 1)))

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Usage:  homoglab <command> --config <file> [--out <dir>] [--seed <int>]
+Usage:  homoglab <command> --config <file> [--out <dir>]
 
 A config file is a single JSON document: {"command": ..., "output_dir": ...,
 "parameters": {...}}.  ``--out`` overrides output_dir.  ``PARAMETERS`` lists
@@ -9,11 +9,11 @@ table names the same keys): laminate matrices are row-major nested arrays,
 ``u`` is a test-function name (``sin_1`` by default) or, for counterexample,
 a CSV path (``n`` is then its sample count), ``eps_list`` holds reciprocals
 of integers, and ``lambda_max`` sets the lambda range of kernel.csv and
-h.csv's spacing 0.5/lambda_max (the limit forms do not depend on it).
-Every key is checked before any output is written and all failures are
-reported together; a key the table does not list is an error.
-report.json's inputs.parameters holds the effective values, defaults
-filled in.
+h.csv's spacing 0.5/lambda_max (the limit forms do not depend on it); it
+lies below 32767.9375, where h.csv would exceed N_MAX samples.  Every key
+is checked before any output is written and all failures are reported
+together; a key the table does not list is an error.  report.json's
+inputs.parameters holds the effective values, defaults filled in.
 
 Grid coefficient file format: a text header line ``dim n_grid channels``
 followed by whitespace-separated row-major floats, one cell per line, the
@@ -50,12 +50,11 @@ class ExperimentConfig:
     command: str
     parameters: dict
     output_dir: str = "."
-    seed: int = 0
 
     def to_document(self) -> str:
         return json.dumps(
             {"command": self.command, "output_dir": self.output_dir,
-             "seed": self.seed, "parameters": self.parameters},
+             "parameters": self.parameters},
             indent=2, sort_keys=True)
 
 
@@ -92,7 +91,7 @@ def _real(lo: float, hi: float = math.inf):
     def check(value) -> float:
         x = _finite(value)
         if not lo < x < hi:
-            raise ValidationError(f"must lie in ({lo:g}, {hi:g}), got {value!r}")
+            raise ValidationError(f"must lie in ({lo!r}, {hi!r}), got {value!r}")
         return x
     return check
 
@@ -160,6 +159,13 @@ _LAMINATE = {
 }
 _CONTRAST = {"c": (_real(1.0), REQUIRED), "theta": (_real(0.0, 1.0), REQUIRED)}
 
+# h.csv samples h on [-H_HALF_WIDTH, H_HALF_WIDTH] at spacing
+# H_SPACING / lambda_max: 2 round(H_HALF_WIDTH lambda_max / H_SPACING) + 1
+# samples, at most N_MAX while lambda_max stays below
+# (N_MAX - 1) H_SPACING / (2 H_HALF_WIDTH)
+H_HALF_WIDTH = 4.0
+H_SPACING = 0.5
+
 # command -> key -> (check, default or REQUIRED).  A check takes the JSON
 # value and returns the effective JSON value or raises ValidationError.
 PARAMETERS = {
@@ -176,7 +182,8 @@ PARAMETERS = {
         **_CONTRAST,
         "u": (_kept(_u_field), "sin_1"),
         "n": (_integer(16, anomalous.N_MAX), 1024),
-        "lambda_max": (_real(0.0), 64.0),
+        "lambda_max": (_real(0.0, (anomalous.N_MAX - 1) * H_SPACING / (2 * H_HALF_WIDTH)),
+                       64.0),
     },
     "recovery_sweep": {
         **_CONTRAST,
@@ -187,7 +194,7 @@ PARAMETERS = {
     },
 }
 COMMANDS = tuple(PARAMETERS)
-TOP_LEVEL_KEYS = ("command", "output_dir", "seed", "parameters")
+TOP_LEVEL_KEYS = ("command", "output_dir", "parameters")
 
 
 def parse_config(document: str) -> ExperimentConfig:
@@ -223,11 +230,6 @@ def parse_config(document: str) -> ExperimentConfig:
             effective[key] = default if value is None else check(value)
         except ValidationError as exc:
             errors.append(f"parameters.{key}: {exc}")
-    seed = doc.get("seed")
-    try:
-        seed = 0 if seed is None else _integer(-math.inf)(seed)
-    except ValidationError as exc:
-        errors.append(f"seed: {exc}")
     output_dir = doc.get("output_dir", ".")
     if not (isinstance(output_dir, str) and output_dir):
         errors.append(f"output_dir: must be a non-empty string, got {output_dir!r}")
@@ -241,7 +243,7 @@ def parse_config(document: str) -> ExperimentConfig:
     if errors:
         raise ValidationError("; ".join(errors))
     return ExperimentConfig(command=command, parameters=effective,
-                            output_dir=output_dir, seed=seed)
+                            output_dir=output_dir)
 
 
 CSV_BLOCK_ROWS = 1024  # rows formatted and written at a time
@@ -355,7 +357,7 @@ def _run_counterexample(params):
     lam = np.linspace(-lambda_max, lambda_max, 2049)
     k0 = anomalous.k0_hat(p, lam)
     alpha, f = anomalous.alpha_f(p, lam)
-    h_x, h = anomalous.h_kernel(p, 0.5 / lambda_max, half_width=4.0)
+    h_x, h = anomalous.h_kernel(p, H_SPACING / lambda_max, half_width=H_HALF_WIDTH)
     ff = anomalous.gamma_limit_fourier(p, u)
     fc = anomalous.gamma_limit_convolution(p, u)
     rel = abs(ff - fc) / ff if ff else 0.0
@@ -423,7 +425,7 @@ def run(config: ExperimentConfig) -> RunReport:
     start = time.perf_counter()
     tables, plot, results, diagnostics = _RUNNERS[config.command](config.parameters)
     report = RunReport(command=config.command,
-                       inputs={"parameters": config.parameters, "seed": config.seed},
+                       inputs={"parameters": config.parameters},
                        results=results, diagnostics=diagnostics,
                        wall_seconds=time.perf_counter() - start)
     out = Path(config.output_dir)
@@ -447,9 +449,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default=None, help="output directory override")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed recorded in the report as metadata only; "
-                             "no command draws random numbers")
     args = parser.parse_args(argv)
     try:
         text = Path(args.config).read_text(encoding="utf-8")
@@ -464,8 +463,6 @@ def main(argv=None) -> int:
                 f"command {args.command!r}")
         if args.out is not None:
             config = replace(config, output_dir=args.out)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
         report = run(config)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -192,6 +192,8 @@ def _effective_kernel(spec: LaminateSpec) -> list[np.ndarray]:
     if laminate_a(spec) > default_a_tol(spec):
         cols.append(-spec.direction)
     null = _null_space(np.column_stack(cols))
+    if not len(null):
+        return []
     return list(_span_rank(_phase_means(spec, k1, k2, null), spec.dim)[1])
 
 

@@ -107,12 +107,11 @@ def solve_cell_problem(coeff: cell.PeriodicCoefficient, delta: float, direction,
     h, dim = coeff.h, coeff.dim
     grid = (coeff.n_grid,) * dim
     axes = tuple(range(dim))
-    entries = cell._coeff_entries(coeff, delta)
     inv_sym = cell._precond_inverse(dim, coeff.n_grid)
 
     def operator(p):
-        return cell._cell_gradient_adjoint(
-            cell._apply_coeff(entries, cell._cell_gradient(p, h)), h)
+        g = cell._cell_gradient(p, h)
+        return cell._cell_gradient_adjoint(cell._apply_coeff(coeff, g) + delta * g, h)
 
     def precond(r):
         return np.fft.irfftn(np.fft.rfftn(r, axes=axes) * inv_sym, s=grid, axes=axes)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import homoglab
-from homoglab import cell, cli
+from homoglab import anomalous, cell, cli
 from homoglab.errors import ValidationError
 
 LAMINATE_DOC = {
@@ -229,7 +229,7 @@ def test_csv_determinism(tmp_path):
             out = tmp_path / command / tag
             doc = {"command": command, "output_dir": str(out), "parameters": params}
             cfg = write_config(tmp_path, doc, name=f"{command}_{tag}.json")
-            assert cli.main([command, "--config", str(cfg), "--seed", "7"]) == 0
+            assert cli.main([command, "--config", str(cfg)]) == 0
             outputs.append([(out / name).read_bytes() for name in names])
         assert outputs[0] == outputs[1], command
 
@@ -364,8 +364,7 @@ BAD_VALUES = {
     "lamda_max": ("lamda_max", COUNTER_DOC, 1),
     "n_min": ("n_min", SWEEP_DOC, "x"),
     "eps_list": ("eps_list", SWEEP_DOC, [True]),
-    "seed": ("seed", LAMINATE_DOC, "x"),
-    "seed-fractional": ("seed", LAMINATE_DOC, 1.5),
+    "seed": ("seed", LAMINATE_DOC, 7),
     "output_dir-null": ("output_dir", LAMINATE_DOC, None),
     "output_dir-list": ("output_dir", LAMINATE_DOC, ["a", "b"]),
     "output_dir-empty": ("output_dir", LAMINATE_DOC, ""),
@@ -388,7 +387,8 @@ BAD_VALUES = {
 }
 
 
-TOP_LEVEL = {"seed", "output_dir", "outptu_dir"}
+UNKNOWN_TOP_LEVEL = {"seed", "outptu_dir"}  # keys a config does not have
+TOP_LEVEL = {"output_dir"} | UNKNOWN_TOP_LEVEL
 CSV_TEXT = {"csv": "0.0\n0.5\nnot-a-number\n", "short": "0.5\n", "empty": "",
             "comments": "# u on [0, 1]\n\n"}
 
@@ -422,7 +422,7 @@ def test_main_bad_value_is_a_validation_error(tmp_path, capsys, monkeypatch, pro
         assert cli.main([doc["command"], "--config", str(cfg)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].startswith("validation error: ")
-    assert key in err[-1]
+    assert (f"{key}: unknown key" if key in UNKNOWN_TOP_LEVEL else key) in err[-1]
     assert sorted(tmp_path.iterdir()) == before
 
 
@@ -430,8 +430,8 @@ def test_main_bad_value_is_a_validation_error(tmp_path, capsys, monkeypatch, pro
                                            ("NaN", 1), ("1", 0), ("1e5", 1)])
 def test_counterexample_lambda_max_exit_codes(tmp_path, capsys, literal, code):
     # 1e400 parses as inf; lambda_max = 1 only coarsens kernel.csv and h.csv;
-    # 1e5 passes the key's check, but h.csv would hold 16 lambda_max + 1 rows,
-    # more than the N_MAX samples h_kernel allows
+    # at 1e5 h.csv would hold 16 lambda_max + 1 rows, more than the N_MAX
+    # samples h_kernel allows, and the key's own check refuses it
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"command": "counterexample", "output_dir": %s, "parameters": '
                    '{"c": 2.0, "theta": 0.5, "n": 64, "lambda_max": %s}}'
@@ -439,13 +439,23 @@ def test_counterexample_lambda_max_exit_codes(tmp_path, capsys, literal, code):
     assert cli.main(["counterexample", "--config", str(cfg)]) == code
     if code == 1:
         err = capsys.readouterr().err.strip().splitlines()[-1]
-        source = "h holds at most" if literal == "1e5" else "parameters.lambda_max"
-        assert err.startswith("validation error: " + source)
+        assert err.startswith("validation error: parameters.lambda_max")
         assert not (tmp_path / "out").exists()
     else:
         rows = (tmp_path / "out" / "h.csv").read_text().splitlines()[1:]
         x = np.array([float(row.split(",")[0]) for row in rows])
         assert len(x) == 17 and np.all(np.diff(x) == 0.5)
+
+
+def test_lambda_max_bound_is_h_kernel_sample_limit():
+    # the largest lambda_max the key accepts still fits h.csv in N_MAX samples
+    check = cli.PARAMETERS["counterexample"]["lambda_max"][0]
+    assert check(32767.9) == 32767.9
+    with pytest.raises(ValidationError, match=r"must lie in \(0.0, 32767.9375\)"):
+        check(32767.9375)
+    x, _ = anomalous.h_kernel(anomalous.SpectralParams(c=2.0, theta=0.5),
+                              cli.H_SPACING / 32767.9, half_width=cli.H_HALF_WIDTH)
+    assert len(x) == anomalous.N_MAX - 1
 
 
 @pytest.mark.parametrize("n, code", [(None, 0), (64, 0), (1024, 1)])
