@@ -34,9 +34,9 @@ import numpy as np
 from .errors import CrossValidationError, ValidationError
 
 TWO_PI_SQ = 4.0 * np.pi ** 2
-# Most work, nodes x (samples + nodes) per row, spent on h's exponential sum.
+# Most work, nodes x (samples + nodes), spent on h's exponential sum.
 EXP_SUM_MAX_WORK = 1 << 28
-N_MAX = 1 << 19  # most samples per x1 row of a field built from a function, or of h
+N_MAX = 1 << 19  # most samples of a field built from a function, or of h
 MEAN_IDENTITY_TOL = 1e-4
 # Smallest Sturm-Liouville coefficient the Green-kernel check supports:
 # sinh(1/sqrt(a)) overflows a double beyond 1/sqrt(a) = 710.47.
@@ -79,31 +79,30 @@ class SpectralParams:
 
 @dataclass(frozen=True)
 class SampledField:
-    """Samples of a real function at n equispaced points of [0, 1], ends included.
+    """One x1 row: samples of a real function at n >= 16 equispaced points of
+    [0, 1], ends included.
 
-    1D values have shape (n,); 2D values have shape (n2, n1) with the first
-    index the x2 row, the rows likewise spanning [0, 1] in x2.  Every axis
-    holds at least 16 samples.  The x1 spacing 1/(n - 1) and nodes x derive
-    from n.  The limit forms and the profile treat a field as zero outside
-    (0, 1) in x1 and check that it vanishes at x1 = 0 and 1.
+    F_eps has no x2-derivative, so the limit of a field u(x1, x2) is the
+    x2-integral of the limit of each of its x1 rows; a row is all this
+    module takes.  The spacing 1/(n - 1) and nodes x derive from n.  The
+    limit forms and the profile treat a row as zero outside (0, 1) and check
+    that it vanishes at x1 = 0 and 1.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim not in (1, 2):
-            raise ValidationError(f"values must be 1- or 2-dimensional, got {v.ndim}")
-        if min(v.shape) < 16:
+        if not (v.ndim == 1 and v.size >= 16):
             raise ValidationError(
-                f"fields need at least 16 samples per axis, got shape {v.shape}")
+                f"a field is one x1 row of at least 16 samples, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValidationError("field has non-finite values")
         object.__setattr__(self, "values", v)
 
     @property
     def n(self) -> int:
-        return self.values.shape[-1]
+        return self.values.size
 
     @property
     def spacing(self) -> float:
@@ -117,7 +116,7 @@ class SampledField:
     def from_function(cls, fn, n: int) -> "SampledField":
         """fn at n equispaced points of [0, 1]; n above N_MAX is refused."""
         if not n <= N_MAX:
-            raise ValidationError(f"a field holds at most {N_MAX} samples per row")
+            raise ValidationError(f"a field holds at most {N_MAX} samples")
         return cls(fn(np.linspace(0.0, 1.0, n)))
 
 
@@ -229,34 +228,15 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def _rows_and_weights(u: SampledField) -> tuple[np.ndarray, np.ndarray]:
-    """View a field as x2 rows with trapezoidal x2 weights (1D: one row)."""
-    v = u.values
-    if v.ndim == 1:
-        return v[None, :], np.array([1.0])
-    n2 = v.shape[0]
-    return v, _trapezoid_weights(n2, 1.0 / (n2 - 1))
-
-
 def _check_zero_extended(u: SampledField):
-    """u is zero outside (0, 1) in x1, so it must vanish at both ends."""
-    scale = max(1.0, float(np.abs(u.values).max()))
-    rows, _ = _rows_and_weights(u)
-    if max(np.abs(rows[:, 0]).max(), np.abs(rows[:, -1]).max()) > 1e-9 * scale:
+    """u is zero outside (0, 1), so it must vanish at both ends."""
+    v = u.values
+    if max(abs(v[0]), abs(v[-1])) > 1e-9 * max(1.0, float(np.abs(v).max())):
         raise ValidationError("zero-extended field must vanish at x1 = 0 and 1")
 
 
-def _derivative(rows: np.ndarray, dx: float) -> np.ndarray:
-    """Centered differences inside, one-sided second-order at the ends."""
-    d = np.empty_like(rows)
-    d[:, 1:-1] = (rows[:, 2:] - rows[:, :-2]) / (2.0 * dx)
-    d[:, 0] = (-3.0 * rows[:, 0] + 4.0 * rows[:, 1] - rows[:, 2]) / (2.0 * dx)
-    d[:, -1] = (3.0 * rows[:, -1] - 4.0 * rows[:, -2] + rows[:, -3]) / (2.0 * dx)
-    return d
-
-
 def gamma_limit_fourier(params: SpectralParams, u: SampledField) -> float:
-    """Spectral form of the limit: int dx2 int (1/k0_hat) |F(u)|^2 dlambda.
+    """Spectral form of the limit: int (1/k0_hat) |F(u)|^2 dlambda.
 
     1/k0_hat = (c/c_theta) 4 pi^2 lambda^2 + alpha - K / (c_theta 4 pi^2
     lambda^2 + 1) with K = (c - 1)^2 theta (1 - theta) / c_theta^2, and the
@@ -271,18 +251,16 @@ def gamma_limit_fourier(params: SpectralParams, u: SampledField) -> float:
     on [0, 1].
     """
     _check_zero_extended(u)
-    rows, wx2 = _rows_and_weights(u)
-    dx = u.spacing
+    v, dx = u.values, u.spacing
     r = math.sqrt(params.c_theta)
     k = (params.c - 1.0) ** 2 * params.theta * (1.0 - params.theta) / params.c_theta ** 2
-    grad_coeff = params.c / params.c_theta
-    grad = np.square(np.diff(rows, axis=1)).sum(axis=1) / dx
-    p = rows * _trapezoid_weights(u.n, dx)
-    mass = np.einsum("ij,ij->i", rows, p)
+    grad = np.square(np.diff(v)).sum() / dx
+    p = v * _trapezoid_weights(u.n, dx)
     decay = np.exp(-u.x / r)
-    running = np.cumsum(p / decay, axis=1)
-    pair = (2.0 * (p * running) @ decay - np.einsum("ij,ij->i", p, p)) / (2.0 * r)
-    return float(wx2 @ (grad_coeff * grad + params.alpha * mass - k * pair))
+    running = np.cumsum(p / decay)
+    pair = (2.0 * (p * running) @ decay - np.einsum("i,i", p, p)) / (2.0 * r)
+    mass = np.einsum("i,i", v, p)
+    return float(params.c / params.c_theta * grad + params.alpha * mass - k * pair)
 
 
 def gamma_limit_convolution(params: SpectralParams, u: SampledField) -> float:
@@ -294,31 +272,32 @@ def gamma_limit_convolution(params: SpectralParams, u: SampledField) -> float:
     the kink of exp(-sigma |x - x_i|) sits on a node.  Outside, u vanishes
     and h * u = sum_k A_k exp(-sigma_k dist), A_k = w_k * (the running sum
     at the nearer end), so its square integrates in closed form to
-    sum_kl A_k A_l / (sigma_k + sigma_l) on each side.  The loop over the
-    nodes keeps memory O(size of u).  sigma <= 1 and x in [0, 1] keep every
-    factor within [1/e, e].  No kernel is shared with the spectral form.
+    sum_kl A_k A_l / (sigma_k + sigma_l) on each side, summed pair by pair
+    as the nodes come: a q x q matrix of pairs would reach 2 GB at
+    EXP_SUM_MAX_WORK, and the loop keeps memory O(n).  sigma <= 1 and x in
+    [0, 1] keep every factor within [1/e, e].  No kernel is shared with the
+    spectral form.
     """
     _check_zero_extended(u)
-    rows, wx2 = _rows_and_weights(u)
-    dx = u.spacing
+    v, dx = u.values, u.spacing
     w, sigma = h_exponential_sum(params, u.n)
     trap = _trapezoid_weights(u.n, dx)
-    p = rows * trap
-    conv = np.zeros_like(rows)
-    ends = np.empty((2, len(w), rows.shape[0]))  # A_k at x = 0 and at x = 1
+    p = v * trap
+    conv = np.zeros_like(v)
+    ends = np.empty((2, len(w)))  # A_k at x = 0 and at x = 1
     outside = 0.0
     for k, (wk, sk) in enumerate(zip(w, sigma)):
         decay = np.exp(-sk * u.x)
-        below = np.cumsum(p / decay, axis=1) * decay  # sum_(j<=i) p_j e^(-s(x_i-x_j))
-        above = np.cumsum((p * decay)[:, ::-1], axis=1)[:, ::-1] / decay
+        below = np.cumsum(p / decay) * decay  # sum_(j<=i) p_j e^(-s(x_i-x_j))
+        above = np.cumsum((p * decay)[::-1])[::-1] / decay
         conv += wk * (below + above - p)
-        a = ends[:, k] = wk * np.stack([above[:, 0], below[:, -1]])
+        a = ends[:, k] = wk * np.array([above[0], below[-1]])
         # the pair (k, k) once and each pair (k, l < k) twice
-        earlier = np.tensordot(1.0 / (sk + sigma[:k]), ends[:, :k], axes=(0, 1))
-        outside = outside + (a * (a / (2.0 * sk) + 2.0 * earlier)).sum(axis=0)
-    local = math.sqrt(params.alpha) * rows + conv
-    grad = (params.c / params.c_theta) * np.square(_derivative(rows, dx))
-    return float(wx2 @ ((grad + np.square(local)) @ trap + outside))
+        earlier = ends[:, :k] @ (1.0 / (sk + sigma[:k]))
+        outside += (a * (a / (2.0 * sk) + 2.0 * earlier)).sum()
+    local = math.sqrt(params.alpha) * v + conv
+    grad = (params.c / params.c_theta) * np.square(np.gradient(v, dx, edge_order=2))
+    return float((grad + np.square(local)) @ trap + outside)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +373,6 @@ def solve_sturm_liouville(a_value: float, b: SampledField) -> SampledField:
         raise ValidationError(
             f"a_value = {a_value:.3g} is below {SL_MIN_A:.3g}, the smallest the "
             "Green-kernel check supports (sinh(1/sqrt(a)) overflows)")
-    if b.values.ndim != 1:
-        raise ValidationError("b must be a 1D field")
     h = b.spacing
     fd = _sl_matrix_solve(a_value, b.values, h)
     green = _sl_green_solve(a_value, b.values, h)
@@ -420,8 +397,6 @@ def two_scale_profile(params: SpectralParams, u: SampledField):
     theta-weighted mean is u exactly, up to rounding.
     """
     _check_zero_extended(u)
-    if u.values.ndim != 1:
-        raise ValidationError("the two-scale profile is built one x1 row at a time")
     row = u.values
     mu = _dirichlet_symbol(u.n - 2, u.spacing)
     b = SampledField(_sine_divide(row, _k0_of_symbol(params, mu)))
@@ -480,7 +455,7 @@ def recovery_energy(params: SpectralParams, u, eps: float, n_fine: int) -> Recov
     frac1 = float(np.mean(params.conductivity(x2 / eps) == 1.0))
     branches = np.stack([w1.values, wc.values])
     a_vals = np.array([1.0, params.c])[:, None]
-    density = a_vals * _derivative(branches, dx) ** 2 + branches ** 2
+    density = a_vals * np.gradient(branches, dx, axis=1, edge_order=2) ** 2 + branches ** 2
     e1, ec = density @ _trapezoid_weights(field.n, dx)
     energy = float(frac1 * e1 + (1.0 - frac1) * ec)
     limit = gamma_limit_fourier(params, field)

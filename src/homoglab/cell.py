@@ -250,11 +250,10 @@ def load_coefficient(path) -> PeriodicCoefficient:
 # discrete operators
 # ---------------------------------------------------------------------------
 
-def _cell_gradient(v: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Edge-averaged forward differences per cell into out, shape (dim,) + v.shape."""
+def _cell_gradient(v: np.ndarray, h: float) -> np.ndarray:
+    """Edge-averaged forward differences per cell, shape (dim,) + v.shape."""
     dim = v.ndim
-    if out is None:
-        out = np.empty((dim,) + v.shape)
+    out = np.empty((dim,) + v.shape)
     scale = 0.5 ** (dim - 1) / h
     for ax in range(dim):
         g = out[ax]

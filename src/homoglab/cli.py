@@ -128,9 +128,6 @@ def _u_field(value, n: int = 16) -> anomalous.SampledField:
         samples = np.loadtxt(path, delimiter=",", dtype=float, ndmin=1)
     except ValueError as exc:
         raise ValidationError(f"{path} is not numeric: {exc}") from None
-    if samples.ndim != 1:
-        raise ValidationError(
-            f"{path} holds {samples.shape[0]} rows; u is one x1 row of samples")
     return anomalous.SampledField(samples)
 
 

@@ -84,14 +84,6 @@ class LaminateSpec:
     def dim(self) -> int:
         return self.phase1.shape[0]
 
-    def to_dict(self) -> dict:
-        return {
-            "phase1": self.phase1.tolist(),
-            "phase2": self.phase2.tolist(),
-            "theta": float(self.theta),
-            "direction": self.direction.tolist(),
-        }
-
     @classmethod
     def from_dict(cls, doc: dict) -> "LaminateSpec":
         missing = {"phase1", "phase2", "theta", "direction"} - set(doc)
@@ -218,19 +210,14 @@ def homogenize_laminate(spec: LaminateSpec) -> HomogenizedLaminate:
     )
 
 
-def _rank_one_vector(dec: EigenDecomp, name: str) -> np.ndarray:
-    """Extract xi with phase = xi otimes xi from its decomposition, validating
-    rank one to RANK_TOL."""
-    lam = dec.eigenvalues
-    top = lam[-1]
-    if top <= 0.0:
-        raise ValidationError(f"{name} must be a nonzero rank-one matrix")
-    if np.abs(lam[:-1]).max() > RANK_TOL * top:
+def _rank_one_vector(dec: EigenDecomp, rng: list[np.ndarray], name: str) -> np.ndarray:
+    """xi with phase = xi otimes xi: sqrt(top eigenvalue) times the one vector
+    of the phase's range split (``EigenDecomp.cut`` at RANK_TOL)."""
+    if len(rng) != 1:
         raise ValidationError(
-            f"{name} is not rank one within {RANK_TOL:g} relative "
-            f"(eigenvalues {lam.tolist()})"
-        )
-    return np.sqrt(top) * dec.rotation[:, -1]
+            f"{name} must be rank one: its range at RANK_TOL has dimension "
+            f"{len(rng)} (eigenvalues {dec.eigenvalues.tolist()})")
+    return np.sqrt(dec.eigenvalues[-1]) * rng[0]
 
 
 def _rank_two_kernel(ker: list[np.ndarray], name: str) -> np.ndarray:
@@ -245,8 +232,9 @@ def _rank_two_kernel(ker: list[np.ndarray], name: str) -> np.ndarray:
 def check_conditions_2d(spec: LaminateSpec) -> ConditionReport:
     """Structure conditions for the 2D family: phase1 = xi otimes xi, phase2 PD.
 
-    xi = sqrt(lambda) v comes from phase1's decomposition; its sign is
-    arbitrary, and every condition below is invariant under xi -> -xi.
+    xi = sqrt(lambda) v, with v the one vector of phase1's range split and
+    lambda its top eigenvalue; xi's sign is arbitrary, and every condition
+    below is invariant under xi -> -xi.
     Sub-conditions, all relative to the lamination normal n, tol = RANK_TOL:
       * xi_not_orthogonal: |xi . n| > tol * |xi|
       * xi_A2n_independent: |det[xi, A2 n]| > tol * |xi| * |A2 n|
@@ -254,7 +242,7 @@ def check_conditions_2d(spec: LaminateSpec) -> ConditionReport:
     """
     if spec.dim != 2:
         raise ValidationError("check_conditions_2d requires 2x2 phases")
-    xi = _rank_one_vector(spec.eigs[0], "phase1")
+    xi = _rank_one_vector(spec.eigs[0], spec.splits[0][0], "phase1")
     n = spec.direction
     a2n = spec.phase2 @ n
     nxi = np.linalg.norm(xi)

@@ -138,8 +138,7 @@ def solve_cell_problem(coeff: cell.PeriodicCoefficient, delta: float, direction,
             p = z + (rz_new / rz) * p
             rz = rz_new
             it += 1
-    grad = np.empty(grid + (dim,))
-    cell._cell_gradient(v, h, out=np.moveaxis(grad, -1, 0))
+    grad = np.ascontiguousarray(np.moveaxis(cell._cell_gradient(v, h), 0, -1))
     return CellSolution(corrector_grad=grad,
                         energy=energy_of_field(coeff, delta, lam, grad),
                         residual=residual, iterations=it)

@@ -161,6 +161,27 @@ def test_checkerboard_regression():
     assert err_fine <= err_coarse
 
 
+def test_degenerate_checkerboard_matches_dykhne():
+    # phases I and 0 shifted by delta I: Dykhne's sqrt(alpha beta) gives
+    # A*_delta = sqrt(delta (1 + delta)) I exactly.  Measured at delta = 0.1:
+    # relative errors +6.57e-3, +2.33e-3, +8.27e-4 at n = 32, 64, 128 (a ratio
+    # of 2.8 per doubling) after 10, 12 and 14 CG iterations
+    delta = 0.1
+    exact = np.sqrt(delta * (1.0 + delta))
+    cfg = cell.SolverConfig(delta0=delta, n_delta=1)
+    errs = []
+    for n in (32, 64, 128):
+        res = cell.homogenize_general(cell.checkerboard_coefficient(1.0, 0.0, n), cfg)
+        t = res.tensors[0]
+        assert t[1, 1] == pytest.approx(t[0, 0], rel=1e-14)
+        assert abs(t[0, 1]) <= 1e-15
+        assert res.iterations.max() <= 20
+        errs.append((t[0, 0] - exact) / exact)
+    assert 0.0 < errs[0] <= 1e-2
+    for coarse, fine in zip(errs[:-1], errs[1:]):
+        assert 2.5 <= coarse / fine <= 3.2
+
+
 def test_energy_of_field_zero_corrector():
     co = cell.constant_coefficient(I2, 2, 16)
     zero = np.zeros((16, 16, 2))

@@ -147,8 +147,17 @@ def test_conditions_2d_examples():
 
 
 def test_conditions_2d_rejects_full_rank_phase1():
-    with pytest.raises(ValidationError, match="rank one"):
-        laminate.check_conditions_2d(spec2(I2, I2))
+    for phase1 in (I2, np.zeros((2, 2))):
+        with pytest.raises(ValidationError, match="rank one"):
+            laminate.check_conditions_2d(spec2(phase1, I2))
+    # rank one is read off the spec's own split at EigenDecomp.cut: 1e-12 lies
+    # within RANK_TOL * max(1, 1e-3), though above RANK_TOL * 1e-3
+    xi, eta = np.array([0.6, 0.8]), np.array([-0.8, 0.6])
+    spec = spec2(1e-3 * np.outer(xi, xi) + 1e-12 * np.outer(eta, eta), I2)
+    assert len(spec.splits[0][0]) == 1
+    rep = laminate.check_conditions_2d(spec)
+    assert rep.h2_holds
+    assert rep.detail("xi_not_orthogonal").value == pytest.approx(0.6 * np.sqrt(1e-3))
 
 
 def _rank_two(eta):
@@ -415,9 +424,12 @@ def test_parallel_flux_with_pd_phase2_keeps_definiteness():
 
 def test_spec_dict_round_trip():
     spec = spec2(E2XE2, I2, theta=0.25)
-    again = laminate.LaminateSpec.from_dict(spec.to_dict())
+    again = laminate.LaminateSpec.from_dict(
+        {"phase1": [[0, 0], [0, 1]], "phase2": [[1, 0], [0, 1]], "theta": 0.25,
+         "direction": [1, 0]})
     np.testing.assert_array_equal(again.phase1, spec.phase1)
     np.testing.assert_array_equal(again.phase2, spec.phase2)
+    np.testing.assert_array_equal(again.direction, spec.direction)
     assert again.theta == spec.theta
     with pytest.raises(ValidationError, match="missing keys"):
         laminate.LaminateSpec.from_dict({"phase1": [[1, 0], [0, 1]]})
