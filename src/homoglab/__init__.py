@@ -2,10 +2,10 @@
 
 Subpackages:
 
-* ``linalg``     input validators, small symmetric eigenproblems, PSD checks
+* ``linalg``     input validators for small symmetric matrices and vectors
 * ``laminate``   explicit rank-one laminate formula, structure conditions and
-                 the kernel identity, both sides SVD null spaces cut at
-                 RANK_TOL and mapped through the theta-weighted phase bases
+                 the kernel identity from one eigh per phase; both sides are
+                 SVD null spaces mapped through the theta-weighted phase bases
 * ``cell``       regularized periodic cell problems and delta extrapolation
 * ``anomalous``  the two-dimensional anomalous limit: spectral and
                  convolution forms, two-scale profiles, recovery energies

@@ -47,10 +47,11 @@ SL_MIN_A = 1.0 / 710.0 ** 2
 class SpectralParams:
     """Contrast c and volume fraction theta with the derived constants.
 
-    c_theta = c theta + 1 - theta and alpha = (c^2 theta + 1 - theta) /
-    c_theta^2.  c = 1 (no contrast) is allowed as a consistency limit;
-    the counter-example proper needs c > 1.  c is refused where (c - 1)^2
-    overflows a double (c above about 1.34e154).
+    c_theta = c theta + 1 - theta, alpha = (c^2 theta + 1 - theta) /
+    c_theta^2, and k = K = (c - 1)^2 theta (1 - theta) / c_theta^2, the
+    weight of the nonlocal term.  c = 1 (no contrast) is allowed as a
+    consistency limit; the counter-example proper needs c > 1.  c is refused
+    where (c - 1)^2 overflows a double (c above about 1.34e154).
     """
 
     c: float
@@ -70,6 +71,10 @@ class SpectralParams:
     @property
     def alpha(self) -> float:
         return (self.c ** 2 * self.theta + 1.0 - self.theta) / self.c_theta ** 2
+
+    @property
+    def k(self) -> float:
+        return (self.c - 1.0) ** 2 * self.theta * (1.0 - self.theta) / self.c_theta ** 2
 
     def conductivity(self, y2) -> np.ndarray:
         """a(y2) = 1 on the theta-fraction phase, c on the rest (1-periodic)."""
@@ -160,13 +165,11 @@ def alpha_f(params: SpectralParams, lambda1):
     """The constant alpha and the non-positive correction f(lambda).
 
     Together they decompose the reciprocal kernel:
-    1/k0_hat = (c/c_theta) 4 pi^2 lambda^2 + alpha + f(lambda).
+    1/k0_hat = (c/c_theta) 4 pi^2 lambda^2 + alpha + f(lambda), with
+    f = -K / (c_theta 4 pi^2 lambda^2 + 1).
     """
-    c, th = params.c, params.theta
-    cth = params.c_theta
     t = TWO_PI_SQ * np.square(lambda1)
-    f = (c - 1.0) ** 2 * th * (th - 1.0) / cth ** 2 / (cth * t + 1.0)
-    return params.alpha, f
+    return params.alpha, -params.k / (params.c_theta * t + 1.0)
 
 
 def h_exponential_sum(params: SpectralParams, samples: float = 1.0):
@@ -178,9 +181,9 @@ def h_exponential_sum(params: SpectralParams, samples: float = 1.0):
     h(x) = -sqrt(alpha) (b - a)/(2 pi) int_0^pi (1 - cos phi) e^(-sigma |x|)/(2 sigma) dphi.
     The integrand is smooth and periodic in phi, so the q-point midpoint
     rule errs by about exp(-4 q / sqrt(alpha)); q = max(8, ceil(9 sqrt(alpha))).
-    b - a = K/(alpha c_theta), K = (c - 1)^2 theta (1 - theta)/c_theta^2, is
-    not formed by subtraction, which would cancel for c near 1.  Work on
-    ``samples`` points per node and on the node pairs, q (samples + q) above
+    b - a = K/(alpha c_theta), K = ``params.k``, is not formed by
+    subtraction, which would cancel for c near 1.  Work on ``samples``
+    points per node and on the node pairs, q (samples + q) above
     EXP_SUM_MAX_WORK, is refused before any per-node work.
     """
     alpha, cth = params.alpha, params.c_theta
@@ -189,9 +192,8 @@ def h_exponential_sum(params: SpectralParams, samples: float = 1.0):
         raise ValidationError(
             f"h's exponential sum needs {q} nodes for {samples:.3g} samples, more "
             f"than {EXP_SUM_MAX_WORK} node-samples; lower the contrast or the resolution")
-    k = (params.c - 1.0) ** 2 * params.theta * (1.0 - params.theta) / cth ** 2
     half_gap = np.sin((np.arange(q) + 0.5) * np.pi / (2 * q)) ** 2  # (1 - cos phi)/2
-    b_minus_a = k / (alpha * cth)
+    b_minus_a = params.k / (alpha * cth)
     sigma = np.sqrt(1.0 / (alpha * cth) + b_minus_a * half_gap)
     return -math.sqrt(alpha) * b_minus_a * half_gap / (2.0 * q * sigma), sigma
 
@@ -239,8 +241,8 @@ def gamma_limit_fourier(params: SpectralParams, u: SampledField) -> float:
     """Spectral form of the limit: int (1/k0_hat) |F(u)|^2 dlambda.
 
     1/k0_hat = (c/c_theta) 4 pi^2 lambda^2 + alpha - K / (c_theta 4 pi^2
-    lambda^2 + 1) with K = (c - 1)^2 theta (1 - theta) / c_theta^2, and the
-    last term is the transform of g(x) = exp(-|x|/r) / (2r), r = sqrt(c_theta).
+    lambda^2 + 1) with K = ``params.k``, and the last term is the transform
+    of g(x) = exp(-|x|/r) / (2r), r = sqrt(c_theta).
     By Plancherel the form is (c/c_theta)|u'|^2 + alpha |u|^2 - K <u, g * u>,
     evaluated in O(n) with no transform: forward differences for |u'|^2,
     the trapezoid rule for |u|^2 and the trapezoid product rule for
@@ -253,14 +255,13 @@ def gamma_limit_fourier(params: SpectralParams, u: SampledField) -> float:
     _check_zero_extended(u)
     v, dx = u.values, u.spacing
     r = math.sqrt(params.c_theta)
-    k = (params.c - 1.0) ** 2 * params.theta * (1.0 - params.theta) / params.c_theta ** 2
     grad = np.square(np.diff(v)).sum() / dx
     p = v * _trapezoid_weights(u.n, dx)
     decay = np.exp(-u.x / r)
     running = np.cumsum(p / decay)
     pair = (2.0 * (p * running) @ decay - np.einsum("i,i", p, p)) / (2.0 * r)
     mass = np.einsum("i,i", v, p)
-    return float(params.c / params.c_theta * grad + params.alpha * mass - k * pair)
+    return float(params.c / params.c_theta * grad + params.alpha * mass - params.k * pair)
 
 
 def gamma_limit_convolution(params: SpectralParams, u: SampledField) -> float:

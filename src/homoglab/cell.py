@@ -71,6 +71,14 @@ class SolverConfig:
 VALIDATE_BLOCK = 1 << 14  # cells per eigvalsh call of the PSD check
 
 
+def _check_grid(dim: int, n: int) -> None:
+    """dim is 2 or 3 and n a power of two >= 4: a coefficient's, or a file header's."""
+    if dim not in (2, 3):
+        raise ValidationError(f"dim must be 2 or 3, got {dim}")
+    if n < 4 or (n & (n - 1)) != 0:
+        raise ValidationError(f"n_grid must be a power of two >= 4, got {n}")
+
+
 def _triu_indices(dim: int) -> list[tuple[int, int]]:
     """The (i, j), i <= j, of the channels: the row-major upper triangle."""
     return [(i, j) for i in range(dim) for j in range(i, dim)]
@@ -95,11 +103,8 @@ class PeriodicCoefficient:
     samples: InitVar[np.ndarray | None] = None
 
     def __post_init__(self, samples):
-        if self.dim not in (2, 3):
-            raise ValidationError(f"dim must be 2 or 3, got {self.dim}")
+        _check_grid(self.dim, self.n_grid)
         n = self.n_grid
-        if n < 4 or (n & (n - 1)) != 0:
-            raise ValidationError(f"n_grid must be a power of two >= 4, got {n}")
         if (samples is None) == (self.channels is None):
             raise ValidationError("give exactly one of channels and samples")
         grid = (n,) * self.dim
@@ -213,7 +218,8 @@ def load_coefficient(path) -> PeriodicCoefficient:
     """Read a coefficient file: a .npy channel array, else the text format.
 
     Either way the result is the channel array and nothing else: the text
-    table is transposed into channels and dropped before validation.
+    table is transposed into channels and dropped before validation.  A text
+    header is checked (dim, n_grid, channel count) before the table is read.
     """
     if Path(path).suffix == ".npy":
         try:
@@ -226,16 +232,20 @@ def load_coefficient(path) -> PeriodicCoefficient:
                 f"got {channels.dtype} {channels.shape}")
         return PeriodicCoefficient(dim=channels.ndim - 1, n_grid=channels.shape[-1],
                                    channels=channels)
+    bad = "coefficient file must start with 'dim n_grid channels' and then hold floats"
     with open(path, "r", encoding="utf-8") as fh:
         try:
             dim, n, count = (int(x) for x in fh.readline().split())
+        except ValueError as exc:
+            raise ValidationError(f"{bad} ({exc})") from None
+        _check_grid(dim, n)
+        want = dim * (dim + 1) // 2
+        if count != want:
+            raise ValidationError(f"expected {want} channels for dim {dim}, got {count}")
+        try:
             data = np.loadtxt(fh, dtype=float, ndmin=2)
         except ValueError as exc:
-            raise ValidationError("coefficient file must start with 'dim n_grid channels' "
-                                  f"and then hold floats ({exc})") from None
-    want = dim * (dim + 1) // 2
-    if count != want:
-        raise ValidationError(f"expected {want} channels for dim {dim}, got {count}")
+            raise ValidationError(f"{bad} ({exc})") from None
     cells = n ** dim
     if data.shape != (cells, count):
         raise ValidationError(

@@ -21,6 +21,7 @@ channels being the upper triangle of the symmetric matrix in row-major
 order (2D: a11 a12 a22; 3D: a11 a12 a13 a22 a23 a33).  A path ending in
 ``.npy`` holds the channel array itself instead, shape
 (channels,) + (n_grid,)*dim, channel k being the k-th entry of that order.
+A text header is checked (dim, n_grid, channels) before its table is read.
 
 CSV artifacts are comma-separated with a header row, '.' decimal, UTF-8,
 LF line endings.  A successful run also writes report.json and, for every
@@ -296,7 +297,7 @@ def _run_homogenize_laminate(params):
         "tensor": hom.tensor.tolist(),
         "branch": hom.branch,
         "pd": hom.pd,
-        "kernel": [v.tolist() for v in hom.kernel],
+        "kernel": hom.kernel.tolist(),
     }
     plot = ['plot "tensor.csv" using 1:3 with points pt 7 title "entries"']
     return tables, plot, results, {}

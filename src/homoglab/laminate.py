@@ -19,9 +19,10 @@ whether it does.
 j = (A2 - A1) n: the mean plus a multiple of j otimes j is symmetric
 exactly, and for an axis normal j is a column of A2 - A1.
 
-A spec decomposes each phase once, in its PSD check, splits each
-decomposition once into range and kernel at ``RANK_TOL``, and keeps both;
-everything below reads them.  Definiteness and ker(A*) come from the
+A spec decomposes each phase once with ``numpy.linalg.eigh``, checks it is
+PSD and splits its eigenvectors into range and kernel rows at the one cut
+RANK_TOL * max(1, spectral radius), and computes a and the branch once;
+everything below reads these.  Definiteness and ker(A*) come from the
 phases' kernels and the structure of the formula, not from A*'s
 eigenvalues: A* x.x is the least laminate energy with mean x, so x lies in
 ker(A*) exactly when x = theta y1 + (1-theta) y2 with y_i in ker(A_i) and
@@ -40,10 +41,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from . import linalg
-from .linalg import EigenDecomp, as_vector
+from .linalg import as_sym_matrix, as_vector
 
 RANK_TOL = 1e-10
+
+
+def _decompose(m, name: str):
+    """(matrix, eigenvalues, range rows, kernel rows) of a PSD phase: one
+    eigh; eigenvectors above, and within +-, the cut RANK_TOL * max(1,
+    spectral radius).  An eigenvalue below -cut is refused (not PSD)."""
+    a = as_sym_matrix(m, name)
+    w, r = np.linalg.eigh(a)
+    cut = RANK_TOL * max(1.0, float(np.abs(w).max()))
+    if w[0] < -cut:
+        raise ValidationError(
+            f"{name} is not PSD: eigenvalue {w[0]:.3e} below "
+            f"-{RANK_TOL:g} * max(1, spectral radius)")
+    return a, w, r.T[w > cut], r.T[np.abs(w) <= cut]
+
+
+def _derived():
+    return field(init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -54,18 +72,21 @@ class LaminateSpec:
     phase2: np.ndarray
     theta: float
     direction: np.ndarray
-    # eigendecompositions of (phase1, phase2), made by the PSD check, and
-    # their (range, kernel) splits at RANK_TOL
-    eigs: tuple[EigenDecomp, EigenDecomp] = field(init=False, repr=False, compare=False)
-    splits: tuple[tuple[list, list], tuple[list, list]] = field(
-        init=False, repr=False, compare=False)
-    # orthonormal basis of ker(A*), empty when A* is positive definite
-    effective_kernel: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    # per phase: ascending eigenvalues, and the orthonormal eigenvectors
+    # (rows) of its range and kernel split at the cut; see _decompose
+    eigenvalues: tuple[np.ndarray, np.ndarray] = _derived()
+    ranges: tuple[np.ndarray, np.ndarray] = _derived()
+    kernels: tuple[np.ndarray, np.ndarray] = _derived()
+    # a = (1-theta) A1 n.n + theta A2 n.n, and whether it exceeds
+    # 1e-12 * (rho1 + rho2), the phases' spectral radii: the regular branch
+    a_value: float = _derived()
+    regular: bool = _derived()
+    # orthonormal basis of ker(A*) as (k, d) rows, k = 0 when A* is definite
+    effective_kernel: np.ndarray = _derived()
 
     def __post_init__(self):
-        eigs = (linalg.psd_eig(self.phase1, RANK_TOL, "phase1"),
-                linalg.psd_eig(self.phase2, RANK_TOL, "phase2"))
-        p1, p2 = eigs[0].matrix, eigs[1].matrix
+        p1, w1, r1, k1 = _decompose(self.phase1, "phase1")
+        p2, w2, r2, k2 = _decompose(self.phase2, "phase2")
         if p1.shape != p2.shape:
             raise ValidationError("phases must share a dimension")
         n = as_vector(self.direction, dim=p1.shape[0], name="direction")
@@ -73,11 +94,12 @@ class LaminateSpec:
             raise ValidationError("direction must be a unit vector to 1e-12")
         if not (0.0 < self.theta < 1.0):
             raise ValidationError(f"theta must lie in (0, 1), got {self.theta}")
-        object.__setattr__(self, "eigs", eigs)
-        object.__setattr__(self, "splits", tuple(e.split(RANK_TOL) for e in eigs))
-        object.__setattr__(self, "phase1", p1)
-        object.__setattr__(self, "phase2", p2)
-        object.__setattr__(self, "direction", n)
+        a = float((1.0 - self.theta) * (p1 @ n) @ n + self.theta * (p2 @ n) @ n)
+        regular = a > 1e-12 * (float(np.abs(w1).max()) + float(np.abs(w2).max()))
+        for name, value in dict(phase1=p1, phase2=p2, direction=n, eigenvalues=(w1, w2),
+                                ranges=(r1, r2), kernels=(k1, k2), a_value=a,
+                                regular=regular).items():
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "effective_kernel", _effective_kernel(self))
 
     @property
@@ -101,8 +123,8 @@ class LaminateSpec:
 class HomogenizedLaminate:
     """a-value, effective tensor, branch taken, and its definiteness data.
 
-    ``kernel`` is the spec's ``effective_kernel``, read from the phases'
-    kernels and the normal, and ``pd`` is ``not kernel``; neither comes
+    ``kernel`` is the spec's ``effective_kernel``, (k, d) rows read from
+    the phases' kernels and the normal, and ``pd`` is k = 0; neither comes
     from the eigenvalues of ``tensor``.
     """
 
@@ -110,7 +132,7 @@ class HomogenizedLaminate:
     tensor: np.ndarray
     branch: str  # "regular" | "degenerate_average"
     pd: bool
-    kernel: list[np.ndarray]
+    kernel: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -135,30 +157,19 @@ class ConditionReport:
         raise KeyError(name)
 
 
-def laminate_a(spec: LaminateSpec) -> float:
-    """The cross-interface coefficient (1-theta) A1 n.n + theta A2 n.n."""
-    n = spec.direction
-    return float((1.0 - spec.theta) * (spec.phase1 @ n) @ n
-                 + spec.theta * (spec.phase2 @ n) @ n)
-
-
-def default_a_tol(spec: LaminateSpec) -> float:
-    return 1e-12 * (spec.eigs[0].spectral_radius + spec.eigs[1].spectral_radius)
-
-
 def _null_space(m: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning m's null space: one SVD, cut at RANK_TOL."""
     _, sv, vt = np.linalg.svd(m)
     return vt[np.count_nonzero(sv > RANK_TOL):]
 
 
-def _span_rank(vectors, dim: int) -> tuple[int, np.ndarray]:
-    """Rank of the span and an orthonormal basis from one SVD of the unit
-    vectors; vectors of norm, and singular values, at most RANK_TOL drop."""
-    units = [v / nv for v in vectors if (nv := np.linalg.norm(v)) > RANK_TOL]
-    if not units:
-        return 0, np.zeros((0, dim))
-    _, sv, vt = np.linalg.svd(np.array(units))
+def _span_rank(vectors: np.ndarray) -> tuple[int, np.ndarray]:
+    """Rank of the span of the rows and an orthonormal basis of it from one
+    SVD of the unit rows; rows of norm, and singular values, at most
+    RANK_TOL drop."""
+    norms = np.linalg.norm(vectors, axis=1)
+    keep = norms > RANK_TOL
+    _, sv, vt = np.linalg.svd(vectors[keep] / norms[keep, None])
     rank = int(np.count_nonzero(sv > RANK_TOL))
     return rank, vt[:rank]
 
@@ -166,61 +177,51 @@ def _span_rank(vectors, dim: int) -> tuple[int, np.ndarray]:
 def _phase_means(spec: LaminateSpec, basis1, basis2, pairs) -> np.ndarray:
     """Rows theta basis1 c1 + (1-theta) basis2 c2, where (c1, c2) leads a
     row of pairs."""
-    stack = np.array(basis1 + basis2)
-    stack[:len(basis1)] *= spec.theta
-    stack[len(basis1):] *= 1.0 - spec.theta
+    stack = np.concatenate([spec.theta * basis1, (1.0 - spec.theta) * basis2])
     return pairs[:, :len(stack)] @ stack
 
 
-def _effective_kernel(spec: LaminateSpec) -> list[np.ndarray]:
+def _effective_kernel(spec: LaminateSpec) -> np.ndarray:
     """Orthonormal basis of ker(A*) from the phases' kernels K1, K2: the null
     vectors (c1, c2, t) of [K1 | -K2 | -n] are the pairs y1 = K1 c1,
     y2 = K2 c2 with y1 - y2 = t n, each giving x = theta y1 + (1-theta) y2.
     The a = 0 branch drops the -n column, leaving K1 intersect K2."""
-    k1, k2 = spec.splits[0][1], spec.splits[1][1]
-    if not k1 and not k2:
-        return []
-    cols = k1 + [-v for v in k2]
-    if laminate_a(spec) > default_a_tol(spec):
-        cols.append(-spec.direction)
-    null = _null_space(np.column_stack(cols))
-    if not len(null):
-        return []
-    return list(_span_rank(_phase_means(spec, k1, k2, null), spec.dim)[1])
+    k1, k2 = spec.kernels
+    if not len(k1) and not len(k2):
+        return np.zeros((0, spec.dim))
+    rows = [k1, -k2, -spec.direction[None]] if spec.regular else [k1, -k2]
+    null = _null_space(np.concatenate(rows).T)
+    return _span_rank(_phase_means(spec, k1, k2, null))[1]
 
 
 def homogenize_laminate(spec: LaminateSpec) -> HomogenizedLaminate:
-    """Effective tensor of the laminate, choosing the a = 0 branch when
-    the cross coefficient falls below the scale-aware ``default_a_tol``."""
+    """Effective tensor of the laminate, on the a = 0 branch unless the
+    spec is ``regular``."""
     th = spec.theta
-    a = laminate_a(spec)
     tensor = th * spec.phase1 + (1.0 - th) * spec.phase2
-    if a > default_a_tol(spec):
+    if spec.regular:
         jump = (spec.phase2 - spec.phase1) @ spec.direction
-        tensor = tensor - (th * (1.0 - th) / a) * np.outer(jump, jump)
-        branch = "regular"
-    else:
-        branch = "degenerate_average"
+        tensor = tensor - (th * (1.0 - th) / spec.a_value) * np.outer(jump, jump)
     return HomogenizedLaminate(
-        a_value=a,
+        a_value=spec.a_value,
         tensor=tensor,
-        branch=branch,
-        pd=not spec.effective_kernel,
+        branch="regular" if spec.regular else "degenerate_average",
+        pd=not len(spec.effective_kernel),
         kernel=spec.effective_kernel,
     )
 
 
-def _rank_one_vector(dec: EigenDecomp, rng: list[np.ndarray], name: str) -> np.ndarray:
-    """xi with phase = xi otimes xi: sqrt(top eigenvalue) times the one vector
-    of the phase's range split (``EigenDecomp.cut`` at RANK_TOL)."""
+def _rank_one_vector(eigenvalues: np.ndarray, rng: np.ndarray, name: str) -> np.ndarray:
+    """xi with phase = xi otimes xi: sqrt(top eigenvalue) times the one row
+    of the phase's range (see _decompose)."""
     if len(rng) != 1:
         raise ValidationError(
             f"{name} must be rank one: its range at RANK_TOL has dimension "
-            f"{len(rng)} (eigenvalues {dec.eigenvalues.tolist()})")
-    return np.sqrt(dec.eigenvalues[-1]) * rng[0]
+            f"{len(rng)} (eigenvalues {eigenvalues.tolist()})")
+    return np.sqrt(eigenvalues[-1]) * rng[0]
 
 
-def _rank_two_kernel(ker: list[np.ndarray], name: str) -> np.ndarray:
+def _rank_two_kernel(ker: np.ndarray, name: str) -> np.ndarray:
     if len(ker) != 1:
         raise ValidationError(
             f"{name} must have rank two (one-dimensional kernel), found "
@@ -232,7 +233,7 @@ def _rank_two_kernel(ker: list[np.ndarray], name: str) -> np.ndarray:
 def check_conditions_2d(spec: LaminateSpec) -> ConditionReport:
     """Structure conditions for the 2D family: phase1 = xi otimes xi, phase2 PD.
 
-    xi = sqrt(lambda) v, with v the one vector of phase1's range split and
+    xi = sqrt(lambda) v, with v the one row of phase1's range and
     lambda its top eigenvalue; xi's sign is arbitrary, and every condition
     below is invariant under xi -> -xi.
     Sub-conditions, all relative to the lamination normal n, tol = RANK_TOL:
@@ -242,7 +243,7 @@ def check_conditions_2d(spec: LaminateSpec) -> ConditionReport:
     """
     if spec.dim != 2:
         raise ValidationError("check_conditions_2d requires 2x2 phases")
-    xi = _rank_one_vector(spec.eigs[0], spec.splits[0][0], "phase1")
+    xi = _rank_one_vector(spec.eigenvalues[0], spec.ranges[0], "phase1")
     n = spec.direction
     a2n = spec.phase2 @ n
     nxi = np.linalg.norm(xi)
@@ -250,11 +251,11 @@ def check_conditions_2d(spec: LaminateSpec) -> ConditionReport:
     t1 = RANK_TOL * nxi
     c2 = abs(float(xi[0] * a2n[1] - xi[1] * a2n[0]))
     t2 = RANK_TOL * nxi * np.linalg.norm(a2n)
-    pd2 = not spec.splits[1][1]
+    pd2 = not len(spec.kernels[1])
     details = (
         ConditionDetail("xi_not_orthogonal", c1 > t1, c1, t1),
         ConditionDetail("xi_A2n_independent", c2 > t2, c2, t2),
-        ConditionDetail("phase2_pd", pd2, float(spec.eigs[1].eigenvalues[0]), 0.0),
+        ConditionDetail("phase2_pd", pd2, float(spec.eigenvalues[1][0]), 0.0),
     )
     return ConditionReport(h2_holds=all(d.passed for d in details), details=details)
 
@@ -269,8 +270,8 @@ def check_conditions_3d(spec: LaminateSpec) -> ConditionReport:
     """
     if spec.dim != 3:
         raise ValidationError("check_conditions_3d requires 3x3 phases")
-    eta1 = _rank_two_kernel(spec.splits[0][1], "phase1")
-    eta2 = _rank_two_kernel(spec.splits[1][1], "phase2")
+    eta1 = _rank_two_kernel(spec.kernels[0], "phase1")
+    eta2 = _rank_two_kernel(spec.kernels[1], "phase2")
     n = spec.direction
     c1 = abs(float(np.linalg.det(np.column_stack([n, eta1, eta2]))))
     t1 = RANK_TOL  # all three columns are unit vectors
@@ -294,11 +295,11 @@ def v_space_basis(spec: LaminateSpec) -> np.ndarray:
     each gives theta xi1 + (1 - theta) xi2.  A row within RANK_TOL of zero
     (both ranges orthogonal to n) leaves every pair admissible.
     """
-    p, q = spec.splits[0][0], spec.splits[1][0]
-    if not p or not q:
+    p, q = spec.ranges
+    if not len(p) or not len(q):
         raise ValidationError("both phases must be nonzero to carry a flux field")
     n = spec.direction
-    row = np.array([[v @ n for v in p] + [-(v @ n) for v in q]])
+    row = np.concatenate([p @ n, -(q @ n)])[None]
     return _phase_means(spec, p, q, _null_space(row))
 
 
@@ -310,10 +311,10 @@ def verify_kernel_identity(spec: LaminateSpec) -> bool:
     identity holds when rank(B_V) + len(K) is the dimension and
     ||B_V K^T||_2 <= RANK_TOL.
     """
-    rank, basis = _span_rank(v_space_basis(spec), spec.dim)
+    rank, basis = _span_rank(v_space_basis(spec))
     kernel = spec.effective_kernel
     if rank + len(kernel) != spec.dim:
         return False
-    if not (rank and kernel):
+    if not (rank and len(kernel)):
         return True
-    return bool(np.linalg.norm(basis @ np.array(kernel).T, 2) <= RANK_TOL)
+    return bool(np.linalg.norm(basis @ kernel.T, 2) <= RANK_TOL)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from homoglab import anomalous as an
-from homoglab import cell, laminate, linalg
+from homoglab import cell, laminate
 from oracles import inv_k0_decomposed
 
 E1_2 = np.array([1.0, 0.0])
@@ -66,16 +66,16 @@ def test_criterion_1_laminate_formula_identities():
             spec = laminate.LaminateSpec(phase1=a1, phase2=a2, theta=th,
                                          direction=n)
             hom = laminate.homogenize_laminate(spec)
-            dec = linalg.sym_eig(hom.tensor)
-            rho = max(1.0, dec.spectral_radius)
+            w = np.linalg.eigvalsh(hom.tensor)
+            rho = max(1.0, np.abs(w).max())
             assert np.abs(hom.tensor - hom.tensor.T).max() <= 1e-12 * rho
-            assert dec.eigenvalues[0] >= -1e-10 * rho
+            assert w[0] >= -1e-10 * rho
             mean = th * a1 + (1 - th) * a2
-            assert linalg.sym_eig(mean - hom.tensor).eigenvalues[0] >= -1e-10 * rho
+            assert np.linalg.eigvalsh(mean - hom.tensor)[0] >= -1e-10 * rho
             swapped = laminate.homogenize_laminate(laminate.LaminateSpec(
                 phase1=a2, phase2=a1, theta=1 - th, direction=n))
             assert np.abs(swapped.tensor - hom.tensor).max() <= 1e-12 * rho
-            if hom.a_value > laminate.default_a_tol(spec):
+            if spec.regular:
                 lhs = float((hom.tensor @ n) @ n) * hom.a_value
                 rhs = float((a1 @ n) @ n) * float((a2 @ n) @ n)
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))

@@ -357,6 +357,34 @@ def test_3d_rank_two_laminate_exact_along_schedule():
         assert np.abs(t - ref).max() <= 1e-10
 
 
+R = np.array([1.0, 1.0])
+S = np.array([1.0, -1.0])
+OBLIQUE_PAIRS = {
+    "diagonal": (np.diag([1.0, 2.0]), np.diag([3.0, 1.0])),
+    "rank-one": (np.outer(R, R) / 2, np.outer(S, S) / 2),
+    "degenerate-pd": (np.diag([1.0, 0.0]), np.diag([1.0, 3.0])),
+}
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("pair", list(OBLIQUE_PAIRS))
+def test_oblique_laminate_matches_formula_along_schedule(pair, n):
+    # an off-axis interface: chi = ((x + y) mod 1) < 1/2 at the cell centres
+    # is a laminate with normal (1, 1)/sqrt(2), and the discrete cell problem
+    # reproduces the formula for the delta-shifted phases at every delta
+    a1, a2 = OBLIQUE_PAIRS[pair]
+    x = (np.arange(n) + 0.5) / n
+    chi = ((x[:, None] + x[None, :]) % 1.0) < 0.5
+    co = cell.PeriodicCoefficient(dim=2, n_grid=n,
+                                  samples=np.where(chi[..., None, None], a1, a2))
+    res = cell.homogenize_general(co)
+    for delta, t in zip(res.deltas, res.tensors):
+        ref = laminate.homogenize_laminate(laminate.LaminateSpec(
+            phase1=a1 + delta * I2, phase2=a2 + delta * I2, theta=0.5,
+            direction=R / np.sqrt(2.0))).tensor
+        assert np.abs(t - ref).max() <= 1e-13
+
+
 def test_homogenize_general_keeps_no_field_per_shift():
     # the schedule adds only scalars per shift: 12 deltas cost no more than
     # 2 (plus one n^3 field of slack); the absolute guard is 12.5 n^3 doubles
@@ -530,6 +558,15 @@ def test_load_coefficient_rejects_bad_header(tmp_path):
     path.write_text("2 8\n1 0 1\n")
     with pytest.raises(ValidationError, match="dim n_grid channels"):
         cell.load_coefficient(path)
+    # the header is checked before the table is read: a negative n would
+    # otherwise reach reshape as a second unknown dimension
+    for header, message in [("2 -4 3", "n_grid must be a power of two >= 4, got -4"),
+                            ("2 6 3", "n_grid must be a power of two"),
+                            ("4 4 10", "dim must be 2 or 3, got 4"),
+                            ("2 4 6", "expected 3 channels for dim 2, got 6")]:
+        path.write_text(header + "\n" + "1 0 1\n" * 16)
+        with pytest.raises(ValidationError, match=message):
+            cell.load_coefficient(path)
 
 
 @pytest.mark.parametrize("text", ["2.5 4 3\n", "2 4 3\n" + "1 x 1\n" * 16],

@@ -243,11 +243,13 @@ VERIFY_DOC = dict(LAMINATE_DOC, command="verify_conditions")
 
 def grid_coefficient(tmp_path, kind="constant", suffix=".txt"):
     """Path of a 2D grid file: the identity on 16^2, the random PSD 8^2
-    field that CG cannot solve to 1e-14 in one iteration, or the 4^2 text
-    file "not-psd" with a11 = -1 in every cell."""
+    field that CG cannot solve to 1e-14 in one iteration, the 4^2 text
+    file "not-psd" with a11 = -1 in every cell, or "negative-n", 16 cells
+    under the header '2 -4 3'."""
     path = tmp_path / f"{kind}{suffix}"
-    if kind == "not-psd":
-        path.write_text("2 4 3\n" + "-1 0 1\n" * 16)
+    texts = {"not-psd": "2 4 3\n" + "-1 0 1\n" * 16, "negative-n": "2 -4 3\n" + "1 0 1\n" * 16}
+    if kind in texts:
+        path.write_text(texts[kind])
         return str(path)
     if kind == "constant":
         co = cell.constant_coefficient(np.eye(2), 2, 16)
@@ -317,6 +319,8 @@ FAILING_RUNS = {
                        1, "parameters.u: "),
     "coefficient-not-psd": ("homogenize_grid", {"coefficient": "not-psd"},
                             1, "samples are not PSD"),
+    "coefficient-negative-n": ("homogenize_grid", {"coefficient": "negative-n"},
+                               1, "n_grid must be a power of two >= 4, got -4"),
     "cg-max_iter": ("homogenize_grid", {"coefficient": "random", "max_iter": 1,
                                         "tol": 1e-14}, 2, "CG stopped after 1"),
     # (c - 1)^2 overflows a double above c = 1.34e154

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from homoglab import laminate, linalg
+from homoglab import laminate
 from homoglab.errors import ValidationError
 
 E1_2 = np.array([1.0, 0.0])
@@ -28,9 +28,17 @@ def test_spec_validation():
 
 
 def test_laminate_a_values():
-    assert laminate.laminate_a(spec2(E2XE2, I2)) == pytest.approx(0.5, abs=1e-15)
-    assert laminate.laminate_a(spec2(E2XE2, E2XE2)) == 0.0
-    assert laminate.laminate_a(spec2(I2, 2 * I2)) == pytest.approx(1.5, abs=1e-15)
+    # a and the branch are computed once, by the spec
+    assert spec2(E2XE2, I2).a_value == pytest.approx(0.5, abs=1e-15)
+    assert spec2(E2XE2, I2).regular
+    assert spec2(E2XE2, E2XE2).a_value == 0.0
+    assert not spec2(E2XE2, E2XE2).regular
+    assert spec2(I2, 2 * I2).a_value == pytest.approx(1.5, abs=1e-15)
+    # the branch cut is 1e-12 (rho1 + rho2): two phases diag(1e-9, 1e3) give
+    # a = 1e-9, below 1e-12 (1e3 + 1e3)
+    tiny = np.diag([1e-9, 1e3])
+    assert not spec2(tiny, tiny).regular
+    assert spec2(tiny, tiny).a_value == pytest.approx(1e-9, rel=1e-12)
 
 
 def test_counterexample_tensor_exact():
@@ -95,17 +103,17 @@ def test_formula_invariants_random():
         n /= np.linalg.norm(n)
         spec = laminate.LaminateSpec(phase1=a1, phase2=a2, theta=th, direction=n)
         hom = laminate.homogenize_laminate(spec)
-        dec = linalg.sym_eig(hom.tensor)
-        rho = max(1.0, dec.spectral_radius)
-        assert dec.eigenvalues[0] >= -1e-10 * rho
+        w = np.linalg.eigvalsh(hom.tensor)
+        rho = max(1.0, np.abs(w).max())
+        assert w[0] >= -1e-10 * rho
         mean = th * a1 + (1 - th) * a2
-        assert linalg.sym_eig(mean - hom.tensor).eigenvalues[0] >= -1e-10 * rho
+        assert np.linalg.eigvalsh(mean - hom.tensor)[0] >= -1e-10 * rho
         # exchange symmetry
         swapped = laminate.homogenize_laminate(
             laminate.LaminateSpec(phase1=a2, phase2=a1, theta=1 - th, direction=n))
         assert np.abs(swapped.tensor - hom.tensor).max() <= 1e-12 * rho
         # cross-interface identity A*n.n a = (A1n.n)(A2n.n)
-        if hom.a_value > laminate.default_a_tol(spec):
+        if spec.regular:
             lhs = float((hom.tensor @ n) @ n) * hom.a_value
             rhs = float((a1 @ n) @ n) * float((a2 @ n) @ n)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
@@ -150,11 +158,11 @@ def test_conditions_2d_rejects_full_rank_phase1():
     for phase1 in (I2, np.zeros((2, 2))):
         with pytest.raises(ValidationError, match="rank one"):
             laminate.check_conditions_2d(spec2(phase1, I2))
-    # rank one is read off the spec's own split at EigenDecomp.cut: 1e-12 lies
+    # rank one is read off the spec's own range at its cut: 1e-12 lies
     # within RANK_TOL * max(1, 1e-3), though above RANK_TOL * 1e-3
     xi, eta = np.array([0.6, 0.8]), np.array([-0.8, 0.6])
     spec = spec2(1e-3 * np.outer(xi, xi) + 1e-12 * np.outer(eta, eta), I2)
-    assert len(spec.splits[0][0]) == 1
+    assert len(spec.ranges[0]) == 1
     rep = laminate.check_conditions_2d(spec)
     assert rep.h2_holds
     assert rep.detail("xi_not_orthogonal").value == pytest.approx(0.6 * np.sqrt(1e-3))
@@ -201,10 +209,11 @@ def test_conditions_3d_rejects_wrong_rank():
         laminate.check_conditions_3d(spec3(_rank_two([0, 1, 0]), np.eye(3)))
 
 
-def _same_span(a, b, dim):
-    rank = laminate._span_rank(a, dim)[0]
-    return rank == laminate._span_rank(b, dim)[0] == laminate._span_rank(
-        list(a) + list(b), dim)[0]
+def _same_span(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    rank = laminate._span_rank(a)[0]
+    return rank == laminate._span_rank(b)[0] == laminate._span_rank(
+        np.concatenate([a, b]))[0]
 
 
 def test_v_space_2d_spans_plane():
@@ -218,13 +227,13 @@ def test_v_space_2d_spans_plane():
         xi = np.array(xi)
         t = np.array([-n[1], n[0]])
         spec = spec2(np.outer(xi, xi), phase2, theta, n)
-        assert _same_span(laminate.v_space_basis(spec), [xi, (1.0 - theta) * t], 2)
+        assert _same_span(laminate.v_space_basis(spec), [xi, (1.0 - theta) * t])
         assert laminate.verify_kernel_identity(spec)
 
 
 def test_v_space_2d_orthogonal_xi_degenerates():
     gens = laminate.v_space_basis(spec2(E2XE2, I2))
-    rank, basis = laminate._span_rank(gens, 2)
+    rank, basis = laminate._span_rank(gens)
     assert rank == 1
     assert abs(abs(basis[0][1]) - 1.0) < 1e-12  # span {e2}
 
@@ -233,7 +242,7 @@ def test_v_space_3d_spans_space():
     gens = laminate.v_space_basis(
         spec3(_rank_two([0, 1, 0]), _rank_two(np.array([1.0, 0, 1.0]) / np.sqrt(2))))
     assert len(gens) == 3
-    assert laminate._span_rank(gens, 3)[0] == 3
+    assert laminate._span_rank(gens)[0] == 3
 
 
 def test_verify_kernel_identity_examples():
@@ -247,10 +256,10 @@ R2 = np.sqrt(0.5)
 
 
 @pytest.mark.parametrize("kernel, holds", [
-    ([np.array([-1.0, 0.0])], True),  # the right kernel, another basis
-    ([], False),  # too few vectors
-    ([np.array([1.0, 0.0]), np.array([0.0, 1.0])], False),  # too many
-    ([np.array([R2, R2])], False),  # the right count, not orthogonal to V
+    (np.array([[-1.0, 0.0]]), True),  # the right kernel, another basis
+    (np.zeros((0, 2)), False),  # too few vectors
+    (np.eye(2), False),  # too many
+    (np.array([[R2, R2]]), False),  # the right count, not orthogonal to V
 ], ids=["other-basis", "too-few", "too-many", "not-orthogonal"])
 def test_verify_kernel_identity_decides_from_the_spec_kernel(kernel, holds):
     # V = span{e2} and ker(A*) = span{e1}; the check reads the spec's kernel
@@ -287,7 +296,7 @@ def test_v_space_zero_cross_coefficient(dim):
         n = np.cos(tilt) * np.eye(dim)[0] + np.sin(tilt) * e2
         spec = laminate.LaminateSpec(phase1=np.outer(e2, e2), phase2=2.0 * np.outer(e2, e2),
                                      theta=0.3, direction=n)
-        rank, basis = laminate._span_rank(laminate.v_space_basis(spec), dim)
+        rank, basis = laminate._span_rank(laminate.v_space_basis(spec))
         assert rank == 1
         assert abs(abs(basis[0] @ e2) - 1.0) < 1e-12
         assert laminate.verify_kernel_identity(spec)
@@ -356,7 +365,7 @@ def test_conditions_imply_definite_near_the_kernel_cut(name):
     spec, check = DEFINITE_BELOW_CUT[name]
     hom = laminate.homogenize_laminate(spec)
     assert 0.0 < np.linalg.eigvalsh(hom.tensor)[0] < 1e-10 * max(1.0, np.abs(hom.tensor).max())
-    assert hom.pd and hom.kernel == []
+    assert hom.pd and hom.kernel.shape == (0, spec.dim)
     assert laminate.verify_kernel_identity(spec)
     if check is not None:
         assert check(spec).h2_holds
@@ -404,7 +413,7 @@ def test_kernel_is_tied_to_the_tensor():
         rho = max(1.0, np.abs(w).max())
         for v in hom.kernel:
             assert np.linalg.norm(hom.tensor @ v) <= 1e-12 * rho
-        if hom.kernel:
+        if len(hom.kernel):
             singular += 1
         else:
             assert w[0] > 0.0
@@ -437,13 +446,13 @@ def test_spec_dict_round_trip():
 
 def test_each_phase_is_decomposed_once(monkeypatch):
     calls = []
-    sym_eig = linalg.sym_eig
+    eigh = np.linalg.eigh
 
     def counting(*args):
         calls.append(1)
-        return sym_eig(*args)
+        return eigh(*args)
 
-    monkeypatch.setattr(linalg, "sym_eig", counting)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
 
     def count(fn, *args):
         calls.clear()
@@ -454,6 +463,7 @@ def test_each_phase_is_decomposed_once(monkeypatch):
     s2 = spec2(np.outer(xi, xi), I2)
     s3 = spec3(_rank_two([0, 1, 0]), _rank_two([1.0, 0.0, 1.0]))
     assert count(spec2, np.outer(xi, xi), I2) == 2
+    assert count(spec3, _rank_two([0, 1, 0]), _rank_two([1.0, 0.0, 1.0])) == 2
     assert count(laminate.homogenize_laminate, s2) == 0
     assert count(laminate.check_conditions_2d, s2) == 0
     assert count(laminate.check_conditions_3d, s3) == 0

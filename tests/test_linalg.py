@@ -1,4 +1,6 @@
-"""Unit and property tests for the small symmetric linear algebra kernel."""
+"""Tests for the input validators and for the one eigendecomposition a
+laminate spec makes of each phase: its PSD check and its range/kernel split
+at RANK_TOL * max(1, spectral radius)."""
 
 import warnings
 
@@ -6,68 +8,64 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homoglab import linalg
+from homoglab import laminate, linalg
 from homoglab.errors import ValidationError
 
 E2 = np.eye(2)
 E3 = np.eye(3)
-TOL = 1e-10
+TOL = laminate.RANK_TOL
 
 
-def reconstruct(dec):
-    return dec.rotation @ np.diag(dec.eigenvalues) @ dec.rotation.T
+def phase_split(m):
+    """(eigenvalues, range rows, kernel rows) of m, read off a spec with m
+    as phase1."""
+    d = np.shape(m)[0]
+    spec = laminate.LaminateSpec(phase1=m, phase2=np.eye(d), theta=0.5,
+                                 direction=np.eye(d)[0])
+    return spec.eigenvalues[0], spec.ranges[0], spec.kernels[0]
 
 
 def kernel(m):
-    """The near-kernel that psd_eig's split gives at TOL."""
-    return linalg.psd_eig(m, TOL).split(TOL)[1]
+    """The near-kernel of the spec's split at TOL."""
+    return phase_split(m)[2]
 
 
 def test_sym_eig_identity():
-    dec = linalg.sym_eig(E2)
-    np.testing.assert_allclose(dec.eigenvalues, [1.0, 1.0])
-    np.testing.assert_allclose(dec.rotation @ dec.rotation.T, E2, atol=1e-12)
+    w, rng, ker = phase_split(E2)
+    np.testing.assert_allclose(w, [1.0, 1.0])
+    np.testing.assert_allclose(rng @ rng.T, E2, atol=1e-12)
+    assert ker.shape == (0, 2)
 
 
 def test_sym_eig_rank_one_projector():
-    dec = linalg.sym_eig([[0.0, 0.0], [0.0, 1.0]])
-    np.testing.assert_allclose(dec.eigenvalues, [0.0, 1.0], atol=1e-14)
-    v = dec.rotation[:, 1]
-    assert abs(abs(v[1]) - 1.0) < 1e-12  # eigenvector for 1 is +/- e2
+    w, rng, ker = phase_split([[0.0, 0.0], [0.0, 1.0]])
+    np.testing.assert_allclose(w, [0.0, 1.0], atol=1e-14)
+    assert rng.shape == ker.shape == (1, 2)
+    assert abs(abs(rng[0][1]) - 1.0) < 1e-12  # eigenvector for 1 is +/- e2
 
 
 def test_sym_eig_hand_characteristic_polynomial():
     # [[2,1],[1,2]]: lambda^2 - 4 lambda + 3 = 0, roots 1 and 3
-    dec = linalg.sym_eig([[2.0, 1.0], [1.0, 2.0]])
-    np.testing.assert_allclose(dec.eigenvalues, [1.0, 3.0], rtol=1e-12)
+    w = phase_split([[2.0, 1.0], [1.0, 2.0]])[0]
+    np.testing.assert_allclose(w, [1.0, 3.0], rtol=1e-12)
 
 
 def test_sym_eig_rejects_nonsymmetric():
     with pytest.raises(ValidationError, match="not symmetric"):
-        linalg.sym_eig([[1.0, 2.0], [0.0, 1.0]])
-
-
-def test_sym_eig_3d_matches_numpy():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        b = rng.normal(size=(3, 3))
-        m = b.T @ b
-        dec = linalg.sym_eig(m)
-        np.testing.assert_allclose(dec.eigenvalues, np.linalg.eigvalsh(m),
-                                   rtol=1e-9, atol=1e-11)
-        np.testing.assert_allclose(reconstruct(dec), m,
-                                   atol=1e-10 * max(1.0, np.abs(m).max()))
+        linalg.as_sym_matrix([[1.0, 2.0], [0.0, 1.0]])
+    with pytest.raises(ValidationError, match="phase1 is not symmetric"):
+        phase_split([[1.0, 2.0], [0.0, 1.0]])
 
 
 def test_sym_eig_3d_subnormal_off_diagonal():
-    # A subnormal coupling next to an O(1) one must neither overflow a
-    # rotation angle nor warn.
+    # A subnormal coupling next to an O(1) one must not warn.
     m = np.array([[1.0, 1e-310, 0.5], [1e-310, 2.0, 0.0], [0.5, 0.0, 3.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dec = linalg.sym_eig(m)
-    assert np.all(np.diff(dec.eigenvalues) >= 0.0)
-    assert np.abs(reconstruct(dec) - m).max() <= 1e-10
+        w, rng, ker = phase_split(m)
+    assert np.all(np.diff(w) >= 0.0)
+    assert len(rng) == 3 and len(ker) == 0
+    assert np.abs(rng.T @ np.diag(w) @ rng - m).max() <= 1e-10
 
 
 def test_kernel_basis_examples():
@@ -75,7 +73,7 @@ def test_kernel_basis_examples():
     assert len(ker) == 1
     assert abs(abs(ker[0][0]) - 1.0) < 1e-12
 
-    assert kernel(E3) == []
+    assert kernel(E3).shape == (0, 3)
 
     ker = kernel(np.diag([0.0, 0.0, 1.0]))
     assert len(ker) == 2
@@ -83,13 +81,27 @@ def test_kernel_basis_examples():
         assert abs(v[2]) < 1e-12
     assert abs(ker[0] @ ker[1]) < 1e-12
     # 1e-16 is below the cut: in the kernel, not in the range
-    rng, ker = linalg.psd_eig(np.diag([1e-16, 1.0]), TOL).split(TOL)
+    _, rng, ker = phase_split(np.diag([1e-16, 1.0]))
     assert len(rng) == 1 and len(ker) == 1
+    # the cut is TOL * max(1, rho): 1e-12 is in the kernel next to 1e-3 (cut
+    # 1e-10), and 1e-9 in the kernel next to 1e3 (cut 1e-7) but in the range
+    # next to 1 (cut 1e-10)
+    _, rng, ker = phase_split(np.diag([1e-12, 1e-3]))
+    assert len(rng) == 1 and len(ker) == 1
+    _, rng, ker = phase_split(np.diag([1e-9, 1e3]))
+    assert len(rng) == 1 and len(ker) == 1
+    _, rng, ker = phase_split(np.diag([1e-9, 1.0]))
+    assert len(rng) == 2 and len(ker) == 0
 
 
 def test_kernel_basis_rejects_indefinite():
-    with pytest.raises(ValidationError, match="not PSD"):
-        linalg.psd_eig(np.diag([-1.0, 1.0]), TOL)
+    with pytest.raises(ValidationError, match="phase1 is not PSD"):
+        phase_split(np.diag([-1.0, 1.0]))
+    # the refusal is at -cut: -0.9 * cut passes and lands in the kernel,
+    # -1.1 * cut is refused
+    assert len(kernel(np.diag([-0.9e-8, 100.0]))) == 1
+    with pytest.raises(ValidationError, match="phase1 is not PSD"):
+        phase_split(np.diag([-1.1e-8, 100.0]))
 
 
 def _psd_from_flat(entries, d):
@@ -104,28 +116,30 @@ finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False,
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 3), st.lists(finite, min_size=9, max_size=9))
 def test_psd_reconstruction(d, entries):
+    # the range rows and their eigenvalues carry the phase to within the cut
     m = _psd_from_flat(entries[: d * d], d)
     scale = max(1.0, np.abs(m).max())
-    dec = linalg.sym_eig(m)
-    np.testing.assert_allclose(reconstruct(dec), m, atol=1e-10 * scale)
-    np.testing.assert_allclose(dec.rotation.T @ dec.rotation, np.eye(d),
-                               atol=1e-12)
-    assert np.all(np.diff(dec.eigenvalues) >= -1e-12 * scale)
+    w, rng, ker = phase_split(m)
+    cut = TOL * max(1.0, np.abs(w).max())
+    top = w[len(w) - len(rng):]
+    np.testing.assert_allclose(rng.T @ np.diag(top) @ rng, m, atol=1e-10 * scale + cut)
+    basis = np.concatenate([ker, rng])
+    np.testing.assert_allclose(basis @ basis.T, np.eye(d), atol=1e-12)
+    assert np.all(np.diff(w) >= -1e-12 * scale)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 3), st.lists(finite, min_size=9, max_size=9))
 def test_kernel_pd_consistency(d, entries):
     m = _psd_from_flat(entries[: d * d], d)
-    dec = linalg.psd_eig(m, TOL)
-    rng, ker = dec.split(TOL)
+    w, rng, ker = phase_split(m)
     assert len(rng) + len(ker) == d  # PSD: every eigenvector is in one of them
-    rho = max(1.0, dec.spectral_radius)
+    rho = max(1.0, np.abs(w).max())
     for i, v in enumerate(ker):
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
         assert np.linalg.norm(m @ v) <= 10.0 * TOL * rho
-        for w in ker[i + 1:]:
-            assert abs(v @ w) < 1e-12
+        for u in ker[i + 1:]:
+            assert abs(v @ u) < 1e-12
 
 
 def test_kernel_residual_bound_at_unit_scale():
@@ -136,6 +150,6 @@ def test_kernel_residual_bound_at_unit_scale():
         d = int(rng.integers(2, 4))
         b = rng.normal(size=(d, d)) + np.eye(d)
         m = b.T @ b
-        dec = linalg.psd_eig(m, TOL)
-        for v in dec.split(TOL)[1]:
-            assert np.linalg.norm(m @ v) <= 10.0 * TOL * dec.spectral_radius
+        w, _, ker = phase_split(m)
+        for v in ker:
+            assert np.linalg.norm(m @ v) <= 10.0 * TOL * np.abs(w).max()
