@@ -68,7 +68,7 @@ class SolverConfig:
         return self.delta0 * DELTA_SHRINK ** (-np.arange(self.n_delta, dtype=float))
 
 
-VALIDATE_BLOCK = 1 << 14  # cells per eigvalsh call of the PSD check
+VALIDATE_BLOCK = 1 << 14  # cells per pass of the PSD check
 
 
 def _check_grid(dim: int, n: int) -> None:
@@ -82,6 +82,25 @@ def _check_grid(dim: int, n: int) -> None:
 def _triu_indices(dim: int) -> list[tuple[int, int]]:
     """The (i, j), i <= j, of the channels: the row-major upper triangle."""
     return [(i, j) for i in range(dim) for j in range(i, dim)]
+
+
+def _certified(part: np.ndarray, dim: int, shift: float) -> np.ndarray:
+    """Mask of the cells, the columns of the channel block ``part``, whose
+    A + shift I has only positive pivots in LDL^T, run in closed form on
+    the upper triangle.  Its backward error is O(dim u |A|) (Higham 2002,
+    ch. 10), so a certified cell has eigenvalues >= -shift - O(u |A|)."""
+    pairs = _triu_indices(dim)
+    schur = {ij: part[k] for k, ij in enumerate(pairs)}
+    ok = np.ones(part.shape[1], dtype=bool)
+    with np.errstate(all="ignore"):  # a zero or negative pivot only fails its cell
+        for i in range(dim):
+            schur[i, i] = schur[i, i] + shift
+        for k in range(dim):
+            ok &= schur[k, k] > 0
+            for i, j in pairs:
+                if i > k:
+                    schur[i, j] = schur[i, j] - schur[k, i] * schur[k, j] / schur[k, k]
+    return ok
 
 
 @dataclass(frozen=True)
@@ -127,17 +146,23 @@ class PeriodicCoefficient:
                 if i < j and np.abs(a[..., i, j] - a[..., j, i]).max() > 1e-12 * scale:
                     raise ValidationError("samples are not symmetric to 1e-12 relative")
             a = np.stack([a[..., i, j] for i, j in pairs])
-        # eigvalsh a block of cells at a time, so no temporary is field-sized
+        # A block of cells at a time, so no temporary is field-sized: LDL^T
+        # of A + (tol / 2) I certifies a cell's eigenvalues >= -tol, and only
+        # the cells it leaves go to eigvalsh, which decides them and gives
+        # the smallest eigenvalue.  Valid degenerate cells have pivots near
+        # tol / 2, far above the rounding, so they are certified too.
+        tol = 1e-10 * scale
         flat = a.reshape(len(pairs), -1)
-        block = np.empty((min(VALIDATE_BLOCK, flat.shape[1]), self.dim, self.dim))
         lowest = np.inf
         for start in range(0, flat.shape[1], VALIDATE_BLOCK):
             part = flat[:, start:start + VALIDATE_BLOCK]
-            mats = block[:part.shape[1]]
-            for k, (i, j) in enumerate(pairs):
-                mats[:, i, j] = mats[:, j, i] = part[k]
-            lowest = min(lowest, float(np.linalg.eigvalsh(mats).min()))
-        if lowest < -1e-10 * scale:
+            part = part[:, ~_certified(part, self.dim, 0.5 * tol)]
+            if part.shape[1]:
+                mats = np.empty((part.shape[1], self.dim, self.dim))
+                for k, (i, j) in enumerate(pairs):
+                    mats[:, i, j] = mats[:, j, i] = part[k]
+                lowest = min(lowest, float(np.linalg.eigvalsh(mats).min()))
+        if lowest < -tol:
             raise ValidationError(f"samples are not PSD (smallest eigenvalue {lowest:.3e})")
         object.__setattr__(self, "channels", a)
 
@@ -355,7 +380,9 @@ def _shifted_cg(coeff: PeriodicCoefficient, rhs: np.ndarray, shifts,
 
     No iterate is formed, not even the base's: each shift carries only
     the numbers readout[j] . v_s, recurred from readout . z once per
-    iteration.  Returns those numbers (shape (len(shifts), len(readout))),
+    iteration.  The last iteration stops before the preconditioner, so a
+    run of k iterations applies it k times, the first before the loop.
+    Returns those numbers (shape (len(shifts), len(readout))),
     and per shift the iteration at which it froze and its relative residual
     there.
     """
@@ -398,29 +425,37 @@ def _shifted_cg(coeff: PeriodicCoefficient, rhs: np.ndarray, shifts,
             raise ConvergenceError(
                 f"cell problem CG stopped after {it} iterations "
                 f"(limit {cfg.max_iter}, residual {worst:.3e})", worst)
+        if it:
+            # the previous step's search direction, preconditioned only now
+            # that some shift still needs it: the last step skips it
+            z = precond(r)
+            rz_new = float(np.vdot(r, z))
+            beta = rz_new / rz
+            read_z = (rows @ z.reshape(-1)).tolist()
+            for s in active:
+                # the shift's own beta (carry)
+                z1, z2 = zeta[s]
+                carry = beta * (z2 / z1) ** 2
+                read_p[s] = [z2 * w + carry * q for w, q in zip(read_z, read_p[s])]
+            p *= beta
+            p += z
+            del z  # free before the operator application
+            beta_old, rz = beta, rz_new
         ap = _cell_gradient_adjoint(_apply_coeff(coeff, _cell_gradient(p, h)), h)
         alpha = rz / float(np.vdot(p, ap))
         ap *= alpha
         r -= ap
         del ap  # free before the preconditioner
         rel = float(np.linalg.norm(r)) / bnorm
-        z = precond(r)
-        rz_new = float(np.vdot(r, z))
-        beta = rz_new / rz
-        read_z = (rows @ z.reshape(-1)).tolist()
         for s in active:
-            # zeta_{k+1}, then the shift's own alpha (step) and beta (carry)
+            # zeta_{k+1}, then the shift's own alpha (step)
             z0, z1 = zeta[s]
             z2 = z1 * z0 * alpha_old / (alpha * beta_old * (z0 - z1)
                                         + z0 * alpha_old * (1.0 + shifts[s] * alpha))
-            step, carry = alpha * z2 / z1, beta * (z2 / z1) ** 2
+            step = alpha * z2 / z1
             read_v[s] = [v + step * q for v, q in zip(read_v[s], read_p[s])]
-            read_p[s] = [z2 * w + carry * q for w, q in zip(read_z, read_p[s])]
             zeta[s] = (z1, z2)
-        p *= beta
-        p += z
-        del z  # free before the next operator application
-        alpha_old, beta_old, rz = alpha, beta, rz_new
+        alpha_old = alpha
         it += 1
     dots[...] = read_v
     return dots, iterations, residuals

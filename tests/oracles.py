@@ -3,8 +3,9 @@
 None of these is on a computing path of the package.  They are either
 closed forms the package evaluates another way (the rational k0_hat, the
 reciprocal-kernel decomposition, the transform of h, the dense Green
-kernel) or a cold single-direction cell solve, by a plain CG of its own,
-whose energy comes from an independent quadrature of the corrector field.
+kernel), a cold single-direction cell solve, by a plain CG of its own,
+whose energy comes from an independent quadrature of the corrector field,
+or the grid coefficient's PSD check as eigvalsh of every cell.
 """
 
 from __future__ import annotations
@@ -73,6 +74,24 @@ class CellSolution:
     energy: float
     residual: float  # relative CG residual at exit
     iterations: int
+
+
+def psd_refusal(channels: np.ndarray, dim: int) -> str | None:
+    """The PSD check's error message for a channel array, or None if it passes.
+
+    eigvalsh of every cell at once: the smallest eigenvalue must be
+    >= -1e-10 max(1, largest |entry|).
+    """
+    a = np.asarray(channels, dtype=float)
+    scale = max(1.0, float(np.abs(a).max()))
+    mats = np.empty(a.shape[1:] + (dim, dim))
+    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+    for k, (i, j) in enumerate(pairs):
+        mats[..., i, j] = mats[..., j, i] = a[k]
+    lowest = float(np.linalg.eigvalsh(mats).min())
+    if lowest < -1e-10 * scale:
+        return f"samples are not PSD (smallest eigenvalue {lowest:.3e})"
+    return None
 
 
 def full_samples(coeff: cell.PeriodicCoefficient) -> np.ndarray:

@@ -7,7 +7,7 @@ import pytest
 
 from homoglab import cell, laminate
 from homoglab.errors import ConvergenceError, ValidationError
-from oracles import energy_of_field, full_samples, solve_cell_problem
+from oracles import energy_of_field, full_samples, psd_refusal, solve_cell_problem
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -104,6 +104,68 @@ def test_non_psd_cell_in_last_validation_block_is_caught(monkeypatch, block):
     channels[3, -1, -1, -1] = -1e-3  # a22 of the last cell
     with pytest.raises(ValidationError, match="smallest eigenvalue -1.000e-03"):
         cell.PeriodicCoefficient(dim=3, n_grid=n, channels=channels)
+
+
+def degenerate_channels(dim, n, magnitude, seed):
+    """Channels of randomly oriented cells of random rank 0 .. dim, entries
+    of order ``magnitude``: zero, rank-one and (in 3D) rank-two cells are
+    singular."""
+    rng = np.random.default_rng(seed)
+    cells = n ** dim
+    b = rng.normal(size=(cells, dim, dim)) * np.sqrt(magnitude)
+    b *= (np.arange(dim) < rng.integers(0, dim + 1, size=cells)[:, None])[:, None, :]
+    mats = np.einsum("cik,cjk->cij", b, b)
+    pairs = cell._triu_indices(dim)
+    return np.stack([mats[:, i, j] for i, j in pairs]).reshape((len(pairs),) + (n,) * dim)
+
+
+@pytest.mark.parametrize("block", [cell.VALIDATE_BLOCK, 1000])
+@pytest.mark.parametrize("magnitude", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("dim, n", [(2, 64), (3, 16)])
+def test_psd_check_matches_eigvalsh_of_every_cell(monkeypatch, dim, n, magnitude, block):
+    # 4,096 cells: one partial block of the default size, or four blocks of
+    # 1000 and a partial fifth.  Four cells, the last among them, get the
+    # smallest eigenvalue factor * tol (tol = 1e-10 max(1, largest |entry|)),
+    # on a field of singular and regular cells
+    monkeypatch.setattr(cell, "VALIDATE_BLOCK", block)
+    rng = np.random.default_rng(dim * 100 + int(np.log10(magnitude)))
+    cells = n ** dim
+    pairs = cell._triu_indices(dim)
+    for factor in [None, 0.0, -0.3, -0.7, -0.99, -1.01, -1.5, -1e7]:
+        channels = degenerate_channels(dim, n, magnitude, rng.integers(1 << 30))
+        flat = channels.reshape(len(pairs), cells)
+        if factor is not None:
+            tol = 1e-10 * max(1.0, np.abs(channels).max())
+            for c in [*rng.choice(cells - 1, 3, replace=False), cells - 1]:
+                q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+                lam = np.concatenate([[factor * tol], rng.uniform(0, magnitude, dim - 1)])
+                m = (q * lam) @ q.T
+                flat[:, c] = [m[i, j] for i, j in pairs]
+        want = psd_refusal(channels, dim)
+        assert (want is None) == (factor is None or factor > -1.0)
+        if want is None:
+            cell.PeriodicCoefficient(dim=dim, n_grid=n, channels=channels)
+        else:
+            with pytest.raises(ValidationError) as err:
+                cell.PeriodicCoefficient(dim=dim, n_grid=n, channels=channels)
+            assert str(err.value) == want
+
+
+@pytest.mark.parametrize("magnitude", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("dim, n", [(2, 64), (3, 16)])
+def test_valid_degenerate_field_needs_no_eigvalsh(monkeypatch, dim, n, magnitude):
+    # zero, rank-one and rank-two cells have LDL^T pivots near tol / 2, far
+    # above the rounding, so the certificate passes every cell of them
+    channels = degenerate_channels(dim, n, magnitude, 11)
+    mats = full_samples(cell.PeriodicCoefficient(dim=dim, n_grid=n, channels=channels))
+    ranks = np.linalg.matrix_rank(mats.reshape(-1, dim, dim), tol=1e-9 * magnitude)
+    assert set(ranks.tolist()) == set(range(dim + 1))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called on a valid field")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    cell.PeriodicCoefficient(dim=dim, n_grid=n, channels=channels)
 
 
 def test_coefficient_holds_only_its_channels():
@@ -344,6 +406,30 @@ def test_zero_right_hand_side_takes_no_iteration():
     assert np.all(res.iterations[:, 0] > 0)
     for delta, t in zip(res.deltas, res.tensors):
         assert abs(t[1, 1] - (1.0 + delta)) <= 1e-12
+
+
+@pytest.mark.parametrize("coeff, axis", [(random_psd_coefficient(2, 16, 3), 0),
+                                         (random_psd_coefficient(3, 8, 3), 2),
+                                         (e2e2_checkerboard(16), 0),
+                                         (e2e2_checkerboard(16), 1)],
+                         ids=["random-2d", "random-3d", "board-axis0", "board-axis1"])
+def test_krylov_run_of_k_iterations_preconditions_k_times(monkeypatch, coeff, axis):
+    # the first residual is preconditioned before the loop and the one each
+    # step leaves only if some shift is still active: none after the last.
+    # The checkerboard's b_2 vanishes, so that run takes no iteration
+    cfg = cell.SolverConfig()
+    rhs = np.stack([cell._rhs(coeff, i) for i in range(coeff.dim)])
+    cell._precond_inverse(coeff.dim, coeff.n_grid)  # the cached symbol is built uncounted
+    calls = []
+    rfftn = np.fft.rfftn
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return rfftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftn", counting)
+    _, iterations, _ = cell._shifted_cg(coeff, rhs[axis], cfg.deltas(), rhs, cfg)
+    assert len(calls) == iterations.max()
 
 
 def test_3d_rank_two_laminate_exact_along_schedule():
