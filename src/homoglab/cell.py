@@ -22,8 +22,9 @@ carries only the numbers B^T v.
 Discretization: corrector values live on the periodic node grid, the
 gradient is the edge-averaged first-order difference per cell (exact under
 axis permutations and reflections of the grid), and the coefficient is
-sampled at cell centers.  CG works on component-major fields, shape
-(dim,) + (n,)*dim, so each gradient component is one contiguous array.
+sampled at cell centers.  G^T A G is applied as one sweep over slabs of
+axis-0 planes: each slab's gradient components are contiguous slab-sized
+arrays, and the adjoint carries one plane to the next slab.
 The preconditioner is the pseudo-inverse of G^T G in Fourier space: its
 symbol lives on the rfftn half spectrum and is built once per grid.
 
@@ -31,15 +32,24 @@ Storage: a coefficient is its dim (dim + 1) / 2 upper-triangle channels,
 one contiguous n^dim array each, in the file format's order, from file to
 CG; no per-cell dim x dim array is formed.  The solver copies nothing: the
 operator's entries, the columns of A for the right-hand sides and mean(A)
-are read from the channels.  Measured on a random 32^3 field:
-homogenize_general peaks at about 12 n^3 doubles on top of the
-coefficient's 6, and loading a text file at 12 (its table and the
-channels).  The tests' corrector oracle runs a plain CG of its own.
+are read from the channels.  Every other field-sized step works in blocks
+of VALIDATE_BLOCK cells: a text file is parsed that many rows at a time
+into the channels, the PSD check takes that many cells per pass, G^T A G
+sweeps slabs of at most that many, and the preconditioner's symbol is
+broadcast from 1D factors.  Measured with tracemalloc on a 64^3 text
+laminate: the homogenize_grid run peaks at 12.9 n^3 doubles (the
+coefficient's 6, the dim right-hand sides, the CG fields r, p and z, the
+symbol and the slab work), and loading the file at 6.4.  A run of more
+than one CG iteration peaks at 13.6, when an FFT's half spectrum (about
+1) is held beside z.  The tests' corrector oracle runs a plain CG of its
+own.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import warnings
 from dataclasses import InitVar, dataclass
 from pathlib import Path
 
@@ -68,7 +78,12 @@ class SolverConfig:
         return self.delta0 * DELTA_SHRINK ** (-np.arange(self.n_delta, dtype=float))
 
 
-VALIDATE_BLOCK = 1 << 14  # cells per pass of the PSD check
+# The one block size: cells per pass of the PSD check, rows per parse of a
+# text table, and the most cells in a slab of the G^T A G sweep (which takes
+# at least one plane).  Beyond the coefficient, the dim right-hand sides,
+# the CG fields, an FFT's half spectrum and the cached preconditioner
+# symbol, no step holds more than a few blocks of work memory.
+VALIDATE_BLOCK = 1 << 14
 
 
 def _check_grid(dim: int, n: int) -> None:
@@ -242,9 +257,13 @@ def save_coefficient(coeff: PeriodicCoefficient, path) -> None:
 def load_coefficient(path) -> PeriodicCoefficient:
     """Read a coefficient file: a .npy channel array, else the text format.
 
-    Either way the result is the channel array and nothing else: the text
-    table is transposed into channels and dropped before validation.  A text
-    header is checked (dim, n_grid, channel count) before the table is read.
+    Either way the result is the channel array and nothing else.  A text
+    header is checked (dim, n_grid, channel count) before the table is
+    read; the table is then parsed VALIDATE_BLOCK lines at a time, each
+    block transposed straight into the preallocated channels, so no
+    field-sized table is held.  Blank lines and '#' comments are skipped
+    as by ``np.loadtxt``, which parses each block; the table must hold
+    n_grid^dim rows of as many floats as there are channels.
     """
     if Path(path).suffix == ".npy":
         try:
@@ -267,66 +286,173 @@ def load_coefficient(path) -> PeriodicCoefficient:
         want = dim * (dim + 1) // 2
         if count != want:
             raise ValidationError(f"expected {want} channels for dim {dim}, got {count}")
-        try:
-            data = np.loadtxt(fh, dtype=float, ndmin=2)
-        except ValueError as exc:
-            raise ValidationError(f"{bad} ({exc})") from None
-    cells = n ** dim
-    if data.shape != (cells, count):
+        cells = n ** dim
+        flat = np.empty((count, cells))
+        rows, cols = 0, 0  # table rows read so far, and the floats per row
+        while True:
+            try:
+                with warnings.catch_warnings():  # numpy's notes on blank lines and the end
+                    warnings.filterwarnings("ignore", ".* contained no data", UserWarning)
+                    block = np.loadtxt(fh, dtype=float, ndmin=2, max_rows=VALIDATE_BLOCK)
+            except ValueError as exc:
+                raise ValidationError(f"{bad} ({exc}, in the block after row {rows})") from None
+            if not len(block):
+                break
+            if rows and block.shape[1] != cols:
+                raise ValidationError(f"{bad} (the number of columns changed from "
+                                      f"{cols} to {block.shape[1]} after row {rows})")
+            cols = block.shape[1]
+            if cols == count and rows + len(block) <= cells:
+                flat[:, rows:rows + len(block)] = block.T
+            rows += len(block)
+            del block  # before the next one is parsed
+    if (rows, cols) != (cells, count):
         raise ValidationError(
-            f"expected {cells} rows of {count} floats, got shape {data.shape}"
-        )
-    channels = np.ascontiguousarray(data.T).reshape((count,) + (n,) * dim)
-    del data
-    return PeriodicCoefficient(dim=dim, n_grid=n, channels=channels)
+            f"expected {cells} rows of {count} floats, got shape {(rows, cols)}")
+    return PeriodicCoefficient(dim=dim, n_grid=n, channels=flat.reshape((count,) + (n,) * dim))
 
 
 # ---------------------------------------------------------------------------
 # discrete operators
 # ---------------------------------------------------------------------------
-
-def _cell_gradient(v: np.ndarray, h: float) -> np.ndarray:
-    """Edge-averaged forward differences per cell, shape (dim,) + v.shape."""
-    dim = v.ndim
-    out = np.empty((dim,) + v.shape)
-    scale = 0.5 ** (dim - 1) / h
-    for ax in range(dim):
-        g = out[ax]
-        np.subtract(np.roll(v, -1, axis=ax), v, out=g)
-        # Sum the parallel edges of the cell: the other axes' two bounding nodes.
-        for other in range(dim):
-            if other != ax:
-                g += np.roll(g, -1, axis=other)
-        g *= scale
-    return out
+#
+# G, the gradient of a node field per cell, is scale x G0 with scale =
+# 0.5^(dim-1) / h: component ax of G0 is the forward difference along ax
+# summed over the cell's parallel edges, i.e. forward sums along every
+# other axis.  Each factor acts along one axis, so G0 of the cells in a
+# slab of axis-0 planes [a, b) reads node planes a .. b, and G0^T of their
+# fields writes node planes a .. b.  The operators below sweep such slabs,
+# VALIDATE_BLOCK cells at a time, reading and writing views: no halo copy.
 
 
-def _cell_gradient_adjoint(w, h: float) -> np.ndarray:
-    """Adjoint of _cell_gradient for the unweighted inner products.
+def _periodic(op, x: np.ndarray, ax: int, step: int, out: np.ndarray) -> None:
+    """out[k] = op(x[k + step], x[k]) along axis ax, periodic, step = +-1.
 
-    w is a component-major field or any sequence of its dim components.
+    x and out are C-contiguous and do not share memory.  One pass over the
+    flat arrays shifted by one step along ax, then the wrapped hyperplane:
+    contiguous operands need no ufunc buffers, strided ones would.
     """
-    dim = len(w)
-    out = np.zeros(w[0].shape)
-    for ax in range(dim):
-        g = w[ax]
-        for other in range(dim):
-            if other != ax:
-                g = g + np.roll(g, 1, axis=other)
-        out += np.roll(g, 1, axis=ax)
-        out -= g
-    out *= 0.5 ** (dim - 1) / h
+    s = math.prod(x.shape[ax + 1:])
+    flat, flat_out = x.reshape(-1), out.reshape(-1)
+    lead = (slice(None),) * ax
+    first, last = lead + (slice(None, 1),), lead + (slice(-1, None),)
+    if step > 0:
+        op(flat[s:], flat[:-s], out=flat_out[:-s])
+        op(x[first], x[last], out=out[last])
+    else:
+        op(flat[:-s], flat[s:], out=flat_out[s:])
+        op(x[last], x[first], out=out[first])
+
+
+def _chain(x: np.ndarray, stencils, out: np.ndarray, tmp: np.ndarray) -> None:
+    """Apply the in-plane stencils (op, axis, step) to x in turn, ending in out.
+
+    Intermediates alternate between out and tmp; x is not written.
+    """
+    for k, (op, ax, step) in enumerate(stencils):
+        dst = out if (len(stencils) - k) % 2 else tmp
+        _periodic(op, x, ax, step, dst)
+        x = dst
+
+
+def _across(op, p: np.ndarray, a: int, b: int, out: np.ndarray) -> None:
+    """out[k] = op(p[a + k + 1], p[a + k]) for the planes k < b - a of a slab.
+
+    Views of p only: the last slab reads plane 0 across the wrap.
+    """
+    if b < len(p):
+        op(p[a + 1:b + 1], p[a:b], out=out)
+    else:
+        op(p[a + 1:b], p[a:b - 1], out=out[:-1])
+        op(p[0], p[b - 1], out=out[-1])
+
+
+def _sweep(out: np.ndarray, flux, slots: int, factor: float) -> None:
+    """out = factor G0^T w, one sweep over slabs of axis-0 planes.
+
+    A slab holds at most VALIDATE_BLOCK cells (at least one plane).
+    ``flux(a, b, work)`` returns the dim components of w on the cells of
+    planes [a, b); ``work`` holds ``slots`` >= dim scratch fields of the
+    slab's shape, and the first dim of them are the sweep's own once flux
+    has returned.  Node plane j takes (T - U)[j] + (T + U)[j - 1], where U
+    is the in-plane adjoint of component 0 and T the sum of the others';
+    each slab writes its planes and carries the plane it owes the next,
+    and the last slab's carry is added to plane 0.  On a grid of one block
+    the sweep is the whole-grid slice stencil.
+    """
+    dim, n = out.ndim, len(out)
+    step = max(1, VALIDATE_BLOCK // out[0].size)
+    # one array for all slots: with one array per slot, glibc returned the
+    # freed blocks to the system and faulted them in again on every call
+    work = np.empty((slots, min(step, n)) + out.shape[1:])
+    carry = np.empty(out.shape[1:])
+    sums = [(np.add, o, -1) for o in range(1, dim)]
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        w = flux(a, b, work[:, :b - a])
+        t, u, tmp = work[:3, :b - a] if dim > 2 else (*work[:2, :b - a], None)
+        for ax in range(1, dim):
+            other = [s for s in sums if s[1] != ax] + [(np.subtract, ax, -1)]
+            _chain(w[ax], other, t if ax == 1 else u, tmp)
+            if ax > 1:
+                t += u
+        _chain(w[0], sums, u, tmp)
+        np.subtract(t, u, out=out[a:b])
+        np.add(t, u, out=t)
+        out[a + 1:b] += t[:-1]
+        if a:
+            out[a] += carry
+        carry[...] = t[-1]
+    out[0] += carry
+    out *= factor
+
+
+def _scale(dim: int, n: int) -> float:
+    """G = scale G0: the edge average 0.5^(dim-1) over the spacing h = 1 / n."""
+    return 0.5 ** (dim - 1) * n
+
+
+def _adjoint(w, out: np.ndarray, factor: float = 1.0) -> np.ndarray:
+    """out = factor G^T w for the dim cell fields w (any sequence of them)."""
+    _sweep(out, lambda a, b, work: [c[a:b] for c in w], len(w),
+           factor * _scale(out.ndim, len(out)))
     return out
 
 
-def _apply_coeff(coeff: PeriodicCoefficient, w: np.ndarray) -> np.ndarray:
-    """sum_j A_ij w_j per cell for a component-major field w, A read off its channels."""
-    out = np.empty(w.shape)
-    term = np.empty(w.shape[1:])
-    for i in range(coeff.dim):
-        np.multiply(coeff.entry(i, 0), w[0], out=out[i])
-        for j in range(1, coeff.dim):
-            out[i] += np.multiply(coeff.entry(i, j), w[j], out=term)
+def _stiffness(coeff: PeriodicCoefficient, p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = G^T A G p, one sweep over slabs of axis-0 planes.
+
+    Per slab: the gradient from views of p (differences and sums across
+    the planes, then the in-plane stencils), A applied from views of the
+    channels (no gather), and the adjoint written into out by ``_sweep``.
+    """
+    dim = coeff.dim
+    sums = [(np.add, o, 1) for o in range(1, dim)]
+
+    def flux(a, b, work):
+        g, q = work[:dim], work[dim:]
+        tmp = q[2] if dim > 2 else None
+        _across(np.subtract, p, a, b, q[0])
+        _across(np.add, p, a, b, q[1])
+        _chain(q[0], sums, g[0], tmp)
+        for ax in range(1, dim):
+            _chain(q[1], [(np.subtract, ax, 1)] + [s for s in sums if s[1] != ax], g[ax], tmp)
+        # q_i = sum_j A_ij g_j, the next q as the product buffer; the last
+        # q takes the products in place, as g is not read again
+        for i in range(dim):
+            if i < dim - 1:
+                np.multiply(coeff.entry(i, 0)[a:b], g[0], out=q[i])
+                for j in range(1, dim):
+                    q[i] += np.multiply(coeff.entry(i, j)[a:b], g[j], out=q[i + 1])
+            else:
+                for j in range(dim):
+                    g[j] *= coeff.entry(i, j)[a:b]
+                np.add(g[0], g[1], out=q[i])
+                for j in range(2, dim):
+                    q[i] += g[j]
+        return q
+
+    _sweep(out, flux, 2 * dim, _scale(dim, coeff.n_grid) ** 2)
     return out
 
 
@@ -334,61 +460,90 @@ def _apply_coeff(coeff: PeriodicCoefficient, w: np.ndarray) -> np.ndarray:
 def _precond_inverse(dim: int, n: int) -> np.ndarray:
     """Pseudo-inverse of the Fourier symbol of G^T G on the rfftn half spectrum.
 
-    Kernel modes of the averaged-difference gradient (constant and
-    checkerboard patterns) get zero and are projected out by the
-    preconditioner.  The symbol is sum_ax |rfftn(G_ax impulse)|^2, read off
-    the gradient operator itself; it is real and even in every wavenumber,
-    so the half spectrum of the last axis (k = 0 .. n/2) carries all of it.
-    Cached per grid and read-only: every solve on the same (dim, n) shares it.
+    G_ax is a tensor product of 1D stencils: the difference (v[k+1] - v[k])
+    / h along ax and the average (v[k] + v[k+1]) / 2 along each other axis.
+    So its symbol is sum_ax prod_o |s_o(k_o)|^2, broadcast from the 1D
+    transforms of the two stencils, with no field-sized impulse; it is
+    real and even in every wavenumber, so the half spectrum of the last
+    axis (k = 0 .. n/2) carries all of it.  Kernel modes of G (constant
+    and checkerboard patterns) get zero and are projected out by the
+    preconditioner.  Cached per grid and read-only: every solve on the
+    same (dim, n) shares it.
     """
-    impulse = np.zeros((n,) * dim)
-    impulse[(0,) * dim] = 1.0
-    sym = sum(np.abs(np.fft.rfftn(g)) ** 2 for g in _cell_gradient(impulse, 1.0 / n))
+    stencils = np.zeros((2, n))
+    stencils[0, :2] = 0.5                 # average
+    stencils[1, :2] = -float(n), float(n)  # difference over h = 1 / n
+    average, difference = np.abs(np.fft.fft(stencils)) ** 2
+    sym = 0.0
+    for ax in range(dim):
+        term = 1.0
+        for o in range(dim):
+            factor = difference if o == ax else average
+            if o == dim - 1:
+                factor = factor[:n // 2 + 1]
+            term = term * factor.reshape((-1,) + (1,) * (dim - 1 - o))
+        sym = sym + term
     inv = np.zeros_like(sym)
-    good = sym > 1e-12 * sym.max()
-    inv[good] = 1.0 / sym[good]
+    np.divide(1.0, sym, out=inv, where=sym > 1e-12 * sym.max())
     inv.setflags(write=False)
     return inv
 
 
-def _rhs(coeff: PeriodicCoefficient, i: int) -> np.ndarray:
-    """b_i = -G^T A e_i, the right-hand side for axis e_i.
+def _precondition(r: np.ndarray, inv_sym: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = P r, P the pseudo-inverse of G^T G, with one half-spectrum temporary.
 
-    Column i of A is read off the channels.  G^T of the constant field
-    delta e_i vanishes, so b_i is the same for every delta of the schedule.
+    rfft on the last axis makes the spectrum; fft and then ifft run in
+    place on the other axes, in the order of ``rfftn``/``irfftn``; irfft
+    writes into out.  The spectrum lives only during the call, so it and
+    the operator's slab work are never held together.
     """
-    b = _cell_gradient_adjoint([coeff.entry(j, i) for j in range(coeff.dim)], coeff.h)
-    b *= -1.0
-    return b
+    axes = range(r.ndim - 1)
+    spec = np.fft.rfft(r, axis=-1)
+    for ax in reversed(axes):
+        np.fft.fft(spec, axis=ax, out=spec)
+    for part in (spec.real, spec.imag):  # a real factor, with no casting buffer
+        part *= inv_sym
+    for ax in axes:
+        np.fft.ifft(spec, axis=ax, out=spec)
+    return np.fft.irfft(spec, r.shape[-1], axis=-1, out=out)
 
 
-def _shifted_cg(coeff: PeriodicCoefficient, rhs: np.ndarray, shifts,
+def _rhs(coeff: PeriodicCoefficient, i: int, out: np.ndarray) -> np.ndarray:
+    """out = b_i = -G^T A e_i, the right-hand side for axis e_i.
+
+    Column i of A is read off the channels by the adjoint half of the
+    sweep.  G^T of the constant field delta e_i vanishes, so b_i is the
+    same for every delta of the schedule.
+    """
+    return _adjoint([coeff.entry(j, i) for j in range(coeff.dim)], out, -1.0)
+
+
+def _shifted_cg(operator, inv_sym: np.ndarray, rhs: np.ndarray, shifts,
                 readout: np.ndarray, cfg: SolverConfig):
-    """Preconditioned CG from zero on (G^T A G + s G^T G) v_s = rhs, all s at once.
+    """Preconditioned CG from zero on (K + s G^T G) v_s = rhs, all s at once.
 
-    The base operator G^T A G is read off the coefficient's channels, and
-    ``shifts`` are the s >= 0 of the systems to solve.  The preconditioner
-    P is the pseudo-inverse of G^T G, so P (G^T A G + s G^T G) is the
-    base's preconditioned operator plus s I: the Krylov space is shared,
-    the residuals stay collinear, r_s = zeta_s r, and the zeta / alpha /
-    beta recurrences of multi-shift CG (Jegerlehner 1996; van den Eshof &
-    Sleijpen 2004) give every shift's steps from the one base run.  The
-    base is singular where A is, but consistent (rhs = -G^T A e_i lies in
-    its range), so PCG from zero does not break down before the shifts
-    converge (Kaasschieter 1988).  Shift s is frozen (its zeta no longer
-    updated, which would underflow) once |zeta_s| |r| / |rhs| <= cfg.tol.
+    ``operator(p, out)`` writes K p into out (here K = G^T A G, the sweep
+    of ``_stiffness``), ``inv_sym`` is the half-spectrum pseudo-inverse of
+    the symbol of G^T G (``_precond_inverse``), and ``shifts`` are the
+    s >= 0 of the systems to solve.  With P that pseudo-inverse, P (K + s
+    G^T G) is the base's preconditioned operator plus s I: the Krylov
+    space is shared, the residuals stay collinear, r_s = zeta_s r, and the
+    zeta / alpha / beta recurrences of multi-shift CG (Jegerlehner 1996;
+    van den Eshof & Sleijpen 2004) give every shift's steps from the one
+    base run.  The base is singular where A is, but consistent (rhs =
+    -G^T A e_i lies in its range), so PCG from zero does not break down
+    before the shifts converge (Kaasschieter 1988).  Shift s is frozen
+    (its zeta no longer updated, which would underflow) once |zeta_s| |r|
+    / |rhs| <= cfg.tol.
 
     No iterate is formed, not even the base's: each shift carries only
     the numbers readout[j] . v_s, recurred from readout . z once per
-    iteration.  The last iteration stops before the preconditioner, so a
-    run of k iterations applies it k times, the first before the loop.
-    Returns those numbers (shape (len(shifts), len(readout))),
-    and per shift the iteration at which it froze and its relative residual
-    there.
+    iteration.  The fields are r, p and one buffer that holds P r and then
+    K p.  The last iteration stops before the preconditioner, so a run of
+    k iterations applies it k times, the first before the loop.  Returns
+    those numbers (shape (len(shifts), len(readout))), and per shift the
+    iteration at which it froze and its relative residual there.
     """
-    grid, h = rhs.shape, coeff.h
-    axes = tuple(range(rhs.ndim))
-    inv_sym = _precond_inverse(rhs.ndim, grid[0])
     rows = readout.reshape(len(readout), rhs.size)
     shifts = [float(s) for s in shifts]
     dots = np.zeros((len(shifts), len(rows)))
@@ -398,11 +553,9 @@ def _shifted_cg(coeff: PeriodicCoefficient, rhs: np.ndarray, shifts,
     if bnorm == 0.0:
         return dots, iterations, residuals
 
-    def precond(r):
-        return np.fft.irfftn(np.fft.rfftn(r, axes=axes) * inv_sym, s=grid, axes=axes)
-
     r = rhs.copy()
-    p = precond(r)
+    p = _precondition(r, inv_sym, np.empty_like(r))
+    z = np.empty_like(r)  # P r, then K p
     rz = float(np.vdot(r, p))
     rel = 1.0
     # Per shift, as Python floats: (zeta_{k-1}, zeta_k), readout . p_s and
@@ -428,7 +581,7 @@ def _shifted_cg(coeff: PeriodicCoefficient, rhs: np.ndarray, shifts,
         if it:
             # the previous step's search direction, preconditioned only now
             # that some shift still needs it: the last step skips it
-            z = precond(r)
+            _precondition(r, inv_sym, z)
             rz_new = float(np.vdot(r, z))
             beta = rz_new / rz
             read_z = (rows @ z.reshape(-1)).tolist()
@@ -439,13 +592,11 @@ def _shifted_cg(coeff: PeriodicCoefficient, rhs: np.ndarray, shifts,
                 read_p[s] = [z2 * w + carry * q for w, q in zip(read_z, read_p[s])]
             p *= beta
             p += z
-            del z  # free before the operator application
             beta_old, rz = beta, rz_new
-        ap = _cell_gradient_adjoint(_apply_coeff(coeff, _cell_gradient(p, h)), h)
-        alpha = rz / float(np.vdot(p, ap))
-        ap *= alpha
-        r -= ap
-        del ap  # free before the preconditioner
+        operator(p, z)
+        alpha = rz / float(np.vdot(p, z))
+        z *= alpha
+        r -= z
         rel = float(np.linalg.norm(r)) / bnorm
         for s in active:
             # zeta_{k+1}, then the shift's own alpha (step)
@@ -487,12 +638,15 @@ def homogenize_general(coeff: PeriodicCoefficient,
         mean_a[i, j] = mean_a[j, i] = coeff.channels[k].mean()
     rhs = np.empty((dim,) + coeff.channels.shape[1:])
     for i in range(dim):
-        rhs[i] = _rhs(coeff, i)
+        _rhs(coeff, i, rhs[i])
+    operator = functools.partial(_stiffness, coeff)
+    inv_sym = _precond_inverse(dim, coeff.n_grid)
     table = np.empty((len(deltas), dim, dim))
     iterations = np.empty((len(deltas), dim), dtype=int)
     residuals = np.empty((len(deltas), dim))
     for i in range(dim):
-        dots, iterations[:, i], residuals[:, i] = _shifted_cg(coeff, rhs[i], deltas, rhs, cfg)
+        dots, iterations[:, i], residuals[:, i] = _shifted_cg(
+            operator, inv_sym, rhs[i], deltas, rhs, cfg)
         table[:, :, i] = mean_a[:, i] - dots / cells
         table[:, i, i] += deltas
     tensors = list(0.5 * (table + table.transpose(0, 2, 1)))

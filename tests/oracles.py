@@ -5,7 +5,9 @@ closed forms the package evaluates another way (the rational k0_hat, the
 reciprocal-kernel decomposition, the transform of h, the dense Green
 kernel), a cold single-direction cell solve, by a plain CG of its own,
 whose energy comes from an independent quadrature of the corrector field,
-or the grid coefficient's PSD check as eigvalsh of every cell.
+or the grid coefficient's PSD check as eigvalsh of every cell.  The
+corrector solve's operators are whole-grid ``np.roll`` stencils, not the
+package's slab sweep.
 """
 
 from __future__ import annotations
@@ -94,6 +96,51 @@ def psd_refusal(channels: np.ndarray, dim: int) -> str | None:
     return None
 
 
+def cell_gradient(v: np.ndarray, h: float) -> np.ndarray:
+    """Edge-averaged forward differences per cell, shape (dim,) + v.shape."""
+    dim = v.ndim
+    out = np.empty((dim,) + v.shape)
+    scale = 0.5 ** (dim - 1) / h
+    for ax in range(dim):
+        g = out[ax]
+        np.subtract(np.roll(v, -1, axis=ax), v, out=g)
+        # Sum the parallel edges of the cell: the other axes' two bounding nodes.
+        for other in range(dim):
+            if other != ax:
+                g += np.roll(g, -1, axis=other)
+        g *= scale
+    return out
+
+
+def cell_gradient_adjoint(w, h: float) -> np.ndarray:
+    """Adjoint of cell_gradient for the unweighted inner products.
+
+    w is a component-major field or any sequence of its dim components.
+    """
+    dim = len(w)
+    out = np.zeros(w[0].shape)
+    for ax in range(dim):
+        g = w[ax]
+        for other in range(dim):
+            if other != ax:
+                g = g + np.roll(g, 1, axis=other)
+        out += np.roll(g, 1, axis=ax)
+        out -= g
+    out *= 0.5 ** (dim - 1) / h
+    return out
+
+
+def apply_coeff(coeff: cell.PeriodicCoefficient, w: np.ndarray) -> np.ndarray:
+    """sum_j A_ij w_j per cell for a component-major field w, A read off its channels."""
+    out = np.empty(w.shape)
+    term = np.empty(w.shape[1:])
+    for i in range(coeff.dim):
+        np.multiply(coeff.entry(i, 0), w[0], out=out[i])
+        for j in range(1, coeff.dim):
+            out[i] += np.multiply(coeff.entry(i, j), w[j], out=term)
+    return out
+
+
 def full_samples(coeff: cell.PeriodicCoefficient) -> np.ndarray:
     """The per-cell matrices, shape (n,)*dim + (dim, dim), rebuilt from the channels."""
     dim = coeff.dim
@@ -117,8 +164,8 @@ def solve_cell_problem(coeff: cell.PeriodicCoefficient, delta: float, direction,
     """Minimize the delta-regularized cell energy for one direction, cold.
 
     Plain preconditioned CG from zero on G^T A_delta G v = -G^T A lam with
-    the package's operators and preconditioner but its own recurrence, which
-    forms the corrector v; the right-hand side comes from the rebuilt full
+    the ``np.roll`` operators above, the package's preconditioner symbol and
+    its own recurrence, which forms the corrector v; the right-hand side comes from the rebuilt full
     matrices and the energy is ``energy_of_field`` of the corrector gradient,
     not the multi-shift read-out.
     """
@@ -129,13 +176,13 @@ def solve_cell_problem(coeff: cell.PeriodicCoefficient, delta: float, direction,
     inv_sym = cell._precond_inverse(dim, coeff.n_grid)
 
     def operator(p):
-        g = cell._cell_gradient(p, h)
-        return cell._cell_gradient_adjoint(cell._apply_coeff(coeff, g) + delta * g, h)
+        g = cell_gradient(p, h)
+        return cell_gradient_adjoint(apply_coeff(coeff, g) + delta * g, h)
 
     def precond(r):
         return np.fft.irfftn(np.fft.rfftn(r, axes=axes) * inv_sym, s=grid, axes=axes)
 
-    r = -cell._cell_gradient_adjoint(np.moveaxis(full_samples(coeff) @ lam, -1, 0), h)
+    r = -cell_gradient_adjoint(np.moveaxis(full_samples(coeff) @ lam, -1, 0), h)
     v = np.zeros(grid)
     bnorm = float(np.linalg.norm(r))
     residual, it = 0.0, 0
@@ -157,7 +204,7 @@ def solve_cell_problem(coeff: cell.PeriodicCoefficient, delta: float, direction,
             p = z + (rz_new / rz) * p
             rz = rz_new
             it += 1
-    grad = np.ascontiguousarray(np.moveaxis(cell._cell_gradient(v, h), 0, -1))
+    grad = np.ascontiguousarray(np.moveaxis(cell_gradient(v, h), 0, -1))
     return CellSolution(corrector_grad=grad,
                         energy=energy_of_field(coeff, delta, lam, grad),
                         residual=residual, iterations=it)

@@ -1,13 +1,16 @@
 """Tests for the regularized periodic cell solver."""
 
+import functools
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from homoglab import cell, laminate
+from homoglab import cell, cli, laminate
 from homoglab.errors import ConvergenceError, ValidationError
-from oracles import energy_of_field, full_samples, psd_refusal, solve_cell_problem
+from oracles import (apply_coeff, cell_gradient, cell_gradient_adjoint, energy_of_field,
+                     full_samples, psd_refusal, solve_cell_problem)
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -171,9 +174,10 @@ def test_valid_degenerate_field_needs_no_eigvalsh(monkeypatch, dim, n, magnitude
 def test_coefficient_holds_only_its_channels():
     # full matrices are converted once: no per-cell (d, d) array is kept, and
     # the solver copies no channel: on a random 32^3 field homogenize_general
-    # peaks at 12.0 n^3 doubles (right-hand sides, CG vectors and the
-    # temporaries of one operator application); a copy of the diagonal of
-    # A + delta I would add 3
+    # peaks at 9.1 n^3 doubles (3 right-hand sides, 3 CG fields, and the slab
+    # work of one operator application: 6 slabs of 16 planes, half the grid
+    # each); a copy of the diagonal of A + delta I would add 3, and
+    # whole-field operator temporaries about as much
     co = random_psd_coefficient(3, 8, 1)
     assert set(vars(co)) == {"dim", "n_grid", "channels"}
     assert co.channels.shape == (6, 8, 8, 8) and co.channels.flags.c_contiguous
@@ -188,7 +192,7 @@ def test_coefficient_holds_only_its_channels():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 12.5 * 8 * n ** 3, f"peak {peak / (8 * n ** 3):.2f} n^3 doubles"
+    assert peak <= 9.5 * 8 * n ** 3, f"peak {peak / (8 * n ** 3):.2f} n^3 doubles"
 
 
 def test_constant_coefficient_zero_corrector():
@@ -417,18 +421,22 @@ def test_krylov_run_of_k_iterations_preconditions_k_times(monkeypatch, coeff, ax
     # the first residual is preconditioned before the loop and the one each
     # step leaves only if some shift is still active: none after the last.
     # The checkerboard's b_2 vanishes, so that run takes no iteration
+    # (one rfft per application of the preconditioner)
     cfg = cell.SolverConfig()
-    rhs = np.stack([cell._rhs(coeff, i) for i in range(coeff.dim)])
-    cell._precond_inverse(coeff.dim, coeff.n_grid)  # the cached symbol is built uncounted
+    rhs = np.empty((coeff.dim,) + coeff.channels.shape[1:])
+    for i in range(coeff.dim):
+        cell._rhs(coeff, i, rhs[i])
+    inv_sym = cell._precond_inverse(coeff.dim, coeff.n_grid)
     calls = []
-    rfftn = np.fft.rfftn
+    rfft = np.fft.rfft
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return rfftn(*args, **kwargs)
+        return rfft(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "rfftn", counting)
-    _, iterations, _ = cell._shifted_cg(coeff, rhs[axis], cfg.deltas(), rhs, cfg)
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    _, iterations, _ = cell._shifted_cg(functools.partial(cell._stiffness, coeff), inv_sym,
+                                        rhs[axis], cfg.deltas(), rhs, cfg)
     assert len(calls) == iterations.max()
 
 
@@ -473,9 +481,9 @@ def test_oblique_laminate_matches_formula_along_schedule(pair, n):
 
 def test_homogenize_general_keeps_no_field_per_shift():
     # the schedule adds only scalars per shift: 12 deltas cost no more than
-    # 2 (plus one n^3 field of slack); the absolute guard is 12.5 n^3 doubles
-    # (measured 12.05: right-hand sides, CG vectors and the temporaries of
-    # one operator application)
+    # 2 (plus one n^3 field of slack); the absolute guard is 9.5 n^3 doubles
+    # (measured 9.13: right-hand sides, CG fields and the slab work of one
+    # operator application)
     n = 32
     co = random_psd_coefficient(3, n, 5)
     field = 8 * n ** 3
@@ -489,7 +497,7 @@ def test_homogenize_general_keeps_no_field_per_shift():
         finally:
             tracemalloc.stop()
     assert peaks[12] <= peaks[2] + field, peaks
-    assert peaks[12] <= 12.5 * field, f"peak {peaks[12] / field:.1f} n^3 doubles"
+    assert peaks[12] <= 9.5 * field, f"peak {peaks[12] / field:.2f} n^3 doubles"
 
 
 @pytest.mark.parametrize("delta0, n_delta", [(0.0, 6), (-1e-2, 6), (np.nan, 6), (0.1, 0)])
@@ -535,30 +543,44 @@ def test_nan_residual_raises_instead_of_returning(monkeypatch):
 
 @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
 def test_gradient_adjoint_identity(dim, n):
+    # the package's adjoint half against the oracle's gradient
     rng = np.random.default_rng(5)
     v = rng.normal(size=(n,) * dim)
     w = rng.normal(size=(dim,) + (n,) * dim)
-    gv = cell._cell_gradient(v, 1.0 / n)
-    gtw = cell._cell_gradient_adjoint(w, 1.0 / n)
+    gv = cell_gradient(v, 1.0 / n)
+    gtw = cell._adjoint(w, np.empty((n,) * dim))
     lhs, rhs = float(np.sum(gv * w)), float(np.sum(v * gtw))
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(gv) * np.linalg.norm(w)
 
 
+@pytest.mark.parametrize("slabs", ["one", "two", "uneven", "one-plane"])
+@pytest.mark.parametrize("dim, n", [(2, 16), (2, 64), (3, 8), (3, 16)])
+def test_sweep_matches_roll_oracle(monkeypatch, dim, n, slabs):
+    # G^T A G p and the right-hand sides -G^T A e_i from the slab sweep
+    # against whole-grid np.roll stencils, on random PSD fields: one slab,
+    # two, slabs of 3 planes (a short last slab) and one plane per slab
+    plane = n ** (dim - 1)
+    block = {"one": n * plane, "two": n * plane // 2, "uneven": 3 * plane, "one-plane": 1}
+    monkeypatch.setattr(cell, "VALIDATE_BLOCK", block[slabs])
+    co = random_psd_coefficient(dim, n, 11)
+    p = np.random.default_rng(12).normal(size=(n,) * dim)
+    want = cell_gradient_adjoint(apply_coeff(co, cell_gradient(p, co.h)), co.h)
+    got = cell._stiffness(co, p, np.full_like(p, np.nan))
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    samples = full_samples(co)
+    for i in range(dim):
+        want = -cell_gradient_adjoint(np.moveaxis(samples[..., i], -1, 0), co.h)
+        got = cell._rhs(co, i, np.full_like(p, np.nan))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
 def test_half_spectrum_preconditioner_matches_full_fft(dim, n):
-    # full complex-FFT pseudo-inverse of the symbol of G^T G, built directly
-    h = 1.0 / n
-    phase = np.exp(2j * np.pi * np.arange(n) / n)
-    diff2 = np.abs((phase - 1.0) / h) ** 2
-    avg2 = np.abs(0.5 * (1.0 + phase)) ** 2
-    sym = np.zeros((n,) * dim)
-    for ax in range(dim):
-        term = np.ones((n,) * dim)
-        for other in range(dim):
-            oshape = [1] * dim
-            oshape[other] = n
-            term = term * (diff2 if other == ax else avg2).reshape(oshape)
-        sym = sym + term
+    # full complex-FFT pseudo-inverse of the symbol of G^T G, read off the
+    # oracle's gradient of an impulse, not built from 1D factors
+    impulse = np.zeros((n,) * dim)
+    impulse[(0,) * dim] = 1.0
+    sym = sum(np.abs(np.fft.fftn(g)) ** 2 for g in cell_gradient(impulse, 1.0 / n))
     inv_full = np.zeros_like(sym)
     good = sym > 1e-12 * sym.max()
     inv_full[good] = 1.0 / sym[good]
@@ -568,8 +590,7 @@ def test_half_spectrum_preconditioner_matches_full_fft(dim, n):
     inv_half = cell._precond_inverse(dim, n)
     assert inv_half is cell._precond_inverse(dim, n)  # built once per grid
     assert not inv_half.flags.writeable
-    axes = tuple(range(dim))
-    got = np.fft.irfftn(np.fft.rfftn(r, axes=axes) * inv_half, s=r.shape, axes=axes)
+    got = cell._precondition(r, inv_half, np.empty_like(r))
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -582,8 +603,9 @@ def test_corrector_grad_is_c_contiguous(dim, n):
 
 
 def test_load_coefficient_peak_memory_3d(tmp_path):
-    # the text table and the channels it becomes are 6 n^3 doubles each
-    # (measured peak 12.0; a per-cell 3 x 3 array would add 9); the guard is 13
+    # the channels (6 n^3 doubles) and one parsed block of VALIDATE_BLOCK
+    # rows, half the grid at 32^3 (measured peak 9.13); parsing the whole
+    # table at once would add 3, a per-cell 3 x 3 array 9
     n = 32
     path = tmp_path / "coeff.txt"
     cell.save_coefficient(random_psd_coefficient(3, n, 5), path)
@@ -595,7 +617,37 @@ def test_load_coefficient_peak_memory_3d(tmp_path):
     finally:
         tracemalloc.stop()
     assert co.channels.shape == (6, n, n, n)
-    assert peak <= 13 * 8 * n ** 3, f"peak {peak / (8 * n ** 3):.1f} n^3 doubles"
+    assert peak <= 9.5 * 8 * n ** 3, f"peak {peak / (8 * n ** 3):.2f} n^3 doubles"
+
+
+def test_homogenize_grid_run_peak_memory_3d(tmp_path):
+    # the whole CLI run on a 64^3 text laminate, the preconditioner symbol
+    # built inside it; a block is 1/16 of the grid.  Measured 12.9 n^3
+    # doubles: the coefficient's 6, 3 right-hand sides, the CG fields r, p
+    # and z, the symbol and the slab work (one CG iteration per axis, so no
+    # FFT runs beside z).  With the whole text table parsed at once, the
+    # symbol read off an impulse field and np.roll operators it was 18.5
+    n = 64
+    assert cell.VALIDATE_BLOCK <= n ** 3 // 8
+    rows = [" ".join(repr(float(a[i, j])) for i in range(3) for j in range(i, 3)) + "\n"
+            for a in (rank_two([0.0, 1.0, 0.0]), rank_two([1.0, 0.0, 1.0]))]
+    path = tmp_path / "laminate.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"3 {n} 6\n")
+        for k in range(n):
+            fh.write(rows[k >= n // 2] * n ** 2)
+    config = cli.parse_config(json.dumps({
+        "command": "homogenize_grid", "output_dir": str(tmp_path / "out"),
+        "parameters": {"coefficient": str(path)}}))
+    cell._precond_inverse.cache_clear()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cli.run(config)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13.4 * 8 * n ** 3, f"peak {peak / (8 * n ** 3):.2f} n^3 doubles"
 
 
 def test_coefficient_file_round_trip(tmp_path):
@@ -663,4 +715,50 @@ def test_load_coefficient_rejects_text_that_is_not_numbers(tmp_path, text):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     with pytest.raises(ValidationError, match="dim n_grid channels"):
+        cell.load_coefficient(path)
+
+
+def _table_lines(tmp_path, dim=2, n=8):
+    """A random coefficient and the header and row lines of its text file."""
+    co = random_psd_coefficient(dim, n, 7)
+    path = tmp_path / "coeff.txt"
+    cell.save_coefficient(co, path)
+    lines = path.read_text().splitlines(keepends=True)
+    return co, path, lines[0], lines[1:]
+
+
+@pytest.mark.parametrize("block", [cell.VALIDATE_BLOCK, 5, 1])
+def test_text_table_skips_blank_and_comment_lines(tmp_path, monkeypatch, block):
+    # blank lines, comment lines, a trailing comment, a run of blank lines
+    # longer than a block and a trailing blank line are not rows
+    monkeypatch.setattr(cell, "VALIDATE_BLOCK", block)
+    co, path, header, rows = _table_lines(tmp_path)
+    path.write_text(header + "".join(rows[:10]) + "\n# a comment\n   \n"
+                    + "".join(rows[10:30]) + "\n" * 7 + rows[30].rstrip("\n")
+                    + "  # trailing\n" + "".join(rows[31:]) + "\n")
+    np.testing.assert_array_equal(cell.load_coefficient(path).channels, co.channels)
+
+
+@pytest.mark.parametrize("block", [cell.VALIDATE_BLOCK, 5, 1])
+@pytest.mark.parametrize("case", ["empty", "short", "extra", "narrow-row-first",
+                                  "narrow-row-inside", "narrow-row-last", "narrow-table",
+                                  "word-in-last-row"])
+def test_text_table_refusals(tmp_path, monkeypatch, block, case):
+    # the accepted table is exactly n^dim rows of the header's channel count;
+    # a table with no rows is refused as such, with no numpy warning
+    monkeypatch.setattr(cell, "VALIDATE_BLOCK", block)
+    _, path, header, rows = _table_lines(tmp_path)
+    counted = "expected 64 rows of 3 floats"
+    text, message = {
+        "empty": (["\n", "# no rows\n"], counted + r", got shape \(0, 0\)"),
+        "short": (rows[:-1], counted + r", got shape \(63, 3\)"),
+        "extra": (rows + rows[:1], counted + r", got shape \(65, 3\)"),
+        "narrow-row-first": (["1 0\n"] + rows[1:], "dim n_grid channels"),
+        "narrow-row-inside": (rows[:37] + ["1 0\n"] + rows[38:], "dim n_grid channels"),
+        "narrow-row-last": (rows[:-1] + ["1 0\n"], "dim n_grid channels"),
+        "narrow-table": (["1 0\n"] * 64, counted + r", got shape \(64, 2\)"),
+        "word-in-last-row": (rows[:-1] + ["1 x 1\n"], "dim n_grid channels"),
+    }[case]
+    path.write_text(header + "".join(text))
+    with pytest.raises(ValidationError, match=message):
         cell.load_coefficient(path)
