@@ -37,12 +37,12 @@ of VALIDATE_BLOCK cells: a text file is parsed that many rows at a time
 into the channels, the PSD check takes that many cells per pass, G^T A G
 sweeps slabs of at most that many, and the preconditioner's symbol is
 broadcast from 1D factors.  Measured with tracemalloc on a 64^3 text
-laminate: the homogenize_grid run peaks at 12.9 n^3 doubles (the
-coefficient's 6, the dim right-hand sides, the CG fields r, p and z, the
-symbol and the slab work), and loading the file at 6.4.  A run of more
-than one CG iteration peaks at 13.6, when an FFT's half spectrum (about
-1) is held beside z.  The tests' corrector oracle runs a plain CG of its
-own.
+laminate: the homogenize_grid run peaks at 9.9 n^3 doubles (the
+coefficient's 6, the CG fields r, p and z, r first holding the axis's
+right-hand side, the symbol and the slab work), and loading the file at
+6.4.  A run of more than one CG iteration peaks at 10.6, when an FFT's
+half spectrum (about 1) is held beside z.  The tests' corrector oracle
+runs a plain CG of its own.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ class SolverConfig:
 
 # The one block size: cells per pass of the PSD check, rows per parse of a
 # text table, and the most cells in a slab of the G^T A G sweep (which takes
-# at least one plane).  Beyond the coefficient, the dim right-hand sides,
-# the CG fields, an FFT's half spectrum and the cached preconditioner
+# at least one plane).  Beyond the coefficient, the CG fields (one of them
+# the right-hand side), an FFT's half spectrum and the cached preconditioner
 # symbol, no step holds more than a few blocks of work memory.
 VALIDATE_BLOCK = 1 << 14
 
@@ -257,25 +257,32 @@ def save_coefficient(coeff: PeriodicCoefficient, path) -> None:
 def load_coefficient(path) -> PeriodicCoefficient:
     """Read a coefficient file: a .npy channel array, else the text format.
 
-    Either way the result is the channel array and nothing else.  A text
-    header is checked (dim, n_grid, channel count) before the table is
-    read; the table is then parsed VALIDATE_BLOCK lines at a time, each
-    block transposed straight into the preallocated channels, so no
-    field-sized table is held.  Blank lines and '#' comments are skipped
+    Either way the result is the channel array and nothing else, and the
+    header is checked before the data are read: a .npy header's dtype and
+    shape against the bytes after it, a text header's dim, n_grid and
+    channel count.  The table is then parsed VALIDATE_BLOCK lines at a
+    time, each block transposed straight into the preallocated channels, so
+    no field-sized table is held.  Blank lines and '#' comments are skipped
     as by ``np.loadtxt``, which parses each block; the table must hold
     n_grid^dim rows of as many floats as there are channels.
     """
     if Path(path).suffix == ".npy":
-        try:
-            channels = np.load(path, allow_pickle=False)
+        fmt = np.lib.format
+        try:  # np.load allocates the header's shape before it reads the data
+            with open(path, "rb") as fh:
+                version = fmt.read_magic(fh)
+                shape, _, dtype = (fmt.read_array_header_1_0 if version == (1, 0)
+                                   else fmt.read_array_header_2_0)(fh)
+                data = Path(path).stat().st_size - fh.tell()
         except (ValueError, EOFError) as exc:
             raise ValidationError(f"{path} is not a .npy array: {exc}") from None
-        if channels.dtype.kind not in "iuf" or channels.ndim not in (3, 4):
+        if (dtype.kind not in "iuf" or len(shape) not in (3, 4)
+                or math.prod(shape) * dtype.itemsize > data):
             raise ValidationError(
                 f"{path} must hold a real array of shape (channels,) + (n,)*dim, "
-                f"got {channels.dtype} {channels.shape}")
-        return PeriodicCoefficient(dim=channels.ndim - 1, n_grid=channels.shape[-1],
-                                   channels=channels)
+                f"got {dtype} {shape} with {data} bytes of data")
+        return PeriodicCoefficient(dim=len(shape) - 1, n_grid=shape[-1],
+                                   channels=np.load(path, allow_pickle=False))
     bad = "coefficient file must start with 'dim n_grid channels' and then hold floats"
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -287,7 +294,9 @@ def load_coefficient(path) -> PeriodicCoefficient:
         if count != want:
             raise ValidationError(f"expected {want} channels for dim {dim}, got {count}")
         cells = n ** dim
-        flat = np.empty((count, cells))
+        # a row takes 2 bytes a float or more (the header's newline covers a last
+        # row without one): a shorter file is parsed, for the refusal, not stored
+        flat = None if Path(path).stat().st_size < 2 * count * cells else np.empty((count, cells))
         rows, cols = 0, 0  # table rows read so far, and the floats per row
         while True:
             try:
@@ -302,7 +311,7 @@ def load_coefficient(path) -> PeriodicCoefficient:
                 raise ValidationError(f"{bad} (the number of columns changed from "
                                       f"{cols} to {block.shape[1]} after row {rows})")
             cols = block.shape[1]
-            if cols == count and rows + len(block) <= cells:
+            if flat is not None and cols == count and rows + len(block) <= cells:
                 flat[:, rows:rows + len(block)] = block.T
             rows += len(block)
             del block  # before the next one is parsed
@@ -419,15 +428,17 @@ def _adjoint(w, out: np.ndarray, factor: float = 1.0) -> np.ndarray:
     return out
 
 
-def _stiffness(coeff: PeriodicCoefficient, p: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = G^T A G p, one sweep over slabs of axis-0 planes.
+def _stiffness(coeff: PeriodicCoefficient, p: np.ndarray, out: np.ndarray) -> list[float]:
+    """out = G^T A G p, one sweep over slabs of axis-0 planes; returns B^T p.
 
     Per slab: the gradient from views of p (differences and sums across
     the planes, then the in-plane stencils), A applied from views of the
     channels (no gather), and the adjoint written into out by ``_sweep``.
+    b_j . p = -sum_cells (A G p)_j for b_j = -G^T A e_j: the flux, summed per slab.
     """
     dim = coeff.dim
     sums = [(np.add, o, 1) for o in range(1, dim)]
+    flux_sums = np.zeros(dim)
 
     def flux(a, b, work):
         g, q = work[:dim], work[dim:]
@@ -450,10 +461,11 @@ def _stiffness(coeff: PeriodicCoefficient, p: np.ndarray, out: np.ndarray) -> np
                 np.add(g[0], g[1], out=q[i])
                 for j in range(2, dim):
                     q[i] += g[j]
+        np.add(flux_sums, q.sum(axis=tuple(range(1, dim + 1))), out=flux_sums)
         return q
 
     _sweep(out, flux, 2 * dim, _scale(dim, coeff.n_grid) ** 2)
-    return out
+    return (-_scale(dim, coeff.n_grid) * flux_sums).tolist()
 
 
 @functools.lru_cache(maxsize=1)
@@ -518,52 +530,51 @@ def _rhs(coeff: PeriodicCoefficient, i: int, out: np.ndarray) -> np.ndarray:
     return _adjoint([coeff.entry(j, i) for j in range(coeff.dim)], out, -1.0)
 
 
-def _shifted_cg(operator, inv_sym: np.ndarray, rhs: np.ndarray, shifts,
-                readout: np.ndarray, cfg: SolverConfig):
+def _shifted_cg(operator, inv_sym: np.ndarray, rhs: np.ndarray, shifts, cfg: SolverConfig):
     """Preconditioned CG from zero on (K + s G^T G) v_s = rhs, all s at once.
 
-    ``operator(p, out)`` writes K p into out (here K = G^T A G, the sweep
-    of ``_stiffness``), ``inv_sym`` is the half-spectrum pseudo-inverse of
-    the symbol of G^T G (``_precond_inverse``), and ``shifts`` are the
-    s >= 0 of the systems to solve.  With P that pseudo-inverse, P (K + s
-    G^T G) is the base's preconditioned operator plus s I: the Krylov
-    space is shared, the residuals stay collinear, r_s = zeta_s r, and the
-    zeta / alpha / beta recurrences of multi-shift CG (Jegerlehner 1996;
-    van den Eshof & Sleijpen 2004) give every shift's steps from the one
-    base run.  The base is singular where A is, but consistent (rhs =
-    -G^T A e_i lies in its range), so PCG from zero does not break down
-    before the shifts converge (Kaasschieter 1988).  Shift s is frozen
-    (its zeta no longer updated, which would underflow) once |zeta_s| |r|
-    / |rhs| <= cfg.tol.
+    ``operator(p, out)`` writes K p into out and returns the rhs.ndim
+    numbers B^T p (here K = G^T A G, B the right-hand sides -G^T A e_j:
+    ``_stiffness``), ``inv_sym`` is the half-spectrum pseudo-inverse of the
+    symbol of G^T G (``_precond_inverse``), and ``shifts`` are the s >= 0
+    of the systems to solve.  With P that pseudo-inverse, P (K + s G^T G)
+    is the base's preconditioned operator plus s I: the Krylov space is
+    shared, the residuals stay collinear, r_s = zeta_s r, and the zeta /
+    alpha / beta recurrences of multi-shift CG (Jegerlehner 1996; van den
+    Eshof & Sleijpen 2004) give every shift's steps from the one base run.
+    The base is singular where A is, but consistent (rhs = -G^T A e_i lies
+    in its range), so PCG from zero does not break down before the shifts
+    converge (Kaasschieter 1988).  Shift s is frozen (its zeta no longer
+    updated, which would underflow) once |zeta_s| |r| / |rhs| <= cfg.tol.
 
     No iterate is formed, not even the base's: each shift carries only
-    the numbers readout[j] . v_s, recurred from readout . z once per
-    iteration.  The fields are r, p and one buffer that holds P r and then
-    K p.  The last iteration stops before the preconditioner, so a run of
-    k iterations applies it k times, the first before the loop.  Returns
-    those numbers (shape (len(shifts), len(readout))), and per shift the
-    iteration at which it froze and its relative residual there.
+    the numbers B^T v_s, recurred from B^T z = B^T p_k - beta B^T p_{k-1}.
+    The fields are r (``rhs`` itself, overwritten), p and one buffer that
+    holds P r and then K p.  The last iteration stops before the
+    preconditioner, so a run of k iterations applies it k times, the first
+    before the loop.  Returns those numbers (shape (len(shifts),
+    rhs.ndim)), and per shift the iteration at which it froze and its
+    relative residual there.
     """
-    rows = readout.reshape(len(readout), rhs.size)
     shifts = [float(s) for s in shifts]
-    dots = np.zeros((len(shifts), len(rows)))
     iterations = np.zeros(len(shifts), dtype=int)
     residuals = np.zeros(len(shifts))
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
-        return dots, iterations, residuals
+        return np.zeros((len(shifts), rhs.ndim)), iterations, residuals
 
-    r = rhs.copy()
+    r = rhs
     p = _precondition(r, inv_sym, np.empty_like(r))
     z = np.empty_like(r)  # P r, then K p
     rz = float(np.vdot(r, p))
     rel = 1.0
-    # Per shift, as Python floats: (zeta_{k-1}, zeta_k), readout . p_s and
-    # readout . v_s.  Entries are replaced, never changed in place.
+    # Per shift, as Python floats: (zeta_{k-1}, zeta_k), B^T p_s and B^T v_s,
+    # replaced, never changed in place.  Step 0 has p_{-1} = 0 and beta = 0.
     zeta = [(1.0, 1.0)] * len(shifts)
-    read_p = [(rows @ p.reshape(-1)).tolist()] * len(shifts)
-    read_v = [[0.0] * len(rows)] * len(shifts)
-    alpha_old, beta_old = 1.0, 0.0
+    read_p = [[0.0] * rhs.ndim] * len(shifts)
+    read_v = list(read_p)
+    read_last = [0.0] * rhs.ndim  # B^T p_{k-1}
+    alpha_old, beta = 1.0, 0.0
     active = range(len(shifts))
     it = 0
     while True:
@@ -584,16 +595,17 @@ def _shifted_cg(operator, inv_sym: np.ndarray, rhs: np.ndarray, shifts,
             _precondition(r, inv_sym, z)
             rz_new = float(np.vdot(r, z))
             beta = rz_new / rz
-            read_z = (rows @ z.reshape(-1)).tolist()
-            for s in active:
-                # the shift's own beta (carry)
-                z1, z2 = zeta[s]
-                carry = beta * (z2 / z1) ** 2
-                read_p[s] = [z2 * w + carry * q for w, q in zip(read_z, read_p[s])]
             p *= beta
             p += z
-            beta_old, rz = beta, rz_new
-        operator(p, z)
+            rz = rz_new
+        read = operator(p, z)
+        read_z = [w - beta * q for w, q in zip(read, read_last)]
+        read_last = read
+        for s in active:
+            # the shift's own beta (carry)
+            z1, z2 = zeta[s]
+            carry = beta * (z2 / z1) ** 2
+            read_p[s] = [z2 * w + carry * q for w, q in zip(read_z, read_p[s])]
         alpha = rz / float(np.vdot(p, z))
         z *= alpha
         r -= z
@@ -601,15 +613,14 @@ def _shifted_cg(operator, inv_sym: np.ndarray, rhs: np.ndarray, shifts,
         for s in active:
             # zeta_{k+1}, then the shift's own alpha (step)
             z0, z1 = zeta[s]
-            z2 = z1 * z0 * alpha_old / (alpha * beta_old * (z0 - z1)
+            z2 = z1 * z0 * alpha_old / (alpha * beta * (z0 - z1)
                                         + z0 * alpha_old * (1.0 + shifts[s] * alpha))
             step = alpha * z2 / z1
             read_v[s] = [v + step * q for v, q in zip(read_v[s], read_p[s])]
             zeta[s] = (z1, z2)
         alpha_old = alpha
         it += 1
-    dots[...] = read_v
-    return dots, iterations, residuals
+    return np.array(read_v), iterations, residuals
 
 
 def homogenize_general(coeff: PeriodicCoefficient,
@@ -621,10 +632,11 @@ def homogenize_general(coeff: PeriodicCoefficient,
     the corrector v_i^delta for every delta.  By adjointness the tensor
     needs no corrector field: A*_delta = mean(A) + delta I - B^T V_delta /
     cells, where the columns of B are the delta-independent right-hand sides
-    b_j = -G^T A e_j and those of V_delta the correctors; it is
-    symmetrized.  ``iterations[k, i]`` is the iteration of axis i's run at
-    which delta_k converged.  The delta -> 0 limit is estimated by the
-    straight line through the two smallest delta.  ``fit_residual`` is the
+    b_j = -G^T A e_j (not stored: ``_stiffness`` returns B^T p, and b_i is
+    overwritten as the CG residual) and those of V_delta the correctors;
+    it is symmetrized.  ``iterations[k, i]`` is the iteration of axis i's
+    run at which delta_k converged.  The delta -> 0 limit is estimated by
+    the straight line through the two smallest delta.  ``fit_residual`` is the
     largest relative deviation of the remaining schedule points from that
     line; ``monotone`` flags whether A*_delta decreased as quadratic forms
     along the schedule; ``stalled`` (estimate withheld) flags a clearly
@@ -636,9 +648,7 @@ def homogenize_general(coeff: PeriodicCoefficient,
     mean_a = np.empty((dim, dim))
     for k, (i, j) in enumerate(_triu_indices(dim)):
         mean_a[i, j] = mean_a[j, i] = coeff.channels[k].mean()
-    rhs = np.empty((dim,) + coeff.channels.shape[1:])
-    for i in range(dim):
-        _rhs(coeff, i, rhs[i])
+    rhs = np.empty(coeff.channels.shape[1:])  # each axis's b_i, then its CG residual
     operator = functools.partial(_stiffness, coeff)
     inv_sym = _precond_inverse(dim, coeff.n_grid)
     table = np.empty((len(deltas), dim, dim))
@@ -646,29 +656,18 @@ def homogenize_general(coeff: PeriodicCoefficient,
     residuals = np.empty((len(deltas), dim))
     for i in range(dim):
         dots, iterations[:, i], residuals[:, i] = _shifted_cg(
-            operator, inv_sym, rhs[i], deltas, rhs, cfg)
+            operator, inv_sym, _rhs(coeff, i, rhs), deltas, cfg)
         table[:, :, i] = mean_a[:, i] - dots / cells
         table[:, i, i] += deltas
     tensors = list(0.5 * (table + table.transpose(0, 2, 1)))
-    monotone = True
     scale = max(1.0, float(np.abs(tensors[0]).max()))
-    for k in range(len(deltas) - 1):
-        diff = tensors[k] - tensors[k + 1]
-        if np.linalg.eigvalsh(diff).min() < -1e-8 * scale:
-            monotone = False
-    if len(deltas) >= 2:
-        d1, d0 = deltas[-2], deltas[-1]
-        t1, t0 = tensors[-2], tensors[-1]
-        slope = (t1 - t0) / (d1 - d0)
-        estimate = t0 - slope * d0
-        fit_residual = 0.0
-        for k in range(len(deltas)):
-            pred = estimate + slope * deltas[k]
-            fit_residual = max(fit_residual, float(
-                np.abs(pred - tensors[k]).max() / scale))
-    else:
-        estimate = tensors[-1]
-        fit_residual = 0.0
+    monotone = not any(np.linalg.eigvalsh(t1 - t0).min() < -1e-8 * scale
+                       for t1, t0 in zip(tensors, tensors[1:]))
+    # a single delta is its own estimate: the line of slope 0
+    slope = (tensors[-2] - tensors[-1]) / (deltas[-2] - deltas[-1]) if len(deltas) >= 2 else 0.0
+    estimate = tensors[-1] - slope * deltas[-1]
+    fit_residual = max(0.0, *(float(np.abs(estimate + slope * d - t).max())
+                              for d, t in zip(deltas, tensors))) / scale
     estimate = 0.5 * (estimate + estimate.T)
     stalled = bool(np.linalg.eigvalsh(estimate).min()
                    < -1e-3 * max(1.0, float(np.abs(estimate).max())))

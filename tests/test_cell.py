@@ -174,10 +174,10 @@ def test_valid_degenerate_field_needs_no_eigvalsh(monkeypatch, dim, n, magnitude
 def test_coefficient_holds_only_its_channels():
     # full matrices are converted once: no per-cell (d, d) array is kept, and
     # the solver copies no channel: on a random 32^3 field homogenize_general
-    # peaks at 9.1 n^3 doubles (3 right-hand sides, 3 CG fields, and the slab
-    # work of one operator application: 6 slabs of 16 planes, half the grid
-    # each); a copy of the diagonal of A + delta I would add 3, and
-    # whole-field operator temporaries about as much
+    # peaks at 6.1 n^3 doubles (the CG fields r, which is the right-hand
+    # side, p and z, and the slab work of one operator application: 6 slabs
+    # of 16 planes, half the grid each); a copy of the diagonal of A + delta
+    # I would add 3, and whole-field operator temporaries about as much
     co = random_psd_coefficient(3, 8, 1)
     assert set(vars(co)) == {"dim", "n_grid", "channels"}
     assert co.channels.shape == (6, 8, 8, 8) and co.channels.flags.c_contiguous
@@ -192,7 +192,7 @@ def test_coefficient_holds_only_its_channels():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 9.5 * 8 * n ** 3, f"peak {peak / (8 * n ** 3):.2f} n^3 doubles"
+    assert peak <= 6.5 * 8 * n ** 3, f"peak {peak / (8 * n ** 3):.2f} n^3 doubles"
 
 
 def test_constant_coefficient_zero_corrector():
@@ -423,9 +423,7 @@ def test_krylov_run_of_k_iterations_preconditions_k_times(monkeypatch, coeff, ax
     # The checkerboard's b_2 vanishes, so that run takes no iteration
     # (one rfft per application of the preconditioner)
     cfg = cell.SolverConfig()
-    rhs = np.empty((coeff.dim,) + coeff.channels.shape[1:])
-    for i in range(coeff.dim):
-        cell._rhs(coeff, i, rhs[i])
+    rhs = cell._rhs(coeff, axis, np.empty(coeff.channels.shape[1:]))
     inv_sym = cell._precond_inverse(coeff.dim, coeff.n_grid)
     calls = []
     rfft = np.fft.rfft
@@ -436,7 +434,7 @@ def test_krylov_run_of_k_iterations_preconditions_k_times(monkeypatch, coeff, ax
 
     monkeypatch.setattr(np.fft, "rfft", counting)
     _, iterations, _ = cell._shifted_cg(functools.partial(cell._stiffness, coeff), inv_sym,
-                                        rhs[axis], cfg.deltas(), rhs, cfg)
+                                        rhs, cfg.deltas(), cfg)
     assert len(calls) == iterations.max()
 
 
@@ -481,9 +479,9 @@ def test_oblique_laminate_matches_formula_along_schedule(pair, n):
 
 def test_homogenize_general_keeps_no_field_per_shift():
     # the schedule adds only scalars per shift: 12 deltas cost no more than
-    # 2 (plus one n^3 field of slack); the absolute guard is 9.5 n^3 doubles
-    # (measured 9.13: right-hand sides, CG fields and the slab work of one
-    # operator application)
+    # 2 (plus one n^3 field of slack); the absolute guard is 6.5 n^3 doubles
+    # (measured 6.13: the CG fields, one of them the right-hand side, and
+    # the slab work of one operator application)
     n = 32
     co = random_psd_coefficient(3, n, 5)
     field = 8 * n ** 3
@@ -497,7 +495,7 @@ def test_homogenize_general_keeps_no_field_per_shift():
         finally:
             tracemalloc.stop()
     assert peaks[12] <= peaks[2] + field, peaks
-    assert peaks[12] <= 9.5 * field, f"peak {peaks[12] / field:.2f} n^3 doubles"
+    assert peaks[12] <= 6.5 * field, f"peak {peaks[12] / field:.2f} n^3 doubles"
 
 
 @pytest.mark.parametrize("delta0, n_delta", [(0.0, 6), (-1e-2, 6), (np.nan, 6), (0.1, 0)])
@@ -556,18 +554,24 @@ def test_gradient_adjoint_identity(dim, n):
 @pytest.mark.parametrize("slabs", ["one", "two", "uneven", "one-plane"])
 @pytest.mark.parametrize("dim, n", [(2, 16), (2, 64), (3, 8), (3, 16)])
 def test_sweep_matches_roll_oracle(monkeypatch, dim, n, slabs):
-    # G^T A G p and the right-hand sides -G^T A e_i from the slab sweep
-    # against whole-grid np.roll stencils, on random PSD fields: one slab,
-    # two, slabs of 3 planes (a short last slab) and one plane per slab
+    # G^T A G p, its read-out B^T p and the right-hand sides -G^T A e_i from
+    # the slab sweep against whole-grid np.roll stencils, on random PSD
+    # fields: one slab, two, slabs of 3 planes (a short last slab) and one
+    # plane per slab
     plane = n ** (dim - 1)
     block = {"one": n * plane, "two": n * plane // 2, "uneven": 3 * plane, "one-plane": 1}
     monkeypatch.setattr(cell, "VALIDATE_BLOCK", block[slabs])
     co = random_psd_coefficient(dim, n, 11)
     p = np.random.default_rng(12).normal(size=(n,) * dim)
-    want = cell_gradient_adjoint(apply_coeff(co, cell_gradient(p, co.h)), co.h)
-    got = cell._stiffness(co, p, np.full_like(p, np.nan))
+    grad = cell_gradient(p, co.h)
+    want = cell_gradient_adjoint(apply_coeff(co, grad), co.h)
+    got = np.full_like(p, np.nan)
+    read = cell._stiffness(co, p, got)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     samples = full_samples(co)
+    # b_j . p = -sum over cells of (A e_j) . (G p)
+    want = -np.array([np.sum(np.moveaxis(samples[..., j], -1, 0) * grad) for j in range(dim)])
+    assert np.abs(np.array(read) - want).max() <= 1e-13 * np.abs(want).max()
     for i in range(dim):
         want = -cell_gradient_adjoint(np.moveaxis(samples[..., i], -1, 0), co.h)
         got = cell._rhs(co, i, np.full_like(p, np.nan))
@@ -622,11 +626,12 @@ def test_load_coefficient_peak_memory_3d(tmp_path):
 
 def test_homogenize_grid_run_peak_memory_3d(tmp_path):
     # the whole CLI run on a 64^3 text laminate, the preconditioner symbol
-    # built inside it; a block is 1/16 of the grid.  Measured 12.9 n^3
-    # doubles: the coefficient's 6, 3 right-hand sides, the CG fields r, p
+    # built inside it; a block is 1/16 of the grid.  Measured 9.9 n^3
+    # doubles: the coefficient's 6, the CG fields r (the right-hand side), p
     # and z, the symbol and the slab work (one CG iteration per axis, so no
-    # FFT runs beside z).  With the whole text table parsed at once, the
-    # symbol read off an impulse field and np.roll operators it was 18.5
+    # FFT runs beside z).  Holding all 3 right-hand sides it was 12.9; with
+    # the whole text table parsed at once, the symbol read off an impulse
+    # field and np.roll operators, 18.5
     n = 64
     assert cell.VALIDATE_BLOCK <= n ** 3 // 8
     rows = [" ".join(repr(float(a[i, j])) for i in range(3) for j in range(i, 3)) + "\n"
@@ -647,7 +652,7 @@ def test_homogenize_grid_run_peak_memory_3d(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 13.4 * 8 * n ** 3, f"peak {peak / (8 * n ** 3):.2f} n^3 doubles"
+    assert peak <= 10.4 * 8 * n ** 3, f"peak {peak / (8 * n ** 3):.2f} n^3 doubles"
 
 
 def test_coefficient_file_round_trip(tmp_path):

@@ -244,12 +244,22 @@ VERIFY_DOC = dict(LAMINATE_DOC, command="verify_conditions")
 def grid_coefficient(tmp_path, kind="constant", suffix=".txt"):
     """Path of a 2D grid file: the identity on 16^2, the random PSD 8^2
     field that CG cannot solve to 1e-14 in one iteration, the 4^2 text
-    file "not-psd" with a11 = -1 in every cell, or "negative-n", 16 cells
-    under the header '2 -4 3'."""
+    file "not-psd" with a11 = -1 in every cell, "negative-n", 16 cells
+    under the header '2 -4 3', or a file whose header claims a 65536^3
+    field (12 PiB of channels) above one cell: "short-text" as text and
+    "short-npy" as a .npy header followed by 64 bytes."""
     path = tmp_path / f"{kind}{suffix}"
-    texts = {"not-psd": "2 4 3\n" + "-1 0 1\n" * 16, "negative-n": "2 -4 3\n" + "1 0 1\n" * 16}
+    texts = {"not-psd": "2 4 3\n" + "-1 0 1\n" * 16, "negative-n": "2 -4 3\n" + "1 0 1\n" * 16,
+             "short-text": "3 65536 6\n" + "1 0 0 1 0 1\n"}
     if kind in texts:
         path.write_text(texts[kind])
+        return str(path)
+    if kind == "short-npy":
+        path = path.with_suffix(".npy")
+        with open(path, "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, {"descr": "<f8", "fortran_order": False,
+                                                      "shape": (6,) + (65536,) * 3})
+            fh.write(bytes(64))
         return str(path)
     if kind == "constant":
         co = cell.constant_coefficient(np.eye(2), 2, 16)
@@ -321,6 +331,11 @@ FAILING_RUNS = {
                             1, "samples are not PSD"),
     "coefficient-negative-n": ("homogenize_grid", {"coefficient": "negative-n"},
                                1, "n_grid must be a power of two >= 4, got -4"),
+    # refused before the channels are allocated, not as a MemoryError
+    "coefficient-short-text": ("homogenize_grid", {"coefficient": "short-text"},
+                               1, "expected 281474976710656 rows of 6 floats, got shape (1, 6)"),
+    "coefficient-short-npy": ("homogenize_grid", {"coefficient": "short-npy"},
+                              1, "(6, 65536, 65536, 65536) with 64 bytes of data"),
     "cg-max_iter": ("homogenize_grid", {"coefficient": "random", "max_iter": 1,
                                         "tol": 1e-14}, 2, "CG stopped after 1"),
     # (c - 1)^2 overflows a double above c = 1.34e154
