@@ -14,10 +14,13 @@ The right-hand side b_i = -G^T A e_i does not depend on delta, so the whole
 schedule is one family of shifted systems (G^T A G + delta G^T G) v = b_i.
 One multi-shift CG run per axis, started from zero (no warm start) and
 based at A itself, with the schedule's delta as the shifts, solves all of
-them; a shift is frozen once it has converged.  No corrector field is
-formed: by adjointness A*_delta = mean(A) + delta I - B^T V_delta / cells,
-with B the right-hand sides and V_delta the correctors, and each shift
-carries only the numbers B^T v.
+them.  No corrector field is formed: by adjointness A*_delta = mean(A) +
+delta I - B^T V_delta / cells, with B the right-hand sides and V_delta the
+correctors, and each shift carries only numbers: B^T v, and the Gauss
+value of b_i^T v with a guaranteed Gauss-Radau bound on its error, both
+from the run's own scalars.  The Gauss value gives the diagonal, and each
+shift stops as soon as its bound certifies every entry of A*_delta to
+within tol max(1, |mean A|) of the exact discrete value.
 
 Discretization: corrector values live on the periodic node grid, the
 gradient is the edge-averaged first-order difference per cell (exact under
@@ -64,7 +67,13 @@ DELTA_SHRINK = 4.0
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """CG controls: relative residual target and iteration cap."""
+    """Cell solver controls.
+
+    ``tol``: every entry of every A*_delta is certified within tol max(1,
+    |mean A|) of the exact discrete value (``homogenize_general``).
+    ``max_iter``: the iteration cap of each CG run.  ``delta0`` and
+    ``n_delta``: the delta schedule.
+    """
 
     tol: float = 1e-9
     max_iter: int = 20000
@@ -200,10 +209,12 @@ class ExtrapolationResult:
     fit_residual: float
     monotone: bool
     stalled: bool
-    # [k, i]: the iteration of axis i's CG run at which delta_k converged,
-    # and its relative residual there; shape (n_delta, dim)
+    # [k, i]: the iteration of axis i's CG run at which delta_k stopped, its
+    # relative residual there (reported, not a stop test) and the certified
+    # bound on A*_delta[i, i] - the exact discrete value; shape (n_delta, dim)
     iterations: np.ndarray
     residuals: np.ndarray
+    widths: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -530,13 +541,13 @@ def _rhs(coeff: PeriodicCoefficient, i: int, out: np.ndarray) -> np.ndarray:
     return _adjoint([coeff.entry(j, i) for j in range(coeff.dim)], out, -1.0)
 
 
-def _shifted_cg(operator, inv_sym: np.ndarray, rhs: np.ndarray, shifts, cfg: SolverConfig):
-    """Preconditioned CG from zero on (K + s G^T G) v_s = rhs, all s at once.
+def _shifted_cg(operator, inv_sym: np.ndarray, rhs: np.ndarray, shifts, limits, max_iter: int):
+    """Preconditioned CG from zero on (K + s G^T G) v_s = rhs, all s > 0 at once.
 
     ``operator(p, out)`` writes K p into out and returns the rhs.ndim
     numbers B^T p (here K = G^T A G, B the right-hand sides -G^T A e_j:
     ``_stiffness``), ``inv_sym`` is the half-spectrum pseudo-inverse of the
-    symbol of G^T G (``_precond_inverse``), and ``shifts`` are the s >= 0
+    symbol of G^T G (``_precond_inverse``), and ``shifts`` are the s > 0
     of the systems to solve.  With P that pseudo-inverse, P (K + s G^T G)
     is the base's preconditioned operator plus s I: the Krylov space is
     shared, the residuals stay collinear, r_s = zeta_s r, and the zeta /
@@ -544,83 +555,111 @@ def _shifted_cg(operator, inv_sym: np.ndarray, rhs: np.ndarray, shifts, cfg: Sol
     Eshof & Sleijpen 2004) give every shift's steps from the one base run.
     The base is singular where A is, but consistent (rhs = -G^T A e_i lies
     in its range), so PCG from zero does not break down before the shifts
-    converge (Kaasschieter 1988).  Shift s is frozen (its zeta no longer
-    updated, which would underflow) once |zeta_s| |r| / |rhs| <= cfg.tol.
+    converge (Kaasschieter 1988).
 
-    No iterate is formed, not even the base's: each shift carries only
-    the numbers B^T v_s, recurred from B^T z = B^T p_k - beta B^T p_{k-1}.
-    The fields are r (``rhs`` itself, overwritten), p and one buffer that
-    holds P r and then K p.  The last iteration stops before the
-    preconditioner, so a run of k iterations applies it k times, the first
-    before the loop.  Returns those numbers (shape (len(shifts),
-    rhs.ndim)), and per shift the iteration at which it froze and its
-    relative residual there.
+    Per cell (divided by rhs.size), with M_s = K + s G^T G: each shift
+    carries the Hestenes-Stiefel sum g_s = sum_k alpha_s zeta_s^2 r.z, the
+    Gauss value of rhs^T M_s^+ rhs, which it never exceeds, and a bound
+    ``width`` on the energy error rhs^T M_s^+ rhs - g_s (Golub & Meurant
+    2010; Meurant & Tichy 2024).  PK + s I >= s on the range of P, so
+    Gauss-Radau with its node at s gives width = at zeta_s^2 r.z, with at
+    = 1/s at step 0 and at <- (at - alpha_s) / (s (at - alpha_s) + beta_s)
+    after each preconditioning; before it, M_s >= s G^T G and Parseval give
+    the cheaper zeta_s^2 |r|^2 max(inv_sym) / s.  Shift s stops, its zeta
+    no longer updated (which would underflow), at the first of these
+    bounds that is <= limits[s]: a run whose shifts all stop on the cheap
+    bound skips the last preconditioner, so a run of k iterations applies
+    it k times (the first at step 0), and k + 1 if the last shift to stop
+    needed the Radau bound.  A NaN bound never stops a shift.
+
+    No iterate is formed: each shift also carries B^T v_s, recurred from
+    B^T z = B^T p_k - beta B^T p_{k-1}.  The fields are r (``rhs`` itself,
+    overwritten), p and one buffer that holds P r and then K p.  Returns,
+    per shift, B^T v_s / cells (shape (len(shifts), rhs.ndim)), g_s, the
+    width at the stop, the stop iteration and the relative residual there.
     """
     shifts = [float(s) for s in shifts]
+    cells = rhs.size
     iterations = np.zeros(len(shifts), dtype=int)
-    residuals = np.zeros(len(shifts))
-    bnorm = float(np.linalg.norm(rhs))
-    if bnorm == 0.0:
-        return np.zeros((len(shifts), rhs.ndim)), iterations, residuals
+    residuals, widths, gauss = np.zeros((3, len(shifts)))
+    bb = float(np.vdot(rhs, rhs))
+    if bb == 0.0:
+        return np.zeros((len(shifts), rhs.ndim)), gauss, widths, iterations, residuals
 
     r = rhs
-    p = _precondition(r, inv_sym, np.empty_like(r))
     z = np.empty_like(r)  # P r, then K p
-    rz = float(np.vdot(r, p))
-    rel = 1.0
+    top = float(inv_sym.max()) / cells
     # Per shift, as Python floats: (zeta_{k-1}, zeta_k), B^T p_s and B^T v_s,
-    # replaced, never changed in place.  Step 0 has p_{-1} = 0 and beta = 0.
+    # replaced, never changed in place, the Radau at and the shift's own
+    # alpha (step) and beta (carry); ``gauss`` holds the sums.  Step 0 has
+    # p_{-1} = 0, beta = 0 and the last step 0, which leaves at = 1/s.
     zeta = [(1.0, 1.0)] * len(shifts)
     read_p = [[0.0] * rhs.ndim] * len(shifts)
     read_v = list(read_p)
+    radau = [1.0 / s for s in shifts]
+    steps = [0.0] * len(shifts)
+    carry = [0.0] * len(shifts)
     read_last = [0.0] * rhs.ndim  # B^T p_{k-1}
-    alpha_old, beta = 1.0, 0.0
+    alpha_old = 1.0
     active = range(len(shifts))
     it = 0
     while True:
+        rr = float(np.vdot(r, r))
+        rel = math.sqrt(rr / bb)
         for s in active:
             iterations[s] = it
             residuals[s] = abs(zeta[s][1]) * rel
-        active = [s for s in active if not residuals[s] <= cfg.tol]  # NaN stays
-        if not active:
-            break
-        if it >= cfg.max_iter or not np.all(np.isfinite(residuals)):
-            worst = float(residuals[active].max())
-            raise ConvergenceError(
-                f"cell problem CG stopped after {it} iterations "
-                f"(limit {cfg.max_iter}, residual {worst:.3e})", worst)
-        if it:
-            # the previous step's search direction, preconditioned only now
-            # that some shift still needs it: the last step skips it
+            widths[s] = zeta[s][1] ** 2 * rr * top / shifts[s]
+        active = [s for s in active if not widths[s] <= limits[s]]  # NaN stays
+        if active:
             _precondition(r, inv_sym, z)
             rz_new = float(np.vdot(r, z))
-            beta = rz_new / rz
+            beta = rz_new / rz if it else 0.0
+            rz = rz_new
+            for s in active:
+                # at <= 1/s, and at - alpha_s > 0, in exact arithmetic; should
+                # rounding break the second, 1/s is an upper bound still
+                z1, z2 = zeta[s]
+                carry[s] = beta * (z2 / z1) ** 2
+                at, shift = radau[s] - steps[s], shifts[s]
+                radau[s] = at / (shift * at + carry[s]) if at > 0.0 else 1.0 / shift
+                widths[s] = radau[s] * z2 * z2 * rz / cells
+            active = [s for s in active if not widths[s] <= limits[s]]
+        if not active:
+            break
+        if it >= max_iter or not np.all(np.isfinite(widths[active])):
+            with np.errstate(all="ignore"):  # the worst shift: NaN first
+                ratio = np.nan_to_num(widths[active] / np.asarray(limits)[active], nan=np.inf)
+            s = active[int(np.argmax(ratio))]
+            raise ConvergenceError(
+                f"cell problem CG stopped after {it} iterations (limit {max_iter}) with "
+                f"width {widths[s]:.3e} at shift {shifts[s]:.3e}, against a threshold of "
+                f"{limits[s]:.3e}", float(residuals[s]))
+        if it:
             p *= beta
             p += z
-            rz = rz_new
+        else:  # after the first preconditioner: its spectrum is not held beside p
+            p = z.copy()
         read = operator(p, z)
         read_z = [w - beta * q for w, q in zip(read, read_last)]
         read_last = read
         for s in active:
-            # the shift's own beta (carry)
-            z1, z2 = zeta[s]
-            carry = beta * (z2 / z1) ** 2
-            read_p[s] = [z2 * w + carry * q for w, q in zip(read_z, read_p[s])]
+            read_p[s] = [zeta[s][1] * w + carry[s] * q for w, q in zip(read_z, read_p[s])]
         alpha = rz / float(np.vdot(p, z))
         z *= alpha
         r -= z
-        rel = float(np.linalg.norm(r)) / bnorm
         for s in active:
             # zeta_{k+1}, then the shift's own alpha (step)
             z0, z1 = zeta[s]
             z2 = z1 * z0 * alpha_old / (alpha * beta * (z0 - z1)
                                         + z0 * alpha_old * (1.0 + shifts[s] * alpha))
-            step = alpha * z2 / z1
+            steps[s] = step = alpha * z2 / z1
+            gauss[s] += step * z1 * z1 * rz / cells
             read_v[s] = [v + step * q for v, q in zip(read_v[s], read_p[s])]
             zeta[s] = (z1, z2)
         alpha_old = alpha
         it += 1
-    return np.array(read_v), iterations, residuals
+    return np.array(read_v) / cells, gauss, widths, iterations, residuals
 
 
 def homogenize_general(coeff: PeriodicCoefficient,
@@ -634,11 +673,25 @@ def homogenize_general(coeff: PeriodicCoefficient,
     cells, where the columns of B are the delta-independent right-hand sides
     b_j = -G^T A e_j (not stored: ``_stiffness`` returns B^T p, and b_i is
     overwritten as the CG residual) and those of V_delta the correctors;
-    it is symmetrized.  ``iterations[k, i]`` is the iteration of axis i's
-    run at which delta_k converged.  The delta -> 0 limit is estimated by
-    the straight line through the two smallest delta.  ``fit_residual`` is the
-    largest relative deviation of the remaining schedule points from that
-    line; ``monotone`` flags whether A*_delta decreased as quadratic forms
+    ``_shifted_cg`` returns B^T V_delta / cells off the diagonal, and
+    each shift's Gauss value gives the diagonal.
+
+    What ``cfg.tol`` certifies: every entry of every A*_delta is within tau
+    = tol max(1, |mean A|) of the exact discrete value.  The diagonal's
+    error is at most its Gauss-Radau width; the read-out b_i^T v_j / cells
+    errs by at most sqrt(q_i width_j), where q_i >= b_i^T M^+ b_i / cells is
+    known before any run (0 when b_i = 0).  So shift delta of run j stops
+    at width <= min(tau, tau^2 / max_{i != j} q_i), the q term dropped when
+    every other q_i is 0, and the off-diagonals, symmetrized, are within
+    tau too.  Every run answers to every other, so no result depends on
+    the order of the axes.  ``iterations[k, i]``, ``residuals[k, i]`` and
+    ``widths[k, i]`` are the iteration of axis i's run at which delta_k
+    stopped, the relative residual there (reported, not a stop test) and
+    the width.
+
+    The delta -> 0 limit is estimated by the straight line through the two
+    smallest delta.  ``fit_residual`` is the largest relative deviation of
+    the remaining schedule points from that line; ``monotone`` flags whether A*_delta decreased as quadratic forms
     along the schedule; ``stalled`` (estimate withheld) flags a clearly
     non-PSD extrapolation.
     """
@@ -648,17 +701,30 @@ def homogenize_general(coeff: PeriodicCoefficient,
     mean_a = np.empty((dim, dim))
     for k, (i, j) in enumerate(_triu_indices(dim)):
         mean_a[i, j] = mean_a[j, i] = coeff.channels[k].mean()
+    tau = cfg.tol * max(1.0, float(np.abs(mean_a).max()))
     rhs = np.empty(coeff.channels.shape[1:])  # each axis's b_i, then its CG residual
     operator = functools.partial(_stiffness, coeff)
     inv_sym = _precond_inverse(dim, coeff.n_grid)
     table = np.empty((len(deltas), dim, dim))
     iterations = np.empty((len(deltas), dim), dtype=int)
     residuals = np.empty((len(deltas), dim))
-    for i in range(dim):
-        dots, iterations[:, i], residuals[:, i] = _shifted_cg(
-            operator, inv_sym, _rhs(coeff, i, rhs), deltas, cfg)
-        table[:, :, i] = mean_a[:, i] - dots / cells
-        table[:, i, i] += deltas
+    widths = np.empty((len(deltas), dim))
+    # q[k, i] >= b_i^T M^+ b_i / cells at delta_k, before any run: A*_delta >=
+    # delta I bounds it by mean(A)_ii, and M >= delta G^T G by |b_i|^2
+    # max(inv_sym) / (delta cells), which is 0 when b_i = 0.  The b_i are
+    # formed last to first, which leaves b_0 in place for the first run.
+    q = np.empty((len(deltas), dim))
+    for i in reversed(range(dim)):
+        b = _rhs(coeff, i, rhs)
+        q[:, i] = np.minimum(mean_a[i, i], float(np.vdot(b, b)) * inv_sym.max() / (deltas * cells))
+    for j in range(dim):
+        others = np.delete(q, j, axis=1).max(axis=1)
+        limits = [tau if o == 0.0 else min(tau, tau * tau / o) for o in others]
+        dots, gauss, widths[:, j], iterations[:, j], residuals[:, j] = _shifted_cg(
+            operator, inv_sym, rhs if j == 0 else _rhs(coeff, j, rhs), deltas, limits,
+            cfg.max_iter)
+        table[:, :, j] = mean_a[:, j] - dots
+        table[:, j, j] = mean_a[j, j] + deltas - gauss
     tensors = list(0.5 * (table + table.transpose(0, 2, 1)))
     scale = max(1.0, float(np.abs(tensors[0]).max()))
     monotone = not any(np.linalg.eigvalsh(t1 - t0).min() < -1e-8 * scale
@@ -668,7 +734,6 @@ def homogenize_general(coeff: PeriodicCoefficient,
     estimate = tensors[-1] - slope * deltas[-1]
     fit_residual = max(0.0, *(float(np.abs(estimate + slope * d - t).max())
                               for d, t in zip(deltas, tensors))) / scale
-    estimate = 0.5 * (estimate + estimate.T)
     stalled = bool(np.linalg.eigvalsh(estimate).min()
                    < -1e-3 * max(1.0, float(np.abs(estimate).max())))
     return ExtrapolationResult(
@@ -680,4 +745,5 @@ def homogenize_general(coeff: PeriodicCoefficient,
         stalled=stalled,
         iterations=iterations,
         residuals=residuals,
+        widths=widths,
     )

@@ -340,6 +340,7 @@ def _run_homogenize_grid(params):
         "stalled": res.stalled,
         "cg_iterations": res.iterations.tolist(),
         "cg_residuals": res.residuals.tolist(),
+        "cg_widths": res.widths.tolist(),
     }
     plot = [
         "set logscale x",

@@ -20,7 +20,7 @@ class NumericalError(HomoglabError, RuntimeError):
 
 
 class ConvergenceError(NumericalError):
-    """Iterative solver did not reach the requested residual.
+    """Iterative solver did not meet its stop test.
 
     Carries the last relative residual in ``residual``.
     """

@@ -61,6 +61,11 @@ def cold_tensor(co, delta, cfg):
     return t
 
 
+def certified_tol(co, cfg):
+    """tau = tol max(1, |mean A|): every entry of every A*_delta is within it."""
+    return cfg.tol * max(1.0, np.abs(co.channels.mean(axis=tuple(range(1, co.dim + 1)))).max())
+
+
 def random_psd_coefficient(dim, n, seed):
     b = np.random.default_rng(seed).normal(size=(n,) * dim + (dim, dim))
     samples = np.einsum("...ki,...kj->...ij", b, b)
@@ -353,8 +358,8 @@ def test_homogenize_general_matches_cold_single_delta_solves(dim, n):
     co = random_psd_coefficient(dim, n, 3)
     cfg = cell.SolverConfig()
     res = cell.homogenize_general(co, cfg)
-    assert res.iterations.shape == res.residuals.shape == (cfg.n_delta, dim)
-    assert res.residuals.max() <= cfg.tol
+    assert res.iterations.shape == res.residuals.shape == res.widths.shape == (cfg.n_delta, dim)
+    assert res.widths.max() <= certified_tol(co, cfg)
     scale = max(np.abs(t).max() for t in res.tensors)
     for delta, t in zip(res.deltas, res.tensors):
         assert np.abs(t - cold_tensor(co, delta, cfg)).max() <= 1e-8 * scale
@@ -396,10 +401,74 @@ def test_frozen_shifts_match_cold_solves(field):
     its = res.iterations[:, 0]
     assert its[0] <= 5 and its[-1] >= 10 * its[0]
     assert np.all(np.diff(its) >= 0)
-    assert res.residuals.max() <= cfg.tol
+    assert res.widths.max() <= certified_tol(co, cfg)
     for delta, t in zip(res.deltas, res.tensors):
         ref = cold_tensor(co, delta, cfg)
         assert np.abs(t - ref).max() <= 1e-8 * np.abs(ref).max()
+
+
+@pytest.fixture(scope="module", params=["random-2d", "random-3d", "half-void"])
+def bracket_case(request):
+    """A field and its A*_delta along the default schedule from the oracle's
+    cold CG to a relative residual of 1e-13."""
+    co = {"random-2d": lambda: random_psd_coefficient(2, 16, 31),
+          "random-3d": lambda: random_psd_coefficient(3, 8, 31),
+          "half-void": lambda: half_void(2, 16, 31)}[request.param]()
+    cfg = cell.SolverConfig(tol=1e-13)
+    return co, [cold_tensor(co, delta, cfg) for delta in cfg.deltas()]
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-5, 1e-7, 1e-9])
+def test_gauss_radau_bracket_holds_the_exact_diagonal(bracket_case, tol):
+    # A*_delta[i, i] = mean(A)_ii + delta - g_i / cells with g_i the Gauss
+    # value, a lower bound on b_i^T M^+ b_i, and widths[k, i] the gap to its
+    # Gauss-Radau upper bound: the exact entry lies in [t_ii - width, t_ii].
+    # The slack is the reference's rounding, far below every width here
+    co, refs = bracket_case
+    res = cell.homogenize_general(co, cell.SolverConfig(tol=tol))
+    slack = 1e-13 * max(np.abs(ref).max() for ref in refs)
+    for t, width, ref in zip(res.tensors, res.widths, refs):
+        assert np.all(np.diag(t) - width <= np.diag(ref) + slack)
+        assert np.all(np.diag(ref) <= np.diag(t) + slack)
+
+
+@pytest.fixture(scope="module", params=["board-32", "board-64", "random-2d", "random-3d",
+                                        "half-void-2d", "half-void-3d", "rank-two-laminate-3d"])
+def contract_case(request):
+    """A field and its A*_delta along the default schedule at tol 1e-13."""
+    co = {"board-32": lambda: e2e2_checkerboard(32),
+          "board-64": lambda: e2e2_checkerboard(64),
+          "random-2d": lambda: random_psd_coefficient(2, 16, 12),
+          "random-3d": lambda: random_psd_coefficient(3, 8, 12),
+          "half-void-2d": lambda: half_void(2, 16, 12),
+          "half-void-3d": lambda: half_void(3, 8, 12),
+          "rank-two-laminate-3d": lambda: cell.laminate_coefficient(
+              rank_two([0.0, 1.0, 0.0]), rank_two([1.0, 0.0, 1.0]), 0.5, 3, 16),
+          }[request.param]()
+    return co, cell.homogenize_general(co, cell.SolverConfig(tol=1e-13)).tensors
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+def test_every_entry_is_within_tau_of_the_exact_tensor(contract_case, tol):
+    # what tol certifies: every entry of every A*_delta, off-diagonals
+    # included, within tau = tol max(1, |mean A|).  An off-diagonal read-out
+    # b_i^T v_j errs by up to sqrt(q_i width_j): had every run stopped on its
+    # diagonal's width alone, the random and half-void fields' off-diagonals
+    # would be 2e-7 to 1.2e-6 off at tol 1e-9
+    co, refs = contract_case
+    cfg = cell.SolverConfig(tol=tol)
+    res = cell.homogenize_general(co, cfg)
+    tau = certified_tol(co, cfg)
+    for t, ref in zip(res.tensors, refs):
+        assert np.abs(t - ref).max() <= tau
+
+
+def test_board_smallest_delta_stops_on_its_bracket():
+    # b_2 = 0 on the e2 x e2 / I board, so axis 0's run answers to its own
+    # width only: delta_min stops at 439 iterations at n = 128, where the
+    # relative residual 1e-9 took 904
+    res = cell.homogenize_general(e2e2_checkerboard(128))
+    assert res.iterations[-1, 0] <= 500
 
 
 def test_zero_right_hand_side_takes_no_iteration():
@@ -412,16 +481,21 @@ def test_zero_right_hand_side_takes_no_iteration():
         assert abs(t[1, 1] - (1.0 + delta)) <= 1e-12
 
 
-@pytest.mark.parametrize("coeff, axis", [(random_psd_coefficient(2, 16, 3), 0),
-                                         (random_psd_coefficient(3, 8, 3), 2),
-                                         (e2e2_checkerboard(16), 0),
-                                         (e2e2_checkerboard(16), 1)],
-                         ids=["random-2d", "random-3d", "board-axis0", "board-axis1"])
-def test_krylov_run_of_k_iterations_preconditions_k_times(monkeypatch, coeff, axis):
-    # the first residual is preconditioned before the loop and the one each
-    # step leaves only if some shift is still active: none after the last.
-    # The checkerboard's b_2 vanishes, so that run takes no iteration
-    # (one rfft per application of the preconditioner)
+@pytest.mark.parametrize("coeff, axis, radau", [
+    (random_psd_coefficient(2, 16, 3), 0, 1),
+    (random_psd_coefficient(3, 8, 3), 2, 1),
+    (e2e2_checkerboard(16), 0, 0),
+    (e2e2_checkerboard(16), 1, 0),
+    (cell.laminate_coefficient(rank_two([0.0, 1.0, 0.0]), rank_two([1.0, 0.0, 1.0]), 0.5, 3, 16),
+     0, 0)], ids=["random-2d", "random-3d", "board-axis0", "board-axis1", "laminate-3d"])
+def test_krylov_run_of_k_iterations_preconditions_k_times(monkeypatch, coeff, axis, radau):
+    # step k's residual is preconditioned only if some shift is still
+    # active once the bound from |r_k| alone is checked: a run whose last
+    # shifts stop on that bound applies the preconditioner k times, one
+    # whose last shift needed the Radau bound (it takes r_k . z_k) k + 1.
+    # The random runs end on the Radau bound; the 16^2 board's axis-0 run
+    # and the laminate's converge exactly, and the board's b_2 vanishes, so
+    # that run takes no iteration (one rfft per application)
     cfg = cell.SolverConfig()
     rhs = cell._rhs(coeff, axis, np.empty(coeff.channels.shape[1:]))
     inv_sym = cell._precond_inverse(coeff.dim, coeff.n_grid)
@@ -433,9 +507,10 @@ def test_krylov_run_of_k_iterations_preconditions_k_times(monkeypatch, coeff, ax
         return rfft(*args, **kwargs)
 
     monkeypatch.setattr(np.fft, "rfft", counting)
-    _, iterations, _ = cell._shifted_cg(functools.partial(cell._stiffness, coeff), inv_sym,
-                                        rhs, cfg.deltas(), cfg)
-    assert len(calls) == iterations.max()
+    _, _, _, iterations, _ = cell._shifted_cg(functools.partial(cell._stiffness, coeff), inv_sym,
+                                              rhs, cfg.deltas(), [cfg.tol] * cfg.n_delta,
+                                              cfg.max_iter)
+    assert len(calls) == iterations.max() + radau
 
 
 def test_3d_rank_two_laminate_exact_along_schedule():

@@ -180,8 +180,10 @@ def test_homogenize_grid_constant(tmp_path):
     n_delta = len(report["results"]["deltas"])
     iterations = np.array(report["diagnostics"]["cg_iterations"])
     residuals = np.array(report["diagnostics"]["cg_residuals"])
-    assert iterations.shape == residuals.shape == (n_delta, 2)
-    assert residuals.max() <= cell.SolverConfig.tol
+    widths = np.array(report["diagnostics"]["cg_widths"])
+    assert iterations.shape == residuals.shape == widths.shape == (n_delta, 2)
+    # tau = tol max(1, |mean A|), and mean A = I
+    assert widths.max() <= cell.SolverConfig.tol
     assert (tmp_path / "out" / "tensors_by_delta.csv").exists()
     assert (tmp_path / "out" / "plot.gp").exists()
 
