@@ -36,8 +36,9 @@ one contiguous n^dim array each, in the file format's order, from file to
 CG; no per-cell dim x dim array is formed.  The solver copies nothing: the
 operator's entries, the columns of A for the right-hand sides and mean(A)
 are read from the channels.  Every other field-sized step works in blocks
-of VALIDATE_BLOCK cells: a text file is parsed that many rows at a time
-into the channels, the PSD check takes that many cells per pass, G^T A G
+of VALIDATE_BLOCK cells: a text file is read a sixteenth that many lines
+at a time, each distinct line parsed once and the rows gathered into the
+channels, the PSD check takes that many cells per pass, G^T A G
 sweeps slabs of at most that many, and the preconditioner's symbol is
 broadcast from 1D factors.  Measured with tracemalloc on a 64^3 text
 laminate: the homogenize_grid run peaks at 9.9 n^3 doubles (the
@@ -51,7 +52,9 @@ runs a plain CG of its own.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 import warnings
 from dataclasses import InitVar, dataclass
 from pathlib import Path
@@ -87,11 +90,13 @@ class SolverConfig:
         return self.delta0 * DELTA_SHRINK ** (-np.arange(self.n_delta, dtype=float))
 
 
-# The one block size: cells per pass of the PSD check, rows per parse of a
-# text table, and the most cells in a slab of the G^T A G sweep (which takes
-# at least one plane).  Beyond the coefficient, the CG fields (one of them
-# the right-hand side), an FFT's half spectrum and the cached preconditioner
-# symbol, no step holds more than a few blocks of work memory.
+# The one block size: cells per pass of the PSD check, 16 times the lines
+# per chunk of a text table (a chunk is held as Python strings, several
+# times the bytes of its parsed rows), and the most cells in a slab of the
+# G^T A G sweep (which takes at least one plane).  Beyond the coefficient,
+# the CG fields (one of them the right-hand side), an FFT's half spectrum
+# and the cached preconditioner symbol, no step holds more than a few
+# blocks of work memory.
 VALIDATE_BLOCK = 1 << 14
 
 
@@ -265,17 +270,43 @@ def save_coefficient(coeff: PeriodicCoefficient, path) -> None:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
+def _table_rows(lines: list[str]) -> np.ndarray:
+    """The rows ``np.loadtxt`` gives for ``lines``, each distinct line parsed
+    once: one row per data line, in order, blank and '#' comment lines
+    skipped."""
+    # Hashing every line costs about 5% of a table with no repeats.  The rows
+    # of a piecewise-constant field come in runs, so lines with no two equal
+    # neighbours are parsed as they are.
+    repeats = any(map(operator.eq, lines, lines[1:]))
+    distinct = list(dict.fromkeys(lines)) if repeats else lines
+    with warnings.catch_warnings():  # numpy's note on lines that hold no data
+        warnings.filterwarnings("ignore", ".* contained no data", UserWarning)
+        table = np.loadtxt(distinct, dtype=float, ndmin=2)
+    if len(distinct) == len(lines):  # the parsed lines are the chunk
+        return table
+    row_of = dict(zip(distinct, range(len(distinct))))
+    at = np.fromiter(map(row_of.__getitem__, lines), np.intp, len(lines))
+    if len(table) < len(distinct):  # loadtxt skipped blank and comment lines
+        data = np.array([bool(line.partition("#")[0].strip()) for line in distinct])
+        at = (np.cumsum(data) - 1)[at[data[at]]]  # distinct index -> table row
+    return table[at]
+
+
 def load_coefficient(path) -> PeriodicCoefficient:
     """Read a coefficient file: a .npy channel array, else the text format.
 
     Either way the result is the channel array and nothing else, and the
     header is checked before the data are read: a .npy header's dtype and
     shape against the bytes after it, a text header's dim, n_grid and
-    channel count.  The table is then parsed VALIDATE_BLOCK lines at a
-    time, each block transposed straight into the preallocated channels, so
-    no field-sized table is held.  Blank lines and '#' comments are skipped
-    as by ``np.loadtxt``, which parses each block; the table must hold
-    n_grid^dim rows of as many floats as there are channels.
+    channel count.  The table is then read VALIDATE_BLOCK // 16 lines at a
+    time: ``np.loadtxt`` parses each distinct line of the chunk once (the
+    whole chunk when no line repeats its neighbour), and the chunk's rows
+    are gathered straight into the preallocated channels.  So no
+    field-sized table is held, and a piecewise-constant field's few
+    distinct rows are parsed a few times a chunk, not once a cell.  Blank
+    lines and '#' comments are skipped as by ``np.loadtxt``, whose values
+    these are; the table must hold n_grid^dim rows of as many floats as
+    there are channels.
     """
     if Path(path).suffix == ".npy":
         fmt = np.lib.format
@@ -310,14 +341,15 @@ def load_coefficient(path) -> PeriodicCoefficient:
         flat = None if Path(path).stat().st_size < 2 * count * cells else np.empty((count, cells))
         rows, cols = 0, 0  # table rows read so far, and the floats per row
         while True:
-            try:
-                with warnings.catch_warnings():  # numpy's notes on blank lines and the end
-                    warnings.filterwarnings("ignore", ".* contained no data", UserWarning)
-                    block = np.loadtxt(fh, dtype=float, ndmin=2, max_rows=VALIDATE_BLOCK)
+            try:  # a byte that is not UTF-8 raises while the lines are read
+                lines = list(itertools.islice(fh, max(1, VALIDATE_BLOCK // 16)))
+                block = _table_rows(lines)
             except ValueError as exc:
                 raise ValidationError(f"{bad} ({exc}, in the block after row {rows})") from None
-            if not len(block):
+            if not lines:
                 break
+            if not len(block):  # blank and comment lines only
+                continue
             if rows and block.shape[1] != cols:
                 raise ValidationError(f"{bad} (the number of columns changed from "
                                       f"{cols} to {block.shape[1]} after row {rows})")
@@ -325,7 +357,6 @@ def load_coefficient(path) -> PeriodicCoefficient:
             if flat is not None and cols == count and rows + len(block) <= cells:
                 flat[:, rows:rows + len(block)] = block.T
             rows += len(block)
-            del block  # before the next one is parsed
     if (rows, cols) != (cells, count):
         raise ValidationError(
             f"expected {cells} rows of {count} floats, got shape {(rows, cols)}")
@@ -691,9 +722,9 @@ def homogenize_general(coeff: PeriodicCoefficient,
 
     The delta -> 0 limit is estimated by the straight line through the two
     smallest delta.  ``fit_residual`` is the largest relative deviation of
-    the remaining schedule points from that line; ``monotone`` flags whether A*_delta decreased as quadratic forms
-    along the schedule; ``stalled`` (estimate withheld) flags a clearly
-    non-PSD extrapolation.
+    the remaining schedule points from that line; ``monotone`` flags
+    whether A*_delta decreased as quadratic forms along the schedule;
+    ``stalled`` (estimate withheld) flags a clearly non-PSD extrapolation.
     """
     deltas = cfg.deltas()
     dim = coeff.dim

@@ -798,6 +798,11 @@ def test_load_coefficient_rejects_text_that_is_not_numbers(tmp_path, text):
         cell.load_coefficient(path)
 
 
+# text-table chunks of 1,024 lines (one chunk in these tests), of 5 lines,
+# and of 1 line (VALIDATE_BLOCK // 16 is 0 for both 5 and 1)
+TEXT_BLOCKS = [cell.VALIDATE_BLOCK, 16 * 5, 5, 1]
+
+
 def _table_lines(tmp_path, dim=2, n=8):
     """A random coefficient and the header and row lines of its text file."""
     co = random_psd_coefficient(dim, n, 7)
@@ -807,7 +812,7 @@ def _table_lines(tmp_path, dim=2, n=8):
     return co, path, lines[0], lines[1:]
 
 
-@pytest.mark.parametrize("block", [cell.VALIDATE_BLOCK, 5, 1])
+@pytest.mark.parametrize("block", TEXT_BLOCKS)
 def test_text_table_skips_blank_and_comment_lines(tmp_path, monkeypatch, block):
     # blank lines, comment lines, a trailing comment, a run of blank lines
     # longer than a block and a trailing blank line are not rows
@@ -819,7 +824,7 @@ def test_text_table_skips_blank_and_comment_lines(tmp_path, monkeypatch, block):
     np.testing.assert_array_equal(cell.load_coefficient(path).channels, co.channels)
 
 
-@pytest.mark.parametrize("block", [cell.VALIDATE_BLOCK, 5, 1])
+@pytest.mark.parametrize("block", TEXT_BLOCKS)
 @pytest.mark.parametrize("case", ["empty", "short", "extra", "narrow-row-first",
                                   "narrow-row-inside", "narrow-row-last", "narrow-table",
                                   "word-in-last-row"])
@@ -840,5 +845,102 @@ def test_text_table_refusals(tmp_path, monkeypatch, block, case):
         "word-in-last-row": (rows[:-1] + ["1 x 1\n"], "dim n_grid channels"),
     }[case]
     path.write_text(header + "".join(text))
+    with pytest.raises(ValidationError, match=message):
+        cell.load_coefficient(path)
+
+
+def five_phase_coefficient(n, seed):
+    """2D cells drawn at random from five PSD phases: few distinct rows, and
+    repeats both next to each other and apart."""
+    rng = np.random.default_rng(seed)
+    b = rng.normal(size=(5, 2, 2))
+    phases = b @ b.transpose(0, 2, 1)
+    return cell.PeriodicCoefficient(dim=2, n_grid=n, samples=phases[rng.integers(0, 5, (n, n))])
+
+
+TEXT_FIELDS = {
+    "random": lambda: random_psd_coefficient(3, 8, 11),
+    "laminate": lambda: cell.laminate_coefficient(rank_two([0.0, 1.0, 0.0]),
+                                                  rank_two([1.0, 0.0, 1.0]), 0.5, 3, 8),
+    "checkerboard": lambda: cell.checkerboard_coefficient(1.0, 4.0, 16),
+    "five-phase": lambda: five_phase_coefficient(16, 3),
+}
+
+
+@pytest.mark.parametrize("block", TEXT_BLOCKS)
+@pytest.mark.parametrize("field", list(TEXT_FIELDS))
+def test_text_table_matches_loadtxt_of_the_whole_table(tmp_path, monkeypatch, field, block):
+    # the stored rows are np.loadtxt's of the whole table, an oracle that
+    # parses every line, with blank and whitespace lines, comment lines (one
+    # of them repeated), trailing comments and CRLF endings mixed in
+    monkeypatch.setattr(cell, "VALIDATE_BLOCK", block)
+    co = TEXT_FIELDS[field]()
+    path = tmp_path / "coeff.txt"
+    cell.save_coefficient(co, path)
+    header, *rows = path.read_text().splitlines()
+    lines = [header]
+    for k, row in enumerate(rows):
+        lines += [""] * (k % 7 == 3) + [" \t"] * (k % 17 == 8)
+        lines += ["# a repeated comment"] * (k % 11 == 5) + [f"  # comment {k}"] * (k % 13 == 0)
+        lines.append(row + "  # trailing" * (k % 5 == 2))
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    oracle = np.loadtxt(path, skiprows=1)
+    again = cell.load_coefficient(path)
+    np.testing.assert_array_equal(again.channels, oracle.T.reshape(co.channels.shape))
+    np.testing.assert_array_equal(again.channels, co.channels)
+
+
+@pytest.mark.parametrize("block", TEXT_BLOCKS)
+def test_text_table_row_spellings_give_the_same_cell(tmp_path, monkeypatch, block):
+    # one cell written four ways, in turn: four distinct lines, one row
+    monkeypatch.setattr(cell, "VALIDATE_BLOCK", block)
+    spellings = ["1 0 1\n", "1.0 0.0 1.0\n", "1\t0\t1\n", "1 0 1 # c\n"]
+    path = tmp_path / "coeff.txt"
+    path.write_text("2 8 3\n" + "".join(spellings[k % 4] for k in range(64)))
+    np.testing.assert_array_equal(cell.load_coefficient(path).channels,
+                                  cell.constant_coefficient(I2, 2, 8).channels)
+
+
+@pytest.mark.parametrize("field", ["laminate", "checkerboard"])
+def test_text_table_parses_each_distinct_line_once(tmp_path, monkeypatch, field):
+    # a two-phase file holds at most 2 distinct lines a chunk, and only
+    # those are parsed: a 16^3 laminate has 4,096 rows, a 32^2 board 1,024
+    co = {"laminate": lambda: cell.laminate_coefficient(rank_two([0.0, 1.0, 0.0]), np.eye(3),
+                                                         0.5, 3, 16),
+          "checkerboard": lambda: cell.checkerboard_coefficient(1.0, 4.0, 32)}[field]()
+    path = tmp_path / "coeff.txt"
+    cell.save_coefficient(co, path)
+    parsed = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        table = loadtxt(*args, **kwargs)
+        parsed.append(len(table))
+        return table
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    again = cell.load_coefficient(path)
+    np.testing.assert_array_equal(again.channels, co.channels)
+    chunks = -(-co.n_grid ** co.dim // (cell.VALIDATE_BLOCK // 16))
+    assert 0 < sum(parsed) <= 2 * chunks
+
+
+@pytest.mark.parametrize("block", TEXT_BLOCKS)
+@pytest.mark.parametrize("case", ["not-utf-8", "narrow-row-repeated", "word-repeated",
+                                  "nan-repeated"])
+def test_text_table_refusals_among_repeated_rows(tmp_path, monkeypatch, block, case):
+    # a bad line inside a run of equal lines, or repeated, is refused as it
+    # is when every line is parsed
+    monkeypatch.setattr(cell, "VALIDATE_BLOCK", block)
+    row = b"1 0 1\n"
+    bad, message = {
+        "not-utf-8": (b"1 0\xff 1\n", "'utf-8' codec can't decode"),
+        "narrow-row-repeated": (b"1 0\n", "the number of columns changed"),
+        "word-repeated": (b"1 x 1\n", "could not convert string"),
+        "nan-repeated": (b"nan 0 1\n", "samples contain non-finite values"),
+    }[case]
+    table = row * 20 + bad + row * 20 + bad + row * 22
+    path = tmp_path / "coeff.txt"
+    path.write_bytes(b"2 8 3\n" + table)
     with pytest.raises(ValidationError, match=message):
         cell.load_coefficient(path)
