@@ -1,52 +1,19 @@
 """Periodic cell problems for grid-sampled PSD coefficients.
 
-Computes the effective tensor of a Y_d-periodic coefficient A(y) that may
-be degenerate:  A is replaced by A + delta I, the corrector problem
-
-    min over periodic v of  sum_cells  (lam + grad v) . A_delta (lam + grad v) h^d
-
-is solved per axis e_i for a schedule of shrinking delta, and the
-classical cell formula A*_delta e_i = mean A_delta (e_i + grad v_i) gives
-the tensor.  The delta -> 0 limit is estimated by a linear Richardson fit
-through the two smallest delta.
-
-The right-hand side b_i = -G^T A e_i does not depend on delta, so the whole
-schedule is one family of shifted systems (G^T A G + delta G^T G) v = b_i.
-One multi-shift CG run per axis, started from zero (no warm start) and
-based at A itself, with the schedule's delta as the shifts, solves all of
-them.  No corrector field is formed: by adjointness A*_delta = mean(A) +
-delta I - B^T V_delta / cells, with B the right-hand sides and V_delta the
-correctors, and each shift carries only numbers: B^T v, and the Gauss
-value of b_i^T v with a guaranteed Gauss-Radau bound on its error, both
-from the run's own scalars.  The Gauss value gives the diagonal, and each
-shift stops as soon as its bound certifies every entry of A*_delta to
-within tol max(1, |mean A|) of the exact discrete value.
+A Y_d-periodic coefficient A(y) that may be degenerate is replaced by
+A + delta I for a schedule of shrinking delta.  Per axis e_i the corrector
+v_i minimizes sum_cells (e_i + grad v) . A_delta (e_i + grad v) h^d over
+periodic v, and the classical cell formula A*_delta e_i = mean A_delta
+(e_i + grad v_i) gives the tensor (``homogenize_general``).  The delta -> 0
+limit is a linear Richardson fit through the two smallest delta.
 
 Discretization: corrector values live on the periodic node grid, the
-gradient is the edge-averaged first-order difference per cell (exact under
-axis permutations and reflections of the grid), and the coefficient is
-sampled at cell centers.  G^T A G is applied as one sweep over slabs of
-axis-0 planes: each slab's gradient components are contiguous slab-sized
-arrays, and the adjoint carries one plane to the next slab.
-The preconditioner is the pseudo-inverse of G^T G in Fourier space: its
-symbol lives on the rfftn half spectrum and is built once per grid.
-
-Storage: a coefficient is its dim (dim + 1) / 2 upper-triangle channels,
-one contiguous n^dim array each, in the file format's order, from file to
-CG; no per-cell dim x dim array is formed.  The solver copies nothing: the
-operator's entries, the columns of A for the right-hand sides and mean(A)
-are read from the channels.  Every other field-sized step works in blocks
-of VALIDATE_BLOCK cells: a text file is read a sixteenth that many lines
-at a time, each distinct line parsed once and the rows gathered into the
-channels, the PSD check takes that many cells per pass, G^T A G
-sweeps slabs of at most that many, and the preconditioner's symbol is
-broadcast from 1D factors.  Measured with tracemalloc on a 64^3 text
-laminate: the homogenize_grid run peaks at 9.9 n^3 doubles (the
-coefficient's 6, the CG fields r, p and z, r first holding the axis's
-right-hand side, the symbol and the slab work), and loading the file at
-6.4.  A run of more than one CG iteration peaks at 10.6, when an FFT's
-half spectrum (about 1) is held beside z.  The tests' corrector oracle
-runs a plain CG of its own.
+coefficient is sampled at cell centers, and the gradient is the
+edge-averaged first-order difference per cell (the Q1 element with
+one-point quadrature), exact under axis permutations and reflections of
+the grid.  A coefficient is its dim (dim + 1) / 2 upper-triangle channels
+from file to CG, and every other field-sized step works in blocks of
+VALIDATE_BLOCK cells.
 """
 
 from __future__ import annotations
@@ -63,8 +30,6 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 
-DELTA0_DEFAULT = 1e-1
-N_DELTA_DEFAULT = 6
 DELTA_SHRINK = 4.0
 
 
@@ -80,8 +45,8 @@ class SolverConfig:
 
     tol: float = 1e-9
     max_iter: int = 20000
-    delta0: float = DELTA0_DEFAULT
-    n_delta: int = N_DELTA_DEFAULT
+    delta0: float = 1e-1
+    n_delta: int = 6
 
     def deltas(self) -> np.ndarray:
         """delta0 shrunk n_delta - 1 times, the smallest checked > 0 first."""
@@ -93,7 +58,7 @@ class SolverConfig:
 # The one block size: cells per pass of the PSD check, 16 times the lines
 # per chunk of a text table (a chunk is held as Python strings, several
 # times the bytes of its parsed rows), and the most cells in a slab of the
-# G^T A G sweep (which takes at least one plane).  Beyond the coefficient,
+# G0^T A G0 sweep (which takes at least one plane).  Beyond the coefficient,
 # the CG fields (one of them the right-hand side), an FFT's half spectrum
 # and the cached preconditioner symbol, no step holds more than a few
 # blocks of work memory.
@@ -274,8 +239,8 @@ def _table_rows(lines: list[str]) -> np.ndarray:
     """The rows ``np.loadtxt`` gives for ``lines``, each distinct line parsed
     once: one row per data line, in order, blank and '#' comment lines
     skipped."""
-    # Hashing every line costs about 5% of a table with no repeats.  The rows
-    # of a piecewise-constant field come in runs, so lines with no two equal
+    # Hashing every line would slow a table with no repeats.  The rows of a
+    # piecewise-constant field come in runs, so lines with no two equal
     # neighbours are parsed as they are.
     repeats = any(map(operator.eq, lines, lines[1:]))
     distinct = list(dict.fromkeys(lines)) if repeats else lines
@@ -367,12 +332,15 @@ def load_coefficient(path) -> PeriodicCoefficient:
 # discrete operators
 # ---------------------------------------------------------------------------
 #
-# G, the gradient of a node field per cell, is scale x G0 with scale =
-# 0.5^(dim-1) / h: component ax of G0 is the forward difference along ax
-# summed over the cell's parallel edges, i.e. forward sums along every
-# other axis.  Each factor acts along one axis, so G0 of the cells in a
-# slab of axis-0 planes [a, b) reads node planes a .. b, and G0^T of their
-# fields writes node planes a .. b.  The operators below sweep such slabs,
+# The solver runs on G0, the integer stencil of the gradient per cell:
+# component ax is the forward difference along ax summed over the cell's
+# parallel edges, i.e. forward sums along every other axis.  The gradient
+# is G = s G0, s = 0.5^(dim-1) / h: on G0 the right-hand sides are -1/s
+# times G's and the solutions -s times, so s cancels from B^T V and every
+# Gauss sum, exactly, as s is a power of two.
+# Each factor of G0 acts along one axis, so G0 of the cells in a slab of
+# axis-0 planes [a, b) reads node planes a .. b, and G0^T of their fields
+# writes node planes a .. b.  The operators below sweep such slabs,
 # VALIDATE_BLOCK cells at a time, reading and writing views: no halo copy.
 
 
@@ -418,8 +386,8 @@ def _across(op, p: np.ndarray, a: int, b: int, out: np.ndarray) -> None:
         op(p[0], p[b - 1], out=out[-1])
 
 
-def _sweep(out: np.ndarray, flux, slots: int, factor: float) -> None:
-    """out = factor G0^T w, one sweep over slabs of axis-0 planes.
+def _sweep(out: np.ndarray, flux, slots: int) -> None:
+    """out = G0^T w, one sweep over slabs of axis-0 planes.
 
     A slab holds at most VALIDATE_BLOCK cells (at least one plane).
     ``flux(a, b, work)`` returns the dim components of w on the cells of
@@ -455,28 +423,21 @@ def _sweep(out: np.ndarray, flux, slots: int, factor: float) -> None:
             out[a] += carry
         carry[...] = t[-1]
     out[0] += carry
-    out *= factor
 
 
-def _scale(dim: int, n: int) -> float:
-    """G = scale G0: the edge average 0.5^(dim-1) over the spacing h = 1 / n."""
-    return 0.5 ** (dim - 1) * n
-
-
-def _adjoint(w, out: np.ndarray, factor: float = 1.0) -> np.ndarray:
-    """out = factor G^T w for the dim cell fields w (any sequence of them)."""
-    _sweep(out, lambda a, b, work: [c[a:b] for c in w], len(w),
-           factor * _scale(out.ndim, len(out)))
+def _adjoint(w, out: np.ndarray) -> np.ndarray:
+    """out = G0^T w for the dim cell fields w (any sequence of them)."""
+    _sweep(out, lambda a, b, work: [c[a:b] for c in w], len(w))
     return out
 
 
 def _stiffness(coeff: PeriodicCoefficient, p: np.ndarray, out: np.ndarray) -> list[float]:
-    """out = G^T A G p, one sweep over slabs of axis-0 planes; returns B^T p.
+    """out = G0^T A G0 p, one sweep over slabs of axis-0 planes; returns B^T p.
 
-    Per slab: the gradient from views of p (differences and sums across
-    the planes, then the in-plane stencils), A applied from views of the
+    Per slab: G0 p from views of p (differences and sums across the
+    planes, then the in-plane stencils), A applied from views of the
     channels (no gather), and the adjoint written into out by ``_sweep``.
-    b_j . p = -sum_cells (A G p)_j for b_j = -G^T A e_j: the flux, summed per slab.
+    b_j . p = sum_cells (A G0 p)_j for b_j = G0^T A e_j: the flux, summed per slab.
     """
     dim = coeff.dim
     sums = [(np.add, o, 1) for o in range(1, dim)]
@@ -506,33 +467,33 @@ def _stiffness(coeff: PeriodicCoefficient, p: np.ndarray, out: np.ndarray) -> li
         np.add(flux_sums, q.sum(axis=tuple(range(1, dim + 1))), out=flux_sums)
         return q
 
-    _sweep(out, flux, 2 * dim, _scale(dim, coeff.n_grid) ** 2)
-    return (-_scale(dim, coeff.n_grid) * flux_sums).tolist()
+    _sweep(out, flux, 2 * dim)
+    return flux_sums.tolist()
 
 
 @functools.lru_cache(maxsize=1)
 def _precond_inverse(dim: int, n: int) -> np.ndarray:
-    """Pseudo-inverse of the Fourier symbol of G^T G on the rfftn half spectrum.
+    """Pseudo-inverse of the Fourier symbol of G0^T G0 on the rfftn half spectrum.
 
-    G_ax is a tensor product of 1D stencils: the difference (v[k+1] - v[k])
-    / h along ax and the average (v[k] + v[k+1]) / 2 along each other axis.
-    So its symbol is sum_ax prod_o |s_o(k_o)|^2, broadcast from the 1D
-    transforms of the two stencils, with no field-sized impulse; it is
-    real and even in every wavenumber, so the half spectrum of the last
-    axis (k = 0 .. n/2) carries all of it.  Kernel modes of G (constant
-    and checkerboard patterns) get zero and are projected out by the
-    preconditioner.  Cached per grid and read-only: every solve on the
-    same (dim, n) shares it.
+    G0_ax is a tensor product of 1D stencils: the difference v[k+1] - v[k]
+    along ax and the sum v[k] + v[k+1] along each other axis.  So its
+    symbol is sum_ax prod_o |s_o(k_o)|^2, broadcast from the 1D transforms
+    of the two stencils, with no field-sized impulse; it is real and even
+    in every wavenumber, so the half spectrum of the last axis (k = 0 ..
+    n/2) carries all of it.  Kernel modes of G0 (constant and checkerboard
+    patterns) get zero and are projected out by the preconditioner.
+    Cached per grid and read-only: every solve on the same (dim, n) shares
+    it.
     """
     stencils = np.zeros((2, n))
-    stencils[0, :2] = 0.5                 # average
-    stencils[1, :2] = -float(n), float(n)  # difference over h = 1 / n
-    average, difference = np.abs(np.fft.fft(stencils)) ** 2
+    stencils[0, :2] = 1.0        # sum
+    stencils[1, :2] = -1.0, 1.0  # difference
+    total, difference = np.abs(np.fft.fft(stencils)) ** 2
     sym = 0.0
     for ax in range(dim):
         term = 1.0
         for o in range(dim):
-            factor = difference if o == ax else average
+            factor = difference if o == ax else total
             if o == dim - 1:
                 factor = factor[:n // 2 + 1]
             term = term * factor.reshape((-1,) + (1,) * (dim - 1 - o))
@@ -544,7 +505,7 @@ def _precond_inverse(dim: int, n: int) -> np.ndarray:
 
 
 def _precondition(r: np.ndarray, inv_sym: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = P r, P the pseudo-inverse of G^T G, with one half-spectrum temporary.
+    """out = P r, P the pseudo-inverse of G0^T G0, with one half-spectrum temporary.
 
     rfft on the last axis makes the spectrum; fft and then ifft run in
     place on the other axes, in the order of ``rfftn``/``irfftn``; irfft
@@ -563,45 +524,44 @@ def _precondition(r: np.ndarray, inv_sym: np.ndarray, out: np.ndarray) -> np.nda
 
 
 def _rhs(coeff: PeriodicCoefficient, i: int, out: np.ndarray) -> np.ndarray:
-    """out = b_i = -G^T A e_i, the right-hand side for axis e_i.
+    """out = b_i = G0^T A e_i, the right-hand side for axis e_i.
 
     Column i of A is read off the channels by the adjoint half of the
-    sweep.  G^T of the constant field delta e_i vanishes, so b_i is the
+    sweep.  G0^T of the constant field delta e_i vanishes, so b_i is the
     same for every delta of the schedule.
     """
-    return _adjoint([coeff.entry(j, i) for j in range(coeff.dim)], out, -1.0)
+    return _adjoint([coeff.entry(j, i) for j in range(coeff.dim)], out)
 
 
 def _shifted_cg(operator, inv_sym: np.ndarray, rhs: np.ndarray, shifts, limits, max_iter: int):
-    """Preconditioned CG from zero on (K + s G^T G) v_s = rhs, all s > 0 at once.
+    """Preconditioned CG from zero on (K + s G0^T G0) v_s = rhs, all s > 0 at once.
 
     ``operator(p, out)`` writes K p into out and returns the rhs.ndim
-    numbers B^T p (here K = G^T A G, B the right-hand sides -G^T A e_j:
+    numbers B^T p (here K = G0^T A G0, B the right-hand sides G0^T A e_j:
     ``_stiffness``), ``inv_sym`` is the half-spectrum pseudo-inverse of the
-    symbol of G^T G (``_precond_inverse``), and ``shifts`` are the s > 0
-    of the systems to solve.  With P that pseudo-inverse, P (K + s G^T G)
+    symbol of G0^T G0 (``_precond_inverse``), and ``shifts`` are the s > 0
+    of the systems to solve.  With P that pseudo-inverse, P (K + s G0^T G0)
     is the base's preconditioned operator plus s I: the Krylov space is
     shared, the residuals stay collinear, r_s = zeta_s r, and the zeta /
     alpha / beta recurrences of multi-shift CG (Jegerlehner 1996; van den
     Eshof & Sleijpen 2004) give every shift's steps from the one base run.
-    The base is singular where A is, but consistent (rhs = -G^T A e_i lies
+    The base is singular where A is, but consistent (rhs = G0^T A e_i lies
     in its range), so PCG from zero does not break down before the shifts
     converge (Kaasschieter 1988).
 
-    Per cell (divided by rhs.size), with M_s = K + s G^T G: each shift
+    Per cell (divided by rhs.size), with M_s = K + s G0^T G0: each shift
     carries the Hestenes-Stiefel sum g_s = sum_k alpha_s zeta_s^2 r.z, the
     Gauss value of rhs^T M_s^+ rhs, which it never exceeds, and a bound
     ``width`` on the energy error rhs^T M_s^+ rhs - g_s (Golub & Meurant
     2010; Meurant & Tichy 2024).  PK + s I >= s on the range of P, so
     Gauss-Radau with its node at s gives width = at zeta_s^2 r.z, with at
     = 1/s at step 0 and at <- (at - alpha_s) / (s (at - alpha_s) + beta_s)
-    after each preconditioning; before it, M_s >= s G^T G and Parseval give
-    the cheaper zeta_s^2 |r|^2 max(inv_sym) / s.  Shift s stops, its zeta
-    no longer updated (which would underflow), at the first of these
-    bounds that is <= limits[s]: a run whose shifts all stop on the cheap
-    bound skips the last preconditioner, so a run of k iterations applies
-    it k times (the first at step 0), and k + 1 if the last shift to stop
-    needed the Radau bound.  A NaN bound never stops a shift.
+    after each preconditioning; before it, M_s >= s G0^T G0 and Parseval
+    give the cheaper zeta_s^2 |r|^2 max(inv_sym) / s.  Shift s stops, its
+    zeta no longer updated (which would underflow), at the first of these
+    bounds that is <= limits[s]: a run of k iterations applies the
+    preconditioner k times (the first at step 0), and k + 1 if its last
+    shift to stop needed the Radau bound.  A NaN bound never stops a shift.
 
     No iterate is formed: each shift also carries B^T v_s, recurred from
     B^T z = B^T p_k - beta B^T p_{k-1}.  The fields are r (``rhs`` itself,
@@ -702,10 +662,10 @@ def homogenize_general(coeff: PeriodicCoefficient,
     the corrector v_i^delta for every delta.  By adjointness the tensor
     needs no corrector field: A*_delta = mean(A) + delta I - B^T V_delta /
     cells, where the columns of B are the delta-independent right-hand sides
-    b_j = -G^T A e_j (not stored: ``_stiffness`` returns B^T p, and b_i is
-    overwritten as the CG residual) and those of V_delta the correctors;
-    ``_shifted_cg`` returns B^T V_delta / cells off the diagonal, and
-    each shift's Gauss value gives the diagonal.
+    b_j = G0^T A e_j of the integer stencil G0 (not stored: ``_stiffness``
+    returns B^T p, and b_i is overwritten as the CG residual) and those of
+    V_delta the correctors; ``_shifted_cg`` returns B^T V_delta / cells off
+    the diagonal, and each shift's Gauss value gives the diagonal.
 
     What ``cfg.tol`` certifies: every entry of every A*_delta is within tau
     = tol max(1, |mean A|) of the exact discrete value.  The diagonal's
@@ -741,7 +701,7 @@ def homogenize_general(coeff: PeriodicCoefficient,
     residuals = np.empty((len(deltas), dim))
     widths = np.empty((len(deltas), dim))
     # q[k, i] >= b_i^T M^+ b_i / cells at delta_k, before any run: A*_delta >=
-    # delta I bounds it by mean(A)_ii, and M >= delta G^T G by |b_i|^2
+    # delta I bounds it by mean(A)_ii, and M >= delta G0^T G0 by |b_i|^2
     # max(inv_sym) / (delta cells), which is 0 when b_i = 0.  The b_i are
     # formed last to first, which leaves b_0 in place for the first run.
     q = np.empty((len(deltas), dim))

@@ -27,8 +27,11 @@ CSV artifacts are comma-separated with a header row, '.' decimal, UTF-8,
 LF line endings.  A successful run also writes report.json and, for every
 command but verify_conditions, a gnuplot script plot.gp; report.json's
 wall_seconds times the computation, not the writing.  Exit codes: 0
-success, 1 validation error, 2 numerical failure.  A run that exits 1 or 2
+success, 1 validation error or an output_dir that cannot be a directory
+(it names a file or lies under one), 2 numerical failure.  Such a run
 creates and writes nothing: files already in output_dir are left alone.
+A write that fails partway, for example on a full disk, also exits 1 but
+can leave the artifacts written before it.
 """
 
 from __future__ import annotations
@@ -170,8 +173,8 @@ PARAMETERS = {
     "homogenize_laminate": _LAMINATE,
     "homogenize_grid": {
         "coefficient": (_file, REQUIRED),
-        "delta0": (_real(0.0), cell.DELTA0_DEFAULT),
-        "n_delta": (_integer(1), cell.N_DELTA_DEFAULT),
+        "delta0": (_real(0.0), cell.SolverConfig.delta0),
+        "n_delta": (_integer(1), cell.SolverConfig.n_delta),
         "tol": (_real(0.0), cell.SolverConfig.tol),
         "max_iter": (_integer(1), cell.SolverConfig.max_iter),
     },
@@ -469,6 +472,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(report.to_json())
     return 0
 

@@ -96,6 +96,13 @@ def psd_refusal(channels: np.ndarray, dim: int) -> str | None:
     return None
 
 
+def gradient_scale(dim: int, n: int) -> float:
+    """s in G = s G0, G the edge-averaged gradient below and G0 the package's
+    integer stencil: the edge average 0.5^(dim-1) over the spacing h = 1 / n,
+    a power of two on the package's grids."""
+    return 0.5 ** (dim - 1) * n
+
+
 def cell_gradient(v: np.ndarray, h: float) -> np.ndarray:
     """Edge-averaged forward differences per cell, shape (dim,) + v.shape."""
     dim = v.ndim
@@ -164,16 +171,17 @@ def solve_cell_problem(coeff: cell.PeriodicCoefficient, delta: float, direction,
     """Minimize the delta-regularized cell energy for one direction, cold.
 
     Plain preconditioned CG from zero on G^T A_delta G v = -G^T A lam with
-    the ``np.roll`` operators above, the package's preconditioner symbol and
-    its own recurrence, which forms the corrector v; the right-hand side comes from the rebuilt full
-    matrices and the energy is ``energy_of_field`` of the corrector gradient,
-    not the multi-shift read-out.
+    the ``np.roll`` operators above, the package's preconditioner symbol
+    (built for G0, so divided by s^2) and its own recurrence, which forms
+    the corrector v; the right-hand side comes from the rebuilt full
+    matrices and the energy is ``energy_of_field`` of the corrector
+    gradient, not the multi-shift read-out.
     """
     lam = np.asarray(direction, dtype=float)
     h, dim = coeff.h, coeff.dim
     grid = (coeff.n_grid,) * dim
     axes = tuple(range(dim))
-    inv_sym = cell._precond_inverse(dim, coeff.n_grid)
+    inv_sym = cell._precond_inverse(dim, coeff.n_grid) / gradient_scale(dim, coeff.n_grid) ** 2
 
     def operator(p):
         g = cell_gradient(p, h)

@@ -10,7 +10,7 @@ import pytest
 from homoglab import cell, cli, laminate
 from homoglab.errors import ConvergenceError, ValidationError
 from oracles import (apply_coeff, cell_gradient, cell_gradient_adjoint, energy_of_field,
-                     full_samples, psd_refusal, solve_cell_problem)
+                     full_samples, gradient_scale, psd_refusal, solve_cell_problem)
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -616,39 +616,42 @@ def test_nan_residual_raises_instead_of_returning(monkeypatch):
 
 @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
 def test_gradient_adjoint_identity(dim, n):
-    # the package's adjoint half against the oracle's gradient
+    # the package's adjoint half G0^T against the oracle's gradient G = s G0
     rng = np.random.default_rng(5)
     v = rng.normal(size=(n,) * dim)
     w = rng.normal(size=(dim,) + (n,) * dim)
     gv = cell_gradient(v, 1.0 / n)
     gtw = cell._adjoint(w, np.empty((n,) * dim))
-    lhs, rhs = float(np.sum(gv * w)), float(np.sum(v * gtw))
+    lhs, rhs = float(np.sum(gv * w)), gradient_scale(dim, n) * float(np.sum(v * gtw))
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(gv) * np.linalg.norm(w)
 
 
 @pytest.mark.parametrize("slabs", ["one", "two", "uneven", "one-plane"])
 @pytest.mark.parametrize("dim, n", [(2, 16), (2, 64), (3, 8), (3, 16)])
 def test_sweep_matches_roll_oracle(monkeypatch, dim, n, slabs):
-    # G^T A G p, its read-out B^T p and the right-hand sides -G^T A e_i from
-    # the slab sweep against whole-grid np.roll stencils, on random PSD
-    # fields: one slab, two, slabs of 3 planes (a short last slab) and one
-    # plane per slab
+    # G0^T A G0 p, its read-out B^T p and the right-hand sides G0^T A e_i
+    # from the slab sweep against whole-grid np.roll stencils of G = s G0,
+    # on random PSD fields: one slab, two, slabs of 3 planes (a short last
+    # slab) and one plane per slab.  s is a power of two, so the oracles
+    # are rescaled exactly: G0^T A G0 = s^-2 G^T A G, and G0^T A e_j is
+    # -1/s times G's right-hand side -G^T A e_j.
     plane = n ** (dim - 1)
     block = {"one": n * plane, "two": n * plane // 2, "uneven": 3 * plane, "one-plane": 1}
     monkeypatch.setattr(cell, "VALIDATE_BLOCK", block[slabs])
     co = random_psd_coefficient(dim, n, 11)
+    s = gradient_scale(dim, n)
     p = np.random.default_rng(12).normal(size=(n,) * dim)
     grad = cell_gradient(p, co.h)
-    want = cell_gradient_adjoint(apply_coeff(co, grad), co.h)
+    want = cell_gradient_adjoint(apply_coeff(co, grad), co.h) / s ** 2
     got = np.full_like(p, np.nan)
     read = cell._stiffness(co, p, got)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     samples = full_samples(co)
-    # b_j . p = -sum over cells of (A e_j) . (G p)
-    want = -np.array([np.sum(np.moveaxis(samples[..., j], -1, 0) * grad) for j in range(dim)])
+    # b_j . p = sum over cells of (A e_j) . (G0 p), and G0 p = G p / s
+    want = np.array([np.sum(np.moveaxis(samples[..., j], -1, 0) * grad) for j in range(dim)]) / s
     assert np.abs(np.array(read) - want).max() <= 1e-13 * np.abs(want).max()
     for i in range(dim):
-        want = -cell_gradient_adjoint(np.moveaxis(samples[..., i], -1, 0), co.h)
+        want = cell_gradient_adjoint(np.moveaxis(samples[..., i], -1, 0), co.h) / s
         got = cell._rhs(co, i, np.full_like(p, np.nan))
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -656,7 +659,8 @@ def test_sweep_matches_roll_oracle(monkeypatch, dim, n, slabs):
 @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
 def test_half_spectrum_preconditioner_matches_full_fft(dim, n):
     # full complex-FFT pseudo-inverse of the symbol of G^T G, read off the
-    # oracle's gradient of an impulse, not built from 1D factors
+    # oracle's gradient of an impulse, not built from 1D factors; the
+    # package's is that of G0^T G0 = s^-2 G^T G, so its inverse is s^2 times
     impulse = np.zeros((n,) * dim)
     impulse[(0,) * dim] = 1.0
     sym = sum(np.abs(np.fft.fftn(g)) ** 2 for g in cell_gradient(impulse, 1.0 / n))
@@ -664,7 +668,7 @@ def test_half_spectrum_preconditioner_matches_full_fft(dim, n):
     good = sym > 1e-12 * sym.max()
     inv_full[good] = 1.0 / sym[good]
     r = np.random.default_rng(6).normal(size=(n,) * dim)
-    want = np.real(np.fft.ifftn(np.fft.fftn(r) * inv_full))
+    want = np.real(np.fft.ifftn(np.fft.fftn(r) * inv_full)) * gradient_scale(dim, n) ** 2
 
     inv_half = cell._precond_inverse(dim, n)
     assert inv_half is cell._precond_inverse(dim, n)  # built once per grid
@@ -682,9 +686,11 @@ def test_corrector_grad_is_c_contiguous(dim, n):
 
 
 def test_load_coefficient_peak_memory_3d(tmp_path):
-    # the channels (6 n^3 doubles) and one parsed block of VALIDATE_BLOCK
-    # rows, half the grid at 32^3 (measured peak 9.13); parsing the whole
-    # table at once would add 3, a per-cell 3 x 3 array 9
+    # the channels (6 n^3 doubles) and the work of one block, half the grid
+    # at 32^3: the PSD check's LDL^T of a block of cells is the peak
+    # (measured 9.09), and the parse of a chunk of VALIDATE_BLOCK // 16
+    # lines peaks at 7.65.  The whole table parsed at once would add its
+    # own 6 or more, a per-cell 3 x 3 array 9
     n = 32
     path = tmp_path / "coeff.txt"
     cell.save_coefficient(random_psd_coefficient(3, n, 5), path)

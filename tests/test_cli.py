@@ -150,6 +150,25 @@ def test_main_validation_exit_code(tmp_path):
     assert cli.main(["homogenize_laminate", "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize("where", ["output_dir-is-a-file", "out-under-a-file"])
+def test_output_dir_that_cannot_be_a_directory(tmp_path, where):
+    # the run computes, then cannot create its output_dir: one error line on
+    # stderr and exit 1, the file in the way left as it was
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    if where == "output_dir-is-a-file":
+        cfg = write_config(tmp_path, dict(LAMINATE_DOC, output_dir=str(blocker)))
+        override = []
+    else:
+        cfg = write_config(tmp_path, dict(LAMINATE_DOC, output_dir=str(tmp_path / "out")))
+        override = ["--out", str(blocker / "out")]
+    proc = run_python("-m", "homoglab", "homogenize_laminate", "--config", str(cfg), *override)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr
+    assert blocker.read_text() == "keep\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_conditions_run(tmp_path):
     doc = {
         "command": "verify_conditions",
