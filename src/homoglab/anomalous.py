@@ -36,7 +36,7 @@ from .errors import CrossValidationError, ValidationError
 TWO_PI_SQ = 4.0 * np.pi ** 2
 # Most work, nodes x (samples + nodes), spent on h's exponential sum.
 EXP_SUM_MAX_WORK = 1 << 28
-N_MAX = 1 << 19  # most samples of a field built from a function, or of h
+N_MAX = 1 << 19  # most samples of a field (SampledField) or of h
 MEAN_IDENTITY_TOL = 1e-4
 # Smallest Sturm-Liouville coefficient the Green-kernel check supports:
 # sinh(1/sqrt(a)) overflows a double beyond 1/sqrt(a) = 710.47.
@@ -84,8 +84,8 @@ class SpectralParams:
 
 @dataclass(frozen=True)
 class SampledField:
-    """One x1 row: samples of a real function at n >= 16 equispaced points of
-    [0, 1], ends included.
+    """One x1 row: samples of a real function at 16 <= n <= N_MAX equispaced
+    points of [0, 1], ends included.
 
     F_eps has no x2-derivative, so the limit of a field u(x1, x2) is the
     x2-integral of the limit of each of its x1 rows; a row is all this
@@ -98,9 +98,9 @@ class SampledField:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if not (v.ndim == 1 and v.size >= 16):
-            raise ValidationError(
-                f"a field is one x1 row of at least 16 samples, got shape {v.shape}")
+        if not (v.ndim == 1 and 16 <= v.size <= N_MAX):
+            raise ValidationError(f"a field is one x1 row of at least 16 samples and "
+                                  f"at most {N_MAX}, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValidationError("field has non-finite values")
         object.__setattr__(self, "values", v)
@@ -119,22 +119,23 @@ class SampledField:
 
     @classmethod
     def from_function(cls, fn, n: int) -> "SampledField":
-        """fn at n equispaced points of [0, 1]; n above N_MAX is refused."""
+        """fn at n equispaced points of [0, 1]; n above N_MAX is refused
+        before fn is sampled."""
         if not n <= N_MAX:
             raise ValidationError(f"a field holds at most {N_MAX} samples")
         return cls(fn(np.linspace(0.0, 1.0, n)))
 
 
+# The named x1 test profiles; a CLI u that is none of them is a CSV path.
+PROFILES = (*(f"sin_{k}" for k in range(1, 10)), "bump")
+
+
 def test_function(name: str):
-    """Named x1 test profiles: 'sin_k' (k = 1..9) and the smooth 'bump'."""
-    if isinstance(name, str) and name.startswith("sin_"):
-        try:
-            k = int(name[4:])
-        except ValueError:
-            raise ValidationError(f"unknown test function {name!r}")
-        if not 1 <= k <= 9:
-            raise ValidationError("sin_k supports k = 1..9")
-        return lambda x: np.sin(k * np.pi * np.asarray(x))
+    """The profile of a name in PROFILES: sin(k pi x) for 'sin_k', or the
+    smooth 'bump'."""
+    if name not in PROFILES:
+        raise ValidationError(
+            f"unknown test function {name!r}, expected sin_1 ... sin_9 or bump")
     if name == "bump":
         def bump(x):
             x = np.asarray(x, dtype=float)
@@ -144,7 +145,8 @@ def test_function(name: str):
             out[inside] = np.exp(1.0 - 0.25 / t)
             return out
         return bump
-    raise ValidationError(f"unknown test function {name!r}")
+    k = int(name[4:])
+    return lambda x: np.sin(k * np.pi * np.asarray(x))
 
 
 # ---------------------------------------------------------------------------

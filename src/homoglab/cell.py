@@ -533,6 +533,17 @@ def _rhs(coeff: PeriodicCoefficient, i: int, out: np.ndarray) -> np.ndarray:
     return _adjoint([coeff.entry(j, i) for j in range(coeff.dim)], out)
 
 
+def _cg_failure(what, active, shifts, widths, limits, residuals) -> ConvergenceError:
+    """ConvergenceError for a CG run that ``what`` (stopped, broke down),
+    naming the active shift whose width lies furthest above its limit."""
+    with np.errstate(all="ignore"):  # NaN counts as furthest
+        ratio = np.nan_to_num(widths[active] / np.asarray(limits)[active], nan=np.inf)
+    s = active[int(np.argmax(ratio))]
+    return ConvergenceError(
+        f"cell problem CG {what} with width {widths[s]:.3e} at shift {shifts[s]:.3e}, "
+        f"against a threshold of {limits[s]:.3e}", float(residuals[s]))
+
+
 def _shifted_cg(operator, inv_sym: np.ndarray, rhs: np.ndarray, shifts, limits, max_iter: int):
     """Preconditioned CG from zero on (K + s G0^T G0) v_s = rhs, all s > 0 at once.
 
@@ -546,8 +557,11 @@ def _shifted_cg(operator, inv_sym: np.ndarray, rhs: np.ndarray, shifts, limits, 
     alpha / beta recurrences of multi-shift CG (Jegerlehner 1996; van den
     Eshof & Sleijpen 2004) give every shift's steps from the one base run.
     The base is singular where A is, but consistent (rhs = G0^T A e_i lies
-    in its range), so PCG from zero does not break down before the shifts
-    converge (Kaasschieter 1988).
+    in its range), so in exact arithmetic PCG from zero does not break down
+    before the shifts converge (Kaasschieter 1988).  In floating point the
+    rounding leaves a component outside the range, and far below grid
+    resolution (the 16^2 I/0 checkerboard at delta_min <= 5.6e-18) p^T K p
+    can reach 0; a p^T K p that is not > 0 raises ConvergenceError.
 
     Per cell (divided by rhs.size), with M_s = K + s G0^T G0: each shift
     carries the Hestenes-Stiefel sum g_s = sum_k alpha_s zeta_s^2 r.z, the
@@ -619,13 +633,8 @@ def _shifted_cg(operator, inv_sym: np.ndarray, rhs: np.ndarray, shifts, limits, 
         if not active:
             break
         if it >= max_iter or not np.all(np.isfinite(widths[active])):
-            with np.errstate(all="ignore"):  # the worst shift: NaN first
-                ratio = np.nan_to_num(widths[active] / np.asarray(limits)[active], nan=np.inf)
-            s = active[int(np.argmax(ratio))]
-            raise ConvergenceError(
-                f"cell problem CG stopped after {it} iterations (limit {max_iter}) with "
-                f"width {widths[s]:.3e} at shift {shifts[s]:.3e}, against a threshold of "
-                f"{limits[s]:.3e}", float(residuals[s]))
+            raise _cg_failure(f"stopped after {it} iterations (limit {max_iter})",
+                              active, shifts, widths, limits, residuals)
         if it:
             p *= beta
             p += z
@@ -636,7 +645,11 @@ def _shifted_cg(operator, inv_sym: np.ndarray, rhs: np.ndarray, shifts, limits, 
         read_last = read
         for s in active:
             read_p[s] = [zeta[s][1] * w + carry[s] * q for w, q in zip(read_z, read_p[s])]
-        alpha = rz / float(np.vdot(p, z))
+        pkp = float(np.vdot(p, z))
+        if not pkp > 0.0:
+            raise _cg_failure(f"broke down at iteration {it} (p^T K p = {pkp:.3e})",
+                              active, shifts, widths, limits, residuals)
+        alpha = rz / pkp
         z *= alpha
         r -= z
         for s in active:

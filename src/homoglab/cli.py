@@ -3,17 +3,21 @@
 Usage:  homoglab <command> --config <file> [--out <dir>]
 
 A config file is a single JSON document: {"command": ..., "output_dir": ...,
-"parameters": {...}}.  ``--out`` overrides output_dir.  ``PARAMETERS`` lists
-each command's keys with their checks and defaults (the README's command
-table names the same keys): laminate matrices are row-major nested arrays,
-``u`` is a test-function name (``sin_1`` by default) or, for counterexample,
-a CSV path (``n`` is then its sample count), ``eps_list`` holds reciprocals
-of integers, and ``lambda_max`` sets the lambda range of kernel.csv and
-h.csv's spacing 0.5/lambda_max (the limit forms do not depend on it); it
-lies below 32767.9375, where h.csv would exceed N_MAX samples.  Every key
-is checked before any output is written and all failures are reported
-together; a key the table does not list is an error.  report.json's
-inputs.parameters holds the effective values, defaults filled in.
+"parameters": {...}}.  ``--out`` replaces output_dir before the document is
+checked, so it obeys the same rule: a non-empty string.  ``PARAMETERS``
+lists each command's keys with their checks and defaults (the README's
+command table names the same keys): laminate matrices are row-major nested
+arrays, ``eps_list`` holds reciprocals of integers, and ``lambda_max`` sets
+the lambda range of kernel.csv and h.csv's spacing 0.5/lambda_max (the
+limit forms do not depend on it); it lies below 32767.9375, where h.csv
+would exceed N_MAX samples.  ``u`` names a test function, exactly one of
+``sin_1`` ... ``sin_9`` or ``bump`` (``sin_1`` by default, see
+``anomalous.PROFILES``); for counterexample anything else is the path of a
+CSV of 16 to 524,288 (N_MAX) samples, and ``n`` is then its sample count.
+Every key is checked before any output is written and all failures are
+reported together; a key the table does not list is an error.
+``parse_config`` returns the effective document, defaults filled in, and
+report.json's inputs.parameters holds its parameters.
 
 Grid coefficient file format: a text header line ``dim n_grid channels``
 followed by whitespace-separated row-major floats, one cell per line, the
@@ -28,10 +32,11 @@ LF line endings.  A successful run also writes report.json and, for every
 command but verify_conditions, a gnuplot script plot.gp; report.json's
 wall_seconds times the computation, not the writing.  Exit codes: 0
 success, 1 validation error or an output_dir that cannot be a directory
-(it names a file or lies under one), 2 numerical failure.  Such a run
-creates and writes nothing: files already in output_dir are left alone.
-A write that fails partway, for example on a full disk, also exits 1 but
-can leave the artifacts written before it.
+(it names a file or lies under one), 2 numerical failure, a breakdown of
+the cell solver's CG included.  Such a run creates and writes nothing:
+files already in output_dir are left alone.  A write that fails partway,
+for example on a full disk, also exits 1 but can leave the artifacts
+written before it.
 """
 
 from __future__ import annotations
@@ -41,43 +46,12 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import anomalous, cell, laminate, linalg
 from .errors import NumericalError, ValidationError
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    command: str
-    parameters: dict
-    output_dir: str = "."
-
-    def to_document(self) -> str:
-        return json.dumps(
-            {"command": self.command, "output_dir": self.output_dir,
-             "parameters": self.parameters},
-            indent=2, sort_keys=True)
-
-
-@dataclass
-class RunReport:
-    command: str
-    inputs: dict
-    results: dict
-    diagnostics: dict
-    wall_seconds: float
-    artifacts: list = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"command": self.command, "inputs": self.inputs,
-             "results": self.results, "diagnostics": self.diagnostics,
-             "artifacts": self.artifacts, "wall_seconds": self.wall_seconds},
-            indent=2, sort_keys=True)
-
 
 REQUIRED = object()  # the default of a key the config must give
 
@@ -116,13 +90,9 @@ def _file(value) -> str:
     raise ValidationError(f"not the path of a file, got {value!r}")
 
 
-def _is_profile_name(value) -> bool:
-    return isinstance(value, str) and (value.startswith("sin_") or value == "bump")
-
-
 def _u_field(value, n: int = 16) -> anomalous.SampledField:
     """The test function named value at n points, or the CSV file at value."""
-    if _is_profile_name(value):
+    if value in anomalous.PROFILES:
         return anomalous.SampledField.from_function(anomalous.test_function(value), n)
     path = _file(value)
     lines = Path(path).read_bytes().splitlines()
@@ -198,20 +168,26 @@ COMMANDS = tuple(PARAMETERS)
 TOP_LEVEL_KEYS = ("command", "output_dir", "parameters")
 
 
-def parse_config(document: str) -> ExperimentConfig:
-    """Parse a JSON config document and check it against PARAMETERS.
-
-    Every key of the command is checked in one pass and all failures are
-    reported together; a key the table does not list is a failure, and so
-    is a top-level key other than those of TOP_LEVEL_KEYS.  The returned
-    parameters are the effective JSON values, defaults filled in.
-    """
+def _decoded(document: str) -> dict:
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("config must be a JSON object")
+    return doc
+
+
+def parse_config(document: str) -> dict:
+    """Parse a JSON config document and check it against PARAMETERS.
+
+    Every key of the command is checked in one pass and all failures are
+    reported together; a key the table does not list is a failure, and so
+    is a top-level key other than those of TOP_LEVEL_KEYS.  Returns the
+    effective document, defaults filled in, so that
+    parse_config(json.dumps(config)) == config.
+    """
+    doc = _decoded(document)
     command = doc.get("command")
     if command not in COMMANDS:
         raise ValidationError(
@@ -234,17 +210,15 @@ def parse_config(document: str) -> ExperimentConfig:
     output_dir = doc.get("output_dir", ".")
     if not (isinstance(output_dir, str) and output_dir):
         errors.append(f"output_dir: must be a non-empty string, got {output_dir!r}")
-    if command == "counterexample" and not errors \
-            and not _is_profile_name(effective["u"]):
+    if command == "counterexample" and not errors:
         # a u CSV sets the sample count; n, if given, must agree with it
-        size = _u_field(effective["u"]).values.size
+        size = _u_field(effective["u"], effective["n"]).n
         if params.get("n") is not None and effective["n"] != size:
             errors.append(f"parameters.n: u holds {size} samples, not {effective['n']}")
         effective["n"] = size
     if errors:
         raise ValidationError("; ".join(errors))
-    return ExperimentConfig(command=command, parameters=effective,
-                            output_dir=output_dir)
+    return {"command": command, "output_dir": output_dir, "parameters": effective}
 
 
 CSV_BLOCK_ROWS = 1024  # rows formatted and written at a time
@@ -289,7 +263,7 @@ def _tensor_columns(tensors: np.ndarray) -> list:
 # plot is plot.gp's lines or None.
 
 def _run_homogenize_laminate(params):
-    hom = laminate.homogenize_laminate(laminate.LaminateSpec.from_dict(params))
+    hom = laminate.homogenize_laminate(laminate.LaminateSpec(**params))
     tables = {
         "tensor.csv": (["i", "j", "value"], _tensor_columns(hom.tensor)),
         "summary.csv": (["a_value", "branch", "pd", "kernel_dim"],
@@ -307,7 +281,7 @@ def _run_homogenize_laminate(params):
 
 
 def _run_verify_conditions(params):
-    spec = laminate.LaminateSpec.from_dict(params)
+    spec = laminate.LaminateSpec(**params)
     check = laminate.check_conditions_2d if spec.dim == 2 else laminate.check_conditions_3d
     rep = check(spec)
     hom = laminate.homogenize_laminate(spec)
@@ -418,29 +392,33 @@ _RUNNERS = {
 }
 
 
-def run(config: ExperimentConfig) -> RunReport:
-    """Execute a validated config, then write its artifacts into output_dir.
+def _to_json(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True)
+
+
+def run(config: dict) -> dict:
+    """Execute a checked config (``parse_config``), then write its artifacts
+    into output_dir; returns the report that report.json holds.
 
     output_dir is created only once the runner has returned, so a run that
     raises writes nothing; wall_seconds times the runner, not the writing.
     """
     start = time.perf_counter()
-    tables, plot, results, diagnostics = _RUNNERS[config.command](config.parameters)
-    report = RunReport(command=config.command,
-                       inputs={"parameters": config.parameters},
-                       results=results, diagnostics=diagnostics,
-                       wall_seconds=time.perf_counter() - start)
-    out = Path(config.output_dir)
+    tables, plot, results, diagnostics = _RUNNERS[config["command"]](config["parameters"])
+    report = {"command": config["command"], "inputs": {"parameters": config["parameters"]},
+              "results": results, "diagnostics": diagnostics,
+              "wall_seconds": time.perf_counter() - start, "artifacts": []}
+    out = Path(config["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     for name, (header, columns) in tables.items():
         _write_csv(out / name, header, columns)
-        report.artifacts.append((name, len(columns[0])))
+        report["artifacts"].append([name, len(columns[0])])
     if plot is not None:
         (out / "plot.gp").write_text(
             "\n".join(['set datafile separator ","', "set key autotitle columnhead",
                        *plot]) + "\n", encoding="utf-8", newline="\n")
-        report.artifacts.append(("plot.gp", None))
-    (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+        report["artifacts"].append(["plot.gp", None])
+    (out / "report.json").write_text(_to_json(report) + "\n", encoding="utf-8")
     return report
 
 
@@ -458,13 +436,13 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     try:
+        if args.out is not None:  # replaced before the one check of output_dir
+            text = json.dumps(dict(_decoded(text), output_dir=args.out))
         config = parse_config(text)
-        if config.command != args.command:
+        if config["command"] != args.command:
             raise ValidationError(
-                f"config command {config.command!r} does not match CLI "
+                f"config command {config['command']!r} does not match CLI "
                 f"command {args.command!r}")
-        if args.out is not None:
-            config = replace(config, output_dir=args.out)
         report = run(config)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
@@ -475,7 +453,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(report.to_json())
+    print(_to_json(report))
     return 0
 
 

@@ -106,18 +106,6 @@ class LaminateSpec:
     def dim(self) -> int:
         return self.phase1.shape[0]
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "LaminateSpec":
-        missing = {"phase1", "phase2", "theta", "direction"} - set(doc)
-        if missing:
-            raise ValidationError(f"laminate document missing keys {sorted(missing)}")
-        return cls(
-            phase1=np.asarray(doc["phase1"], dtype=float),
-            phase2=np.asarray(doc["phase2"], dtype=float),
-            theta=float(doc["theta"]),
-            direction=np.asarray(doc["direction"], dtype=float),
-        )
-
 
 @dataclass(frozen=True)
 class HomogenizedLaminate:

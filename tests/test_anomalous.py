@@ -160,9 +160,9 @@ def test_exponential_sum_work_is_capped_before_allocating():
 
 
 def test_convolution_form_memory_is_linear():
-    # 2^19 + 1 samples (4 MB): the loop over the nodes holds a few arrays
-    # of that size, never one per node
-    x = np.linspace(0.0, 1.0, an.N_MAX + 1)
+    # 2^19 samples (4 MB), the most a field holds: the loop over the nodes
+    # holds a few arrays of that size, never one per node
+    x = np.linspace(0.0, 1.0, an.N_MAX)
     long = an.SampledField(np.sin(np.pi * x))
     an.gamma_limit_convolution(P, field_of("sin_1", 64))
     assert _traced_peak_mb(an.gamma_limit_convolution, P, long) < 48.0
@@ -175,10 +175,13 @@ def test_every_fft_and_field_is_capped_before_allocating():
                             an.N_MAX + 1) < 1.0
     assert _refused_peak_mb("at most", an.recovery_energy, P, fn, 2.0 ** -20,
                             2 ** 24) < 1.0
-    # a field built from samples is not capped; the spectral form of one with
-    # 2^19 + 1 samples (4 MB) holds at most five arrays of its size
+    # a field built from samples holds at most N_MAX of them too; the
+    # spectral form of one with 2^19 samples (4 MB) holds at most five
+    # arrays of its size
+    with pytest.raises(ValidationError, match="at most 524288, got shape"):
+        an.SampledField(np.zeros(an.N_MAX + 1))
     an.gamma_limit_fourier(P, field_of("sin_1", 64))
-    x = np.linspace(0.0, 1.0, an.N_MAX + 1)
+    x = np.linspace(0.0, 1.0, an.N_MAX)
     long = an.SampledField(np.sin(np.pi * x))
     assert _traced_peak_mb(an.gamma_limit_fourier, P, long) < 20.0
 
@@ -519,5 +522,8 @@ def test_test_function_registry():
     bump = an.test_function("bump")
     assert bump(np.array([0.0, 1.0])).max() == 0.0
     assert bump(np.array([0.5]))[0] == pytest.approx(1.0)
-    with pytest.raises(ValidationError, match="unknown test function"):
-        an.test_function("boxcar")
+    # exactly sin_1 ... sin_9 and bump: anything else is not a name
+    assert an.PROFILES == tuple(f"sin_{k}" for k in range(1, 10)) + ("bump",)
+    for name in ("boxcar", "sin_0", "sin_10", "sin_01", "sin_ 1", "sin_wave.csv", "Bump"):
+        with pytest.raises(ValidationError, match="unknown test function"):
+            an.test_function(name)

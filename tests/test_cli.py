@@ -34,14 +34,15 @@ def write_config(tmp_path, doc, name="cfg.json"):
 
 def test_parse_config_valid():
     cfg = cli.parse_config(json.dumps(LAMINATE_DOC))
-    assert cfg.command == "homogenize_laminate"
-    assert cfg.parameters["theta"] == 0.5
+    assert cfg["command"] == "homogenize_laminate"
+    assert cfg["parameters"]["theta"] == 0.5
 
 
 def test_parse_config_round_trip():
+    # the effective document: output_dir filled in, the matrices as floats
     cfg = cli.parse_config(json.dumps(LAMINATE_DOC))
-    again = cli.parse_config(cfg.to_document())
-    assert again == cfg
+    assert cfg == dict(LAMINATE_DOC, output_dir=".")
+    assert cli.parse_config(json.dumps(cfg)) == cfg
 
 
 def test_parse_config_reports_paths():
@@ -78,9 +79,9 @@ def test_parse_config_names_every_failure_in_one_message():
 
 def test_parse_config_fills_in_defaults():
     cfg = cli.parse_config(json.dumps(COUNTER_DOC))
-    assert cfg.parameters == {"c": 2.0, "theta": 0.5, "u": "sin_1", "n": 1024,
-                              "lambda_max": 64.0}
-    assert cli.parse_config(cfg.to_document()) == cfg
+    assert cfg["parameters"] == {"c": 2.0, "theta": 0.5, "u": "sin_1", "n": 1024,
+                                 "lambda_max": 64.0}
+    assert cli.parse_config(json.dumps(cfg)) == cfg
 
 
 def test_readme_command_table_names_the_parameter_table():
@@ -113,13 +114,13 @@ def test_main_homogenize_laminate(tmp_path, capsys):
     assert len(rows) == 5
 
 
-def run_python(*args):
-    """Run ``python *args`` with this homoglab first on the import path."""
+def run_python(*args, cwd=None):
+    """Run ``python *args`` in cwd with this homoglab first on the import path."""
     src = str(Path(homoglab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True)
+                          text=True, cwd=cwd)
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
@@ -150,23 +151,26 @@ def test_main_validation_exit_code(tmp_path):
     assert cli.main(["homogenize_laminate", "--config", str(cfg)]) == 1
 
 
-@pytest.mark.parametrize("where", ["output_dir-is-a-file", "out-under-a-file"])
+@pytest.mark.parametrize("where", ["output_dir-is-a-file", "out-under-a-file", "out-empty"])
 def test_output_dir_that_cannot_be_a_directory(tmp_path, where):
     # the run computes, then cannot create its output_dir: one error line on
-    # stderr and exit 1, the file in the way left as it was
+    # stderr and exit 1, the file in the way left as it was.  An empty --out
+    # is refused before the run, as an empty output_dir is, and not taken
+    # for the current directory (the run's cwd is tmp_path)
     blocker = tmp_path / "taken"
     blocker.write_text("keep\n")
-    if where == "output_dir-is-a-file":
-        cfg = write_config(tmp_path, dict(LAMINATE_DOC, output_dir=str(blocker)))
-        override = []
-    else:
-        cfg = write_config(tmp_path, dict(LAMINATE_DOC, output_dir=str(tmp_path / "out")))
-        override = ["--out", str(blocker / "out")]
-    proc = run_python("-m", "homoglab", "homogenize_laminate", "--config", str(cfg), *override)
+    output_dir = blocker if where == "output_dir-is-a-file" else tmp_path / "out"
+    cfg = write_config(tmp_path, dict(LAMINATE_DOC, output_dir=str(output_dir)))
+    override = {"out-under-a-file": ["--out", str(blocker / "out")],
+                "out-empty": ["--out", ""]}.get(where, [])
+    before = sorted(tmp_path.iterdir())
+    proc = run_python("-m", "homoglab", "homogenize_laminate", "--config", str(cfg), *override,
+                      cwd=tmp_path)
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr
+    prefix = "validation error: output_dir: " if where == "out-empty" else "error: "
+    assert proc.stderr.startswith(prefix) and "Traceback" not in proc.stderr, proc.stderr
     assert blocker.read_text() == "keep\n"
-    assert not (tmp_path / "out").exists()
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_verify_conditions_run(tmp_path):
@@ -264,11 +268,12 @@ VERIFY_DOC = dict(LAMINATE_DOC, command="verify_conditions")
 
 def grid_coefficient(tmp_path, kind="constant", suffix=".txt"):
     """Path of a 2D grid file: the identity on 16^2, the random PSD 8^2
-    field that CG cannot solve to 1e-14 in one iteration, the 4^2 text
-    file "not-psd" with a11 = -1 in every cell, "negative-n", 16 cells
-    under the header '2 -4 3', or a file whose header claims a 65536^3
-    field (12 PiB of channels) above one cell: "short-text" as text and
-    "short-npy" as a .npy header followed by 64 bytes."""
+    field that CG cannot solve to 1e-14 in one iteration, the 16^2 "board"
+    of I and 0 cells, the 4^2 text file "not-psd" with a11 = -1 in every
+    cell, "negative-n", 16 cells under the header '2 -4 3', or a file
+    whose header claims a 65536^3 field (12 PiB of channels) above one
+    cell: "short-text" as text and "short-npy" as a .npy header followed
+    by 64 bytes."""
     path = tmp_path / f"{kind}{suffix}"
     texts = {"not-psd": "2 4 3\n" + "-1 0 1\n" * 16, "negative-n": "2 -4 3\n" + "1 0 1\n" * 16,
              "short-text": "3 65536 6\n" + "1 0 0 1 0 1\n"}
@@ -284,6 +289,8 @@ def grid_coefficient(tmp_path, kind="constant", suffix=".txt"):
         return str(path)
     if kind == "constant":
         co = cell.constant_coefficient(np.eye(2), 2, 16)
+    elif kind == "board":
+        co = cell.checkerboard_coefficient(1.0, 0.0, 16)
     else:
         b = np.random.default_rng(6).normal(size=(8, 8, 2, 2))
         co = cell.PeriodicCoefficient(dim=2, n_grid=8,
@@ -315,22 +322,25 @@ def test_declared_artifacts_exist_with_row_counts(tmp_path, doc):
         params["coefficient"] = grid_coefficient(tmp_path)
     report = cli.run(cli.parse_config(json.dumps(
         dict(doc, parameters=params, output_dir=str(out)))))
-    names = [name for name, _ in report.artifacts]
+    names = [name for name, _ in report["artifacts"]]
     assert sorted(p.name for p in out.iterdir()) == sorted(names + ["report.json"])
     assert ("plot.gp" in names) == (doc["command"] != "verify_conditions")
-    for name, rows in report.artifacts:
+    for name, rows in report["artifacts"]:
         if rows is not None:
             assert len((out / name).read_text().splitlines()) == rows + 1
-    written = json.loads((out / "report.json").read_text())["artifacts"]
-    assert written == [list(a) for a in report.artifacts]
+    written = json.loads((out / "report.json").read_text())
+    assert written == dict(report, wall_seconds=written["wall_seconds"])
 
 
 # probe -> (command, parameters, exit code, part of the message); each check
-# but "u-several-rows" is made by the library after every key has passed
-# PARAMETERS; "ones" stands for a u CSV of 32 ones, which does not vanish at
-# the ends of [0, 1], and "rows" for one of 20 rows of 64 samples that do;
-# "kernel-window" is the cap on h's nodes times samples, which took over from
-# the cap on the FFT window of the kernel
+# but "u-several-rows" and "u-above-N_MAX" is made by the library after every
+# key has passed PARAMETERS; "ones" stands for a u CSV of 32 ones, which does
+# not vanish at the ends of [0, 1], "rows" for one of 20 rows of 64 samples
+# that do, and "long" for one of N_MAX + 1 zeros; "kernel-window" is the cap
+# on h's nodes times samples, which took over from the cap on the FFT window
+# of the kernel; "cg-breakdown" is the 16^2 I/0 checkerboard down to
+# delta = 1e-1 / 4^39, where p^T K p reaches 0 (on numpy 2.0 the run may
+# stop on a non-finite width instead, so only the solver is named)
 FAILING_RUNS = {
     "phase1-not-psd": ("homogenize_laminate",
                        dict(LAMINATE_DOC["parameters"], phase1=[[1, 0], [0, -1]]),
@@ -348,6 +358,8 @@ FAILING_RUNS = {
                            1, "must vanish at x1 = 0 and 1"),
     "u-several-rows": ("counterexample", {"c": 2.0, "theta": 0.5, "u": "rows"},
                        1, "parameters.u: "),
+    "u-above-N_MAX": ("counterexample", {"c": 2.0, "theta": 0.5, "u": "long"},
+                      1, "parameters.u: "),
     "coefficient-not-psd": ("homogenize_grid", {"coefficient": "not-psd"},
                             1, "samples are not PSD"),
     "coefficient-negative-n": ("homogenize_grid", {"coefficient": "negative-n"},
@@ -359,6 +371,8 @@ FAILING_RUNS = {
                               1, "(6, 65536, 65536, 65536) with 64 bytes of data"),
     "cg-max_iter": ("homogenize_grid", {"coefficient": "random", "max_iter": 1,
                                         "tol": 1e-14}, 2, "CG stopped after 1"),
+    "cg-breakdown": ("homogenize_grid", {"coefficient": "board", "n_delta": 40},
+                     2, "cell problem CG "),
     # (c - 1)^2 overflows a double above c = 1.34e154
     "contrast-overflow": ("counterexample", {"c": 1e200, "theta": 0.5},
                           1, "(c - 1)^2 finite"),
@@ -378,6 +392,9 @@ def test_failed_run_writes_nothing(tmp_path, capsys, probe):
     if params.get("u") == "rows":
         rows = np.outer(np.ones(20), np.sin(np.pi * np.linspace(0.0, 1.0, 64)))
         np.savetxt(tmp_path / "u.csv", rows, delimiter=",")
+        params = dict(params, u=str(tmp_path / "u.csv"))
+    if params.get("u") == "long":
+        (tmp_path / "u.csv").write_text("0\n" * (anomalous.N_MAX + 1))
         params = dict(params, u=str(tmp_path / "u.csv"))
     cfg = write_config(tmp_path, {"command": command, "output_dir": str(tmp_path / "out"),
                                   "parameters": params})
@@ -417,6 +434,9 @@ BAD_VALUES = {
     "u-empty": ("u", COUNTER_DOC, "empty"),
     "u-comments": ("u", COUNTER_DOC, "comments"),
     "u-number": ("u", SWEEP_DOC, 5),
+    "u-sin_12": ("u", COUNTER_DOC, "sin_12"),
+    "u-sin_12-sweep": ("u", SWEEP_DOC, "sin_12"),
+    "u-missing": ("u", COUNTER_DOC, "missing.csv"),
     "max_iter": ("max_iter", GRID_DOC, "x"),
     "max_iter-negative": ("max_iter", GRID_DOC, -5),
     "tol-negative": ("tol", GRID_DOC, -1),
@@ -518,6 +538,21 @@ def test_counterexample_csv_reports_its_sample_count(tmp_path, capsys, n, code):
         report = json.loads((out / "report.json").read_text())
         assert report["inputs"]["parameters"]["n"] == 64
         assert len((out / "u0_branches.csv").read_text().splitlines()) == 64 + 1
+
+
+def test_counterexample_csv_named_like_a_profile(tmp_path, monkeypatch):
+    # only sin_1 ... sin_9 and bump are names, so sin_wave.csv is a CSV path
+    # and runs as the same samples named wave.csv do
+    monkeypatch.chdir(tmp_path)
+    samples = np.sin(np.pi * np.linspace(0.0, 1.0, 64))
+    energies = []
+    for name in ("wave.csv", "sin_wave.csv"):
+        np.savetxt(name, samples)
+        cfg = write_config(tmp_path, {"command": "counterexample", "output_dir": name + ".out",
+                                      "parameters": {"c": 2.0, "theta": 0.5, "u": name}})
+        assert cli.main(["counterexample", "--config", str(cfg)]) == 0
+        energies.append((tmp_path / (name + ".out") / "energies.csv").read_bytes())
+    assert energies[0] == energies[1]
 
 
 def test_counterexample_high_contrast_fine_grid(tmp_path):
