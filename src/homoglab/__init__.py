@@ -4,8 +4,9 @@ Subpackages:
 
 * ``linalg``     input validators for small symmetric matrices and vectors
 * ``laminate``   explicit rank-one laminate formula, structure conditions and
-                 the kernel identity from one eigh per phase; both sides are
-                 SVD null spaces mapped through the theta-weighted phase bases
+                 the kernel identity from one eigh of the two phases' stack;
+                 each side is one SVD of the phases' range rows with a unit
+                 vector projected out
 * ``cell``       regularized periodic cell problems and delta extrapolation
 * ``anomalous``  the two-dimensional anomalous limit: spectral and
                  convolution forms, two-scale profiles, recovery energies

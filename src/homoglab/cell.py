@@ -165,8 +165,11 @@ class PeriodicCoefficient:
         return 1.0 / self.n_grid
 
     def entry(self, i: int, j: int) -> np.ndarray:
-        """Entry (i, j) = (j, i) of every cell: its channel, not a copy."""
-        return self.channels[_triu_indices(self.dim).index((min(i, j), max(i, j)))]
+        """Entry (i, j) = (j, i) of every cell: its channel, not a copy.
+        With i <= j that is channel i d - i (i - 1) / 2 + j - i of the
+        row-major upper triangle."""
+        i, j = min(i, j), max(i, j)
+        return self.channels[i * self.dim - i * (i - 1) // 2 + j - i]
 
 
 @dataclass(frozen=True)

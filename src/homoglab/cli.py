@@ -14,6 +14,8 @@ would exceed N_MAX samples.  ``u`` names a test function, exactly one of
 ``sin_1`` ... ``sin_9`` or ``bump`` (``sin_1`` by default, see
 ``anomalous.PROFILES``); for counterexample anything else is the path of a
 CSV of 16 to 524,288 (N_MAX) samples, and ``n`` is then its sample count.
+``parse_config`` reads such a CSV once, and no more than N_MAX + 1 of its
+data lines.
 Every key is checked before any output is written and all failures are
 reported together; a key the table does not list is an error.
 ``parse_config`` returns the effective document, defaults filled in, and
@@ -42,6 +44,7 @@ written before it.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -90,19 +93,32 @@ def _file(value) -> str:
     raise ValidationError(f"not the path of a file, got {value!r}")
 
 
-def _u_field(value, n: int = 16) -> anomalous.SampledField:
-    """The test function named value at n points, or the CSV file at value."""
+def _read_u_csv(path: str) -> np.ndarray:
+    """The samples of a u CSV.  At most N_MAX + 1 data lines (lines with
+    something besides a comment) are read, so a longer file is refused
+    with memory bounded by N_MAX, not by the file."""
+    with open(path, encoding="utf-8") as fh:
+        lines = (line for line in fh if line.partition("#")[0].strip())
+        try:
+            first = next(lines, None)
+            if first is not None:
+                samples = np.loadtxt(
+                    itertools.chain([first], itertools.islice(lines, anomalous.N_MAX)),
+                    delimiter=",", dtype=float, ndmin=1)
+        except ValueError as exc:
+            raise ValidationError(f"{path} is not numeric: {exc}") from None
+    if first is None:
+        raise ValidationError(f"{path} holds no samples")
+    if len(samples) > anomalous.N_MAX:
+        raise ValidationError(f"{path} holds more than {anomalous.N_MAX} samples")
+    return samples
+
+
+def _u_field(value, n: int) -> anomalous.SampledField:
+    """The test function named value at n points, or the u CSV at value."""
     if value in anomalous.PROFILES:
         return anomalous.SampledField.from_function(anomalous.test_function(value), n)
-    path = _file(value)
-    lines = Path(path).read_bytes().splitlines()
-    if not any(line.partition(b"#")[0].strip() for line in lines):
-        raise ValidationError(f"{path} holds no samples")
-    try:
-        samples = np.loadtxt(path, delimiter=",", dtype=float, ndmin=1)
-    except ValueError as exc:
-        raise ValidationError(f"{path} is not numeric: {exc}") from None
-    return anomalous.SampledField(samples)
+    return anomalous.SampledField(_read_u_csv(value))
 
 
 def _kept(validate):
@@ -151,7 +167,8 @@ PARAMETERS = {
     "verify_conditions": _LAMINATE,
     "counterexample": {
         **_CONTRAST,
-        "u": (_kept(_u_field), "sin_1"),
+        # a profile name, or a file that parse_config reads as a u CSV
+        "u": (lambda v: v if v in anomalous.PROFILES else _file(v), "sin_1"),
         "n": (_integer(16, anomalous.N_MAX), 1024),
         "lambda_max": (_real(0.0, (anomalous.N_MAX - 1) * H_SPACING / (2 * H_HALF_WIDTH)),
                        64.0),
@@ -210,12 +227,18 @@ def parse_config(document: str) -> dict:
     output_dir = doc.get("output_dir", ".")
     if not (isinstance(output_dir, str) and output_dir):
         errors.append(f"output_dir: must be a non-empty string, got {output_dir!r}")
-    if command == "counterexample" and not errors:
-        # a u CSV sets the sample count; n, if given, must agree with it
-        size = _u_field(effective["u"], effective["n"]).n
-        if params.get("n") is not None and effective["n"] != size:
-            errors.append(f"parameters.n: u holds {size} samples, not {effective['n']}")
-        effective["n"] = size
+    if command == "counterexample" and "u" in effective \
+            and effective["u"] not in anomalous.PROFILES:
+        # a u CSV, read here once, sets the sample count; n, if given, must
+        # agree with it
+        try:
+            size = anomalous.SampledField(_read_u_csv(effective["u"])).n
+        except ValidationError as exc:
+            errors.append(f"parameters.u: {exc}")
+        else:
+            if params.get("n") is not None and effective.get("n", size) != size:
+                errors.append(f"parameters.n: u holds {size} samples, not {effective['n']}")
+            effective["n"] = size
     if errors:
         raise ValidationError("; ".join(errors))
     return {"command": command, "output_dir": output_dir, "parameters": effective}

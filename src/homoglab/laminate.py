@@ -19,19 +19,25 @@ whether it does.
 j = (A2 - A1) n: the mean plus a multiple of j otimes j is symmetric
 exactly, and for an axis normal j is a column of A2 - A1.
 
-A spec decomposes each phase once with ``numpy.linalg.eigh``, checks it is
-PSD and splits its eigenvectors into range and kernel rows at the one cut
-RANK_TOL * max(1, spectral radius), and computes a and the branch once;
-everything below reads these.  Definiteness and ker(A*) come from the
-phases' kernels and the structure of the formula, not from A*'s
-eigenvalues: A* x.x is the least laminate energy with mean x, so x lies in
-ker(A*) exactly when x = theta y1 + (1-theta) y2 with y_i in ker(A_i) and
-y1 - y2 parallel to n (y1 = y2 on the a = 0 branch, where A* is the mean).
+A spec checks its phases in one pass and decomposes them with one
+``numpy.linalg.eigh`` of their (2, d, d) stack.  A phase must be PSD; its
+eigenvalues are ascending, so its kernel and range rows (eigenvectors
+within +-, and above, the cut RANK_TOL * max(1, spectral radius)) are two
+slices.  a and the branch are computed once, and everything below reads
+these.  Definiteness and ker(A*) come from the phases' kernels and the
+structure of the formula, not from A*'s eigenvalues: A* x.x is the least
+laminate energy with mean x, so x lies in ker(A*) exactly when
+x = theta y1 + (1-theta) y2 with y_i in ker(A_i) and y1 - y2 = t n (t = 0
+on the a = 0 branch, where A* is the mean).
 
-Both sides of ker(A*) = V^perp, V the span of the means of divergence-free
-laminate fields, are the SVD null space, cut at ``RANK_TOL``, of a linear
-constraint on pairs of phase vectors, mapped to the pairs' means by one
-product with the theta-weighted phase bases.
+Each side of ker(A*) = V^perp, V the span of the means of divergence-free
+laminate fields, is one SVD cut at ``RANK_TOL`` of the range rows R1, R2
+with a unit vector projected out of their columns.  Every such pair is
+y1 = x + (1-theta) t n, y2 = x - theta t n, so x lies in ker(A*) exactly
+when [R1; R2] x is a multiple of c = [(1-theta) R1 n; -theta R2 n]; V is
+the row space of [theta R1; (1-theta) R2] restricted to the pairs
+orthogonal to the interface row [R1 n; -R2 n].  A vector within RANK_TOL
+of zero is not projected out: n then lies in both kernels.
 """
 
 from __future__ import annotations
@@ -46,18 +52,20 @@ from .linalg import as_sym_matrix, as_vector
 RANK_TOL = 1e-10
 
 
-def _decompose(m, name: str):
-    """(matrix, eigenvalues, range rows, kernel rows) of a PSD phase: one
-    eigh; eigenvectors above, and within +-, the cut RANK_TOL * max(1,
-    spectral radius).  An eigenvalue below -cut is refused (not PSD)."""
-    a = as_sym_matrix(m, name)
-    w, r = np.linalg.eigh(a)
-    cut = RANK_TOL * max(1.0, float(np.abs(w).max()))
-    if w[0] < -cut:
-        raise ValidationError(
-            f"{name} is not PSD: eigenvalue {w[0]:.3e} below "
-            f"-{RANK_TOL:g} * max(1, spectral radius)")
-    return a, w, r.T[w > cut], r.T[np.abs(w) <= cut]
+def _phase_stack(phase1, phase2) -> np.ndarray:
+    """The phases as one (2, d, d) float array: an exactly symmetric finite
+    pair as given, anything else through ``as_sym_matrix`` phase by phase."""
+    try:
+        p = np.array((phase1, phase2), dtype=float)
+        if p.shape in ((2, 2, 2), (2, 3, 3)) and np.isfinite(p).all() \
+                and (p == p.transpose(0, 2, 1)).all():
+            return p
+    except (TypeError, ValueError):
+        pass
+    p1, p2 = as_sym_matrix(phase1, "phase1"), as_sym_matrix(phase2, "phase2")
+    if p1.shape != p2.shape:
+        raise ValidationError("phases must share a dimension")
+    return np.stack([p1, p2])
 
 
 def _derived():
@@ -73,7 +81,7 @@ class LaminateSpec:
     theta: float
     direction: np.ndarray
     # per phase: ascending eigenvalues, and the orthonormal eigenvectors
-    # (rows) of its range and kernel split at the cut; see _decompose
+    # (rows) of its range and kernel split at the cut (module docstring)
     eigenvalues: tuple[np.ndarray, np.ndarray] = _derived()
     ranges: tuple[np.ndarray, np.ndarray] = _derived()
     kernels: tuple[np.ndarray, np.ndarray] = _derived()
@@ -85,20 +93,28 @@ class LaminateSpec:
     effective_kernel: np.ndarray = _derived()
 
     def __post_init__(self):
-        p1, w1, r1, k1 = _decompose(self.phase1, "phase1")
-        p2, w2, r2, k2 = _decompose(self.phase2, "phase2")
-        if p1.shape != p2.shape:
-            raise ValidationError("phases must share a dimension")
-        n = as_vector(self.direction, dim=p1.shape[0], name="direction")
+        p = _phase_stack(self.phase1, self.phase2)
+        w, vectors = np.linalg.eigh(p)
+        splits = []
+        for name, wi in zip(("phase1", "phase2"), w.tolist()):
+            cut = RANK_TOL * max(1.0, -wi[0], wi[-1])
+            if wi[0] < -cut:
+                raise ValidationError(
+                    f"{name} is not PSD: eigenvalue {wi[0]:.3e} below "
+                    f"-{RANK_TOL:g} * max(1, spectral radius)")
+            splits.append(sum(x <= cut for x in wi))  # ascending: the kernel comes first
+        n = as_vector(self.direction, dim=p.shape[1], name="direction")
         if abs(np.linalg.norm(n) - 1.0) > 1e-12:
             raise ValidationError("direction must be a unit vector to 1e-12")
         if not (0.0 < self.theta < 1.0):
             raise ValidationError(f"theta must lie in (0, 1), got {self.theta}")
-        a = float((1.0 - self.theta) * (p1 @ n) @ n + self.theta * (p2 @ n) @ n)
-        regular = a > 1e-12 * (float(np.abs(w1).max()) + float(np.abs(w2).max()))
-        for name, value in dict(phase1=p1, phase2=p2, direction=n, eigenvalues=(w1, w2),
-                                ranges=(r1, r2), kernels=(k1, k2), a_value=a,
-                                regular=regular).items():
+        a = float((1.0 - self.theta) * (p[0] @ n) @ n + self.theta * (p[1] @ n) @ n)
+        rows = vectors.transpose(0, 2, 1)  # eigenvectors as rows
+        rho_sum = float(np.maximum(-w[:, 0], w[:, -1]).sum())  # rho1 + rho2
+        for name, value in dict(phase1=p[0], phase2=p[1], direction=n, eigenvalues=tuple(w),
+                                ranges=(rows[0, splits[0]:], rows[1, splits[1]:]),
+                                kernels=(rows[0, :splits[0]], rows[1, :splits[1]]),
+                                a_value=a, regular=a > 1e-12 * rho_sum).items():
             object.__setattr__(self, name, value)
         object.__setattr__(self, "effective_kernel", _effective_kernel(self))
 
@@ -145,41 +161,22 @@ class ConditionReport:
         raise KeyError(name)
 
 
-def _null_space(m: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning m's null space: one SVD, cut at RANK_TOL."""
-    _, sv, vt = np.linalg.svd(m)
-    return vt[np.count_nonzero(sv > RANK_TOL):]
-
-
-def _span_rank(vectors: np.ndarray) -> tuple[int, np.ndarray]:
-    """Rank of the span of the rows and an orthonormal basis of it from one
-    SVD of the unit rows; rows of norm, and singular values, at most
-    RANK_TOL drop."""
-    norms = np.linalg.norm(vectors, axis=1)
-    keep = norms > RANK_TOL
-    _, sv, vt = np.linalg.svd(vectors[keep] / norms[keep, None])
-    rank = int(np.count_nonzero(sv > RANK_TOL))
-    return rank, vt[:rank]
-
-
-def _phase_means(spec: LaminateSpec, basis1, basis2, pairs) -> np.ndarray:
-    """Rows theta basis1 c1 + (1-theta) basis2 c2, where (c1, c2) leads a
-    row of pairs."""
-    stack = np.concatenate([spec.theta * basis1, (1.0 - spec.theta) * basis2])
-    return pairs[:, :len(stack)] @ stack
+def _project_out(m: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """m with the unit vector along c projected out of its columns, or m
+    itself when |c| <= RANK_TOL."""
+    cc = float(c @ c)
+    return m if cc <= RANK_TOL ** 2 else m - c[:, None] * ((c @ m) / cc)
 
 
 def _effective_kernel(spec: LaminateSpec) -> np.ndarray:
-    """Orthonormal basis of ker(A*) from the phases' kernels K1, K2: the null
-    vectors (c1, c2, t) of [K1 | -K2 | -n] are the pairs y1 = K1 c1,
-    y2 = K2 c2 with y1 - y2 = t n, each giving x = theta y1 + (1-theta) y2.
-    The a = 0 branch drops the -n column, leaving K1 intersect K2."""
-    k1, k2 = spec.kernels
-    if not len(k1) and not len(k2):
-        return np.zeros((0, spec.dim))
-    rows = [k1, -k2, -spec.direction[None]] if spec.regular else [k1, -k2]
-    null = _null_space(np.concatenate(rows).T)
-    return _span_rank(_phase_means(spec, k1, k2, null))[1]
+    """Orthonormal basis of ker(A*): the null space of [R1; R2], with c
+    projected out of its columns on the regular branch (module docstring)."""
+    rows = np.concatenate(spec.ranges)
+    if spec.regular:
+        (r1, r2), n, th = spec.ranges, spec.direction, spec.theta
+        rows = _project_out(rows, np.concatenate([(1.0 - th) * (r1 @ n), -th * (r2 @ n)]))
+    _, sv, vt = np.linalg.svd(rows)
+    return vt[np.count_nonzero(sv > RANK_TOL):]
 
 
 def homogenize_laminate(spec: LaminateSpec) -> HomogenizedLaminate:
@@ -201,7 +198,7 @@ def homogenize_laminate(spec: LaminateSpec) -> HomogenizedLaminate:
 
 def _rank_one_vector(eigenvalues: np.ndarray, rng: np.ndarray, name: str) -> np.ndarray:
     """xi with phase = xi otimes xi: sqrt(top eigenvalue) times the one row
-    of the phase's range (see _decompose)."""
+    of the phase's range."""
     if len(rng) != 1:
         raise ValidationError(
             f"{name} must be rank one: its range at RANK_TOL has dimension "
@@ -275,34 +272,32 @@ def check_conditions_3d(spec: LaminateSpec) -> ConditionReport:
 
 
 def v_space_basis(spec: LaminateSpec) -> np.ndarray:
-    """Generators (rows) of the span V of divergence-free laminate field means.
+    """Orthonormal rows spanning V, the means of divergence-free laminate fields.
 
     The admissible fields are piecewise constant, each phase value in the
     range of its matrix, with the jump orthogonal to n: the pairs
-    xi1 = P1 c1, xi2 = P2 c2 null the interface row n^T [P1 | -P2], and
-    each gives theta xi1 + (1 - theta) xi2.  A row within RANK_TOL of zero
-    (both ranges orthogonal to n) leaves every pair admissible.
+    xi1 = P1^T c1, xi2 = P2^T c2 (P_i the range rows) with (c1, c2)
+    orthogonal to the interface row [P1 n; -P2 n], each giving
+    theta xi1 + (1 - theta) xi2.  A row within RANK_TOL of zero (both
+    ranges orthogonal to n) leaves every pair admissible.
     """
     p, q = spec.ranges
     if not len(p) or not len(q):
         raise ValidationError("both phases must be nonzero to carry a flux field")
-    n = spec.direction
-    row = np.concatenate([p @ n, -(q @ n)])[None]
-    return _phase_means(spec, p, q, _null_space(row))
+    th, n = spec.theta, spec.direction
+    _, sv, vt = np.linalg.svd(_project_out(np.concatenate([th * p, (1.0 - th) * q]),
+                                           np.concatenate([p @ n, -(q @ n)])))
+    return vt[:np.count_nonzero(sv > RANK_TOL)]
 
 
 def verify_kernel_identity(spec: LaminateSpec) -> bool:
     """Check ker(A*) = (span of laminate field means)^perp for this spec.
 
-    The spec's ``effective_kernel`` K is orthonormal, so with B_V an
-    orthonormal basis of the span of ``v_space_basis`` (one SVD), the
-    identity holds when rank(B_V) + len(K) is the dimension and
-    ||B_V K^T||_2 <= RANK_TOL.
+    B_V = ``v_space_basis`` and the spec's ``effective_kernel`` K are
+    orthonormal, so the identity holds when len(B_V) + len(K) = d and
+    B_V K^T vanishes to RANK_TOL.  With d <= 3 that product is a row, a
+    column or empty, and its 2-norm is its Frobenius norm.
     """
-    rank, basis = _span_rank(v_space_basis(spec))
-    kernel = spec.effective_kernel
-    if rank + len(kernel) != spec.dim:
-        return False
-    if not (rank and len(kernel)):
-        return True
-    return bool(np.linalg.norm(basis @ kernel.T, 2) <= RANK_TOL)
+    basis, kernel = v_space_basis(spec), spec.effective_kernel
+    return len(basis) + len(kernel) == spec.dim \
+        and bool(np.linalg.norm(basis @ kernel.T) <= RANK_TOL)

@@ -2,8 +2,8 @@
 
 Each returns a float array or raises ``ValidationError`` naming the input.
 Eigendecompositions, PSD checks and range/kernel splits are done where
-they are used: ``laminate`` decomposes each phase once with
-``numpy.linalg.eigh`` and cuts it at its ``RANK_TOL``.
+they are used: ``laminate`` decomposes the two phases of a spec with one
+``numpy.linalg.eigh`` of their stack and cuts each at its ``RANK_TOL``.
 
 All functions are pure; inputs are never mutated.
 """

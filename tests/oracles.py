@@ -3,11 +3,12 @@
 None of these is on a computing path of the package.  They are either
 closed forms the package evaluates another way (the rational k0_hat, the
 reciprocal-kernel decomposition, the transform of h, the dense Green
-kernel), a cold single-direction cell solve, by a plain CG of its own,
-whose energy comes from an independent quadrature of the corrector field,
-or the grid coefficient's PSD check as eigvalsh of every cell.  The
-corrector solve's operators are whole-grid ``np.roll`` stencils, not the
-package's slab sweep.
+kernel), the laminate's ker(A*) and V as null spaces of pairs of phase
+vectors mapped to their means, a cold single-direction cell solve, by a
+plain CG of its own, whose energy comes from an independent quadrature of
+the corrector field, or the grid coefficient's PSD check as eigvalsh of
+every cell.  The corrector solve's operators are whole-grid ``np.roll``
+stencils, not the package's slab sweep.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from homoglab import cell
+from homoglab import cell, laminate
 from homoglab.anomalous import TWO_PI_SQ, SpectralParams, alpha_f
 from homoglab.errors import ConvergenceError
 
@@ -61,6 +62,55 @@ def green_kernel(a_value: float, x, s) -> np.ndarray:
     lo = np.minimum(x[..., None], s[None, ...])
     hi = np.maximum(x[..., None], s[None, ...])
     return np.sinh(lo / ra) * np.sinh((1.0 - hi) / ra) / (ra * math.sinh(1.0 / ra))
+
+
+# ---------------------------------------------------------------------------
+# laminate
+# ---------------------------------------------------------------------------
+
+
+def span_rank(vectors) -> tuple[int, np.ndarray]:
+    """Rank of the span of the rows and an orthonormal basis of it from one
+    SVD of the unit rows; rows of norm, and singular values, at most
+    RANK_TOL drop."""
+    vectors = np.asarray(vectors, dtype=float)
+    norms = np.linalg.norm(vectors, axis=1)
+    keep = norms > laminate.RANK_TOL
+    _, sv, vt = np.linalg.svd(vectors[keep] / norms[keep, None])
+    rank = int(np.count_nonzero(sv > laminate.RANK_TOL))
+    return rank, vt[:rank]
+
+
+def _null_space(m: np.ndarray) -> np.ndarray:
+    _, sv, vt = np.linalg.svd(m)
+    return vt[np.count_nonzero(sv > laminate.RANK_TOL):]
+
+
+def _phase_means(spec, basis1, basis2, pairs) -> np.ndarray:
+    """Rows theta basis1 c1 + (1-theta) basis2 c2, where (c1, c2) leads a
+    row of pairs."""
+    stack = np.concatenate([spec.theta * basis1, (1.0 - spec.theta) * basis2])
+    return pairs[:, :len(stack)] @ stack
+
+
+def effective_kernel(spec) -> tuple[int, np.ndarray]:
+    """ker(A*) as (dimension, orthonormal rows) from pairs of kernel
+    vectors: the null vectors (c1, c2, t) of [K1 | -K2 | -n] are the pairs
+    y1 = K1 c1, y2 = K2 c2 with y1 - y2 = t n, each giving the mean
+    theta y1 + (1-theta) y2; the a = 0 branch drops the -n column."""
+    k1, k2 = spec.kernels
+    rows = [k1, -k2, -spec.direction[None]] if spec.regular else [k1, -k2]
+    return span_rank(_phase_means(spec, k1, k2, _null_space(np.concatenate(rows).T)))
+
+
+def v_space(spec) -> tuple[int, np.ndarray]:
+    """V as (dimension, orthonormal rows) from pairs of range vectors: the
+    pairs xi1 = P1 c1, xi2 = P2 c2 nulling the interface row n^T [P1 | -P2]
+    (all pairs when the row is within RANK_TOL of zero), mapped to their
+    means."""
+    p, q = spec.ranges
+    row = np.concatenate([p @ spec.direction, -(q @ spec.direction)])[None]
+    return span_rank(_phase_means(spec, p, q, _null_space(row)))
 
 
 # ---------------------------------------------------------------------------

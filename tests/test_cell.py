@@ -176,6 +176,17 @@ def test_valid_degenerate_field_needs_no_eigvalsh(monkeypatch, dim, n, magnitude
     cell.PeriodicCoefficient(dim=dim, n_grid=n, channels=channels)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_entry_is_the_channel_of_the_upper_triangle(dim):
+    # entry's closed-form index against the channel order itself; the
+    # arrays are the same view of channels: same memory, shape and strides
+    co = random_psd_coefficient(dim, 4, 2)
+    for i in range(dim):
+        for j in range(dim):
+            k = cell._triu_indices(dim).index((min(i, j), max(i, j)))
+            assert co.entry(i, j).__array_interface__ == co.channels[k].__array_interface__
+
+
 def test_coefficient_holds_only_its_channels():
     # full matrices are converted once: no per-cell (d, d) array is kept, and
     # the solver copies no channel: on a random 32^3 field homogenize_general

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -519,8 +520,12 @@ def test_lambda_max_bound_is_h_kernel_sample_limit():
 
 
 @pytest.mark.parametrize("n, code", [(None, 0), (64, 0), (1024, 1)])
-def test_counterexample_csv_reports_its_sample_count(tmp_path, capsys, n, code):
-    # a u CSV of 64 samples sets n = 64; a different n given is refused
+def test_counterexample_csv_reports_its_sample_count(tmp_path, capsys, monkeypatch, n, code):
+    # a u CSV of 64 samples sets n = 64; a different n given is refused.
+    # parse_config reads the CSV once and the run once more.
+    reads = []
+    read = cli._read_u_csv
+    monkeypatch.setattr(cli, "_read_u_csv", lambda path: reads.append(path) or read(path))
     path = tmp_path / "u.csv"
     np.savetxt(path, np.sin(np.pi * np.linspace(0.0, 1.0, 64)))
     params = {"c": 2.0, "theta": 0.5, "u": str(path)}
@@ -530,6 +535,7 @@ def test_counterexample_csv_reports_its_sample_count(tmp_path, capsys, n, code):
     cfg = write_config(tmp_path, {"command": "counterexample", "output_dir": str(out),
                                   "parameters": params})
     assert cli.main(["counterexample", "--config", str(cfg)]) == code
+    assert reads == [str(path)] * (2 if code == 0 else 1)
     if code == 1:
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert err == "validation error: parameters.n: u holds 64 samples, not 1024"
@@ -538,6 +544,23 @@ def test_counterexample_csv_reports_its_sample_count(tmp_path, capsys, n, code):
         report = json.loads((out / "report.json").read_text())
         assert report["inputs"]["parameters"]["n"] == 64
         assert len((out / "u0_branches.csv").read_text().splitlines()) == 64 + 1
+
+
+def test_u_csv_above_n_max_is_refused_unread(tmp_path):
+    # a CSV of 4 N_MAX lines is refused after N_MAX + 1 of them: the peak is
+    # bounded by the 8 (N_MAX + 1) bytes of samples that may be held, not
+    # by the file (reading it whole peaked at 34.6 MB)
+    path = tmp_path / "u.csv"
+    path.write_text("0\n" * (4 * anomalous.N_MAX))
+    doc = {"command": "counterexample", "parameters": {"c": 2.0, "theta": 0.5, "u": str(path)}}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="parameters.u: .* holds more than 524288"):
+            cli.parse_config(json.dumps(doc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * (anomalous.N_MAX + 1)
 
 
 def test_counterexample_csv_named_like_a_profile(tmp_path, monkeypatch):

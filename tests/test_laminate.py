@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from homoglab import laminate
 from homoglab.errors import ValidationError
 
@@ -211,9 +212,8 @@ def test_conditions_3d_rejects_wrong_rank():
 
 def _same_span(a, b):
     a, b = np.asarray(a), np.asarray(b)
-    rank = laminate._span_rank(a)[0]
-    return rank == laminate._span_rank(b)[0] == laminate._span_rank(
-        np.concatenate([a, b]))[0]
+    rank = oracles.span_rank(a)[0]
+    return rank == oracles.span_rank(b)[0] == oracles.span_rank(np.concatenate([a, b]))[0]
 
 
 def test_v_space_2d_spans_plane():
@@ -233,7 +233,7 @@ def test_v_space_2d_spans_plane():
 
 def test_v_space_2d_orthogonal_xi_degenerates():
     gens = laminate.v_space_basis(spec2(E2XE2, I2))
-    rank, basis = laminate._span_rank(gens)
+    rank, basis = oracles.span_rank(gens)
     assert rank == 1
     assert abs(abs(basis[0][1]) - 1.0) < 1e-12  # span {e2}
 
@@ -242,7 +242,7 @@ def test_v_space_3d_spans_space():
     gens = laminate.v_space_basis(
         spec3(_rank_two([0, 1, 0]), _rank_two(np.array([1.0, 0, 1.0]) / np.sqrt(2))))
     assert len(gens) == 3
-    assert laminate._span_rank(gens)[0] == 3
+    assert oracles.span_rank(gens)[0] == 3
 
 
 def test_verify_kernel_identity_examples():
@@ -269,20 +269,34 @@ def test_verify_kernel_identity_decides_from_the_spec_kernel(kernel, holds):
     assert laminate.verify_kernel_identity(spec) is holds
 
 
+# Both phases are rank one and phase2's range is within ~1e-5 of orthogonal
+# to n.  The pair space is 1 + 1 - 1 = 1 dimensional.
+NEAR_ORTHOGONAL = spec2(
+    np.array([[0.5400858168342109, -0.48190281286687875],
+              [-0.48190281286687875, 0.4299878163997358]]),
+    np.array([[1.4454308516338876, -0.28477178178357815],
+              [-0.28477178178357815, 0.056104356433602925]]),
+    theta=0.23748307106313968,
+    direction=np.array([0.19329186354175434, 0.9811413025087445]),
+)
+
+
 def test_v_space_near_orthogonal_rank_one_range():
-    # Both phases are rank one and phase2's range is within ~1e-5 of
-    # orthogonal to n.  The pair space is 1 + 1 - 1 = 1 dimensional, so
-    # exactly one generator may come back.
-    spec = spec2(
-        np.array([[0.5400858168342109, -0.48190281286687875],
-                  [-0.48190281286687875, 0.4299878163997358]]),
-        np.array([[1.4454308516338876, -0.28477178178357815],
-                  [-0.28477178178357815, 0.056104356433602925]]),
-        theta=0.23748307106313968,
-        direction=np.array([0.19329186354175434, 0.9811413025087445]),
-    )
+    # exactly one generator may come back
+    spec = NEAR_ORTHOGONAL
     assert len(laminate.v_space_basis(spec)) == 1
     assert laminate.verify_kernel_identity(spec)
+
+
+ZERO_CROSS_TILTS = (0.0, 1e-11, 1e-9)
+
+
+def zero_cross_spec(dim, tilt):
+    """Both ranges e2, with n tilted from e1 towards e2 by tilt."""
+    e2 = np.eye(dim)[1]
+    n = np.cos(tilt) * np.eye(dim)[0] + np.sin(tilt) * e2
+    return laminate.LaminateSpec(phase1=np.outer(e2, e2), phase2=2.0 * np.outer(e2, e2),
+                                 theta=0.3, direction=n)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -292,11 +306,9 @@ def test_v_space_zero_cross_coefficient(dim):
     # RANK_TOL of zero, or just above it.  The generators, whatever their
     # count, span the common range e2 in every case.
     e2 = np.eye(dim)[1]
-    for tilt in (0.0, 1e-11, 1e-9):
-        n = np.cos(tilt) * np.eye(dim)[0] + np.sin(tilt) * e2
-        spec = laminate.LaminateSpec(phase1=np.outer(e2, e2), phase2=2.0 * np.outer(e2, e2),
-                                     theta=0.3, direction=n)
-        rank, basis = laminate._span_rank(laminate.v_space_basis(spec))
+    for tilt in ZERO_CROSS_TILTS:
+        spec = zero_cross_spec(dim, tilt)
+        rank, basis = oracles.span_rank(laminate.v_space_basis(spec))
         assert rank == 1
         assert abs(abs(basis[0] @ e2) - 1.0) < 1e-12
         assert laminate.verify_kernel_identity(spec)
@@ -444,28 +456,55 @@ def test_spec_dict_round_trip():
 
 def test_each_phase_is_decomposed_once(monkeypatch):
     calls = []
-    eigh = np.linalg.eigh
 
-    def counting(*args):
-        calls.append(1)
-        return eigh(*args)
+    def counting(original):
+        def wrapper(*args, **kwargs):
+            calls.append(original.__name__)
+            return original(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd))
 
-    def count(fn, *args):
+    def count(fn, *args, name="eigh"):
         calls.clear()
         fn(*args)
-        return len(calls)
+        return calls.count(name)
 
     xi = np.array([1.0, 1.0])
     s2 = spec2(np.outer(xi, xi), I2)
     s3 = spec3(_rank_two([0, 1, 0]), _rank_two([1.0, 0.0, 1.0]))
-    assert count(spec2, np.outer(xi, xi), I2) == 2
-    assert count(spec3, _rank_two([0, 1, 0]), _rank_two([1.0, 0.0, 1.0])) == 2
+    # one eigh of the (2, d, d) stack of the pair
+    assert count(spec2, np.outer(xi, xi), I2) == 1
+    assert count(spec3, _rank_two([0, 1, 0]), _rank_two([1.0, 0.0, 1.0])) == 1
     assert count(laminate.homogenize_laminate, s2) == 0
     assert count(laminate.check_conditions_2d, s2) == 0
     assert count(laminate.check_conditions_3d, s3) == 0
     assert count(laminate.v_space_basis, s2) == 0
     assert count(laminate.v_space_basis, s3) == 0
     assert count(laminate.verify_kernel_identity, s3) == 0
+    # and one SVD, of V, per identity check
+    for spec in (s2, s3, spec2(E2XE2, I2)):
+        assert count(laminate.verify_kernel_identity, spec, name="svd") == 1
 
+
+def _oracle_cases():
+    """Specs the pair oracle is compared on: 2,000 seeded family draws,
+    the definite specs near the kernel cut, the zero-cross tilts and the
+    near-orthogonal rank-one pair."""
+    rng = np.random.default_rng(77)
+    families = ("general_2d", "general_3d", "rank_one_pd_2d", "rank_two_3d")
+    yield from (_draw_family_spec(rng, families[k % 4]) for k in range(2000))
+    yield from (spec for spec, _ in DEFINITE_BELOW_CUT.values())
+    yield from (zero_cross_spec(dim, tilt) for dim in (2, 3) for tilt in ZERO_CROSS_TILTS)
+    yield NEAR_ORTHOGONAL
+
+
+def test_kernel_and_v_space_match_the_pair_oracle():
+    # the one-SVD ker(A*) and V against the null spaces of pairs of phase
+    # vectors mapped to their means: same dimension, same projector
+    for spec in _oracle_cases():
+        for rows, (rank, want) in ((spec.effective_kernel, oracles.effective_kernel(spec)),
+                                   (laminate.v_space_basis(spec), oracles.v_space(spec))):
+            assert len(rows) == rank
+            assert np.abs(rows.T @ rows - want.T @ want).max() <= 1e-10
