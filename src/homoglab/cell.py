@@ -11,9 +11,9 @@ Discretization: corrector values live on the periodic node grid, the
 coefficient is sampled at cell centers, and the gradient is the
 edge-averaged first-order difference per cell (the Q1 element with
 one-point quadrature), exact under axis permutations and reflections of
-the grid.  A coefficient is its dim (dim + 1) / 2 upper-triangle channels
-from file to CG, and every other field-sized step works in blocks of
-VALIDATE_BLOCK cells.
+the grid.  A coefficient is its upper-triangle channels from file to CG,
+with no array for a channel that is zero in every cell, and every other
+field-sized step works in blocks of VALIDATE_BLOCK cells.
 """
 
 from __future__ import annotations
@@ -78,21 +78,26 @@ def _triu_indices(dim: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(dim) for j in range(i, dim)]
 
 
-def _certified(part: np.ndarray, dim: int, shift: float) -> np.ndarray:
-    """Mask of the cells, the columns of the channel block ``part``, whose
-    A + shift I has only positive pivots in LDL^T, run in closed form on
-    the upper triangle.  Its backward error is O(dim u |A|) (Higham 2002,
-    ch. 10), so a certified cell has eigenvalues >= -shift - O(u |A|)."""
+def _certified(part: list, dim: int, shift: float) -> np.ndarray:
+    """Mask of the cells of the channel block ``part`` (one slice of the
+    same cells per channel, None for a zero channel, read as the scalar 0)
+    whose A + shift I has only positive pivots in LDL^T, run in closed
+    form on the upper triangle.  Its backward error is O(dim u |A|)
+    (Higham 2002, ch. 10), so a certified cell has eigenvalues >= -shift
+    - O(u |A|)."""
     pairs = _triu_indices(dim)
-    schur = {ij: part[k] for k, ij in enumerate(pairs)}
-    ok = np.ones(part.shape[1], dtype=bool)
+    zero = np.float64(0.0)
+    schur = {ij: zero if c is None else c for ij, c in zip(pairs, part)}
+    ok = np.ones(np.broadcast_shapes(*map(np.shape, part)), dtype=bool)
     with np.errstate(all="ignore"):  # a zero or negative pivot only fails its cell
         for i in range(dim):
             schur[i, i] = schur[i, i] + shift
         for k in range(dim):
             ok &= schur[k, k] > 0
             for i, j in pairs:
-                if i > k:
+                # 0 * 0 / pivot is +0 in every cell still certified, and
+                # subtracting +0 changes no value
+                if i > k and not (schur[k, i] is zero and schur[k, j] is zero):
                     schur[i, j] = schur[i, j] - schur[k, i] * schur[k, j] / schur[k, k]
     return ok
 
@@ -101,18 +106,22 @@ def _certified(part: np.ndarray, dim: int, shift: float) -> np.ndarray:
 class PeriodicCoefficient:
     """Cell-centered samples of a periodic symmetric PSD coefficient field.
 
-    Stored as its dim (dim + 1) / 2 upper-triangle channels: ``channels`` has
-    shape (dim (dim + 1) / 2,) + (n,)*dim, and channel k, one contiguous
-    n^dim array, holds entry ``_triu_indices(dim)[k]`` of every cell (the
-    file format's order: a11 a12 a22, or a11 a12 a13 a22 a23 a33).  Cell
-    (i, j, ...) covers [i h, (i+1) h) x ... with h = 1/n and is sampled at
-    its center.  Full per-cell matrices may be given instead as ``samples``,
-    shape (n,)*dim + (dim, dim); they are converted once and not kept.
+    Stored as its dim (dim + 1) / 2 upper-triangle channels: ``channels``
+    is a tuple whose entry k holds entry ``_triu_indices(dim)[k]`` of every
+    cell (the file format's order: a11 a12 a22, or a11 a12 a13 a22 a23
+    a33), either as one C-contiguous n^dim array or, for a channel that is
+    zero in every cell, as None: no array is kept for it.  Cell (i, j, ...)
+    covers [i h, (i+1) h) x ... with h = 1/n and is sampled at its center.
+    ``channels`` may be given as one stacked array of shape (dim (dim + 1)
+    / 2,) + (n,)*dim, whose zero channels are then dropped, or as a
+    sequence of that many (n,)*dim arrays or None.  Full per-cell matrices
+    may be given instead as ``samples``, shape (n,)*dim + (dim, dim); only
+    their nonzero channels are built, and the matrices are not kept.
     """
 
     dim: int
     n_grid: int
-    channels: np.ndarray | None = None
+    channels: tuple | np.ndarray | None = None
     samples: InitVar[np.ndarray | None] = None
 
     def __post_init__(self, samples):
@@ -122,52 +131,74 @@ class PeriodicCoefficient:
             raise ValidationError("give exactly one of channels and samples")
         grid = (n,) * self.dim
         pairs = _triu_indices(self.dim)
-        if samples is None:
-            name, a = "channels", np.ascontiguousarray(self.channels, dtype=float)
-            want = (len(pairs),) + grid
-        else:
-            name, a = "samples", np.asarray(samples, dtype=float)
-            want = grid + (self.dim, self.dim)
-        if a.shape != want:
-            raise ValidationError(f"{name} must have shape {want}, got {a.shape}")
-        # min and max are NaN or infinite exactly when some entry is
-        lo, hi = float(a.min()), float(a.max())
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValidationError("samples contain non-finite values")
-        scale = max(1.0, hi, -lo)
         if samples is not None:
+            a = np.asarray(samples, dtype=float)
+            if a.shape != grid + (self.dim, self.dim):
+                raise ValidationError(
+                    f"samples must have shape {grid + (self.dim, self.dim)}, got {a.shape}")
+            # min and max are NaN or infinite exactly when some entry is
+            lo, hi = float(a.min()), float(a.max())
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValidationError("samples contain non-finite values")
+            scale = max(1.0, hi, -lo)
             for i, j in pairs:
                 if i < j and np.abs(a[..., i, j] - a[..., j, i]).max() > 1e-12 * scale:
                     raise ValidationError("samples are not symmetric to 1e-12 relative")
-            a = np.stack([a[..., i, j] for i, j in pairs])
+            chans = [a[..., i, j].copy() if a[..., i, j].any() else None for i, j in pairs]
+        else:
+            if isinstance(self.channels, (list, tuple)):
+                chans = [None if c is None else np.ascontiguousarray(c, dtype=float)
+                         for c in self.channels]
+                got = [None if c is None else c.shape for c in chans]
+                if len(chans) != len(pairs) or any(g not in (None, grid) for g in got):
+                    raise ValidationError(f"channels must hold {len(pairs)} arrays of "
+                                          f"shape {grid} or None, got {got}")
+            else:
+                a = np.ascontiguousarray(self.channels, dtype=float)
+                if a.shape != (len(pairs),) + grid:
+                    raise ValidationError(
+                        f"channels must have shape {(len(pairs),) + grid}, got {a.shape}")
+                chans = list(a)
+            # a missing channel is 0 in every cell; min and max are NaN or
+            # infinite exactly when some entry is, and 0 both only for a
+            # zero channel
+            bounds = [(0.0, 0.0) if c is None else (float(c.min()), float(c.max()))
+                      for c in chans]
+            lo, hi = min(b[0] for b in bounds), max(b[1] for b in bounds)
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValidationError("samples contain non-finite values")
+            scale = max(1.0, hi, -lo)
+            chans = [None if b == (0.0, 0.0) else c for c, b in zip(chans, bounds)]
         # A block of cells at a time, so no temporary is field-sized: LDL^T
         # of A + (tol / 2) I certifies a cell's eigenvalues >= -tol, and only
         # the cells it leaves go to eigvalsh, which decides them and gives
         # the smallest eigenvalue.  Valid degenerate cells have pivots near
         # tol / 2, far above the rounding, so they are certified too.
         tol = 1e-10 * scale
-        flat = a.reshape(len(pairs), -1)
+        flat = [None if c is None else c.reshape(-1) for c in chans]
         lowest = np.inf
-        for start in range(0, flat.shape[1], VALIDATE_BLOCK):
-            part = flat[:, start:start + VALIDATE_BLOCK]
-            part = part[:, ~_certified(part, self.dim, 0.5 * tol)]
-            if part.shape[1]:
-                mats = np.empty((part.shape[1], self.dim, self.dim))
-                for k, (i, j) in enumerate(pairs):
-                    mats[:, i, j] = mats[:, j, i] = part[k]
+        for start in range(0, n ** self.dim, VALIDATE_BLOCK):
+            part = [None if c is None else c[start:start + VALIDATE_BLOCK] for c in flat]
+            keep = ~_certified(part, self.dim, 0.5 * tol)
+            if keep.any():
+                mats = np.zeros((int(keep.sum()), self.dim, self.dim))
+                for c, (i, j) in zip(part, pairs):
+                    if c is not None:
+                        mats[:, i, j] = mats[:, j, i] = c[keep]
                 lowest = min(lowest, float(np.linalg.eigvalsh(mats).min()))
         if lowest < -tol:
             raise ValidationError(f"samples are not PSD (smallest eigenvalue {lowest:.3e})")
-        object.__setattr__(self, "channels", a)
+        object.__setattr__(self, "channels", tuple(chans))
 
     @property
     def h(self) -> float:
         return 1.0 / self.n_grid
 
-    def entry(self, i: int, j: int) -> np.ndarray:
-        """Entry (i, j) = (j, i) of every cell: its channel, not a copy.
-        With i <= j that is channel i d - i (i - 1) / 2 + j - i of the
-        row-major upper triangle."""
+    def entry(self, i: int, j: int) -> np.ndarray | None:
+        """Entry (i, j) = (j, i) of every cell: its channel, not a copy, or
+        None where that entry is 0 in every cell.  With i <= j that is
+        channel i d - i (i - 1) / 2 + j - i of the row-major upper
+        triangle."""
         i, j = min(i, j), max(i, j)
         return self.channels[i * self.dim - i * (i - 1) // 2 + j - i]
 
@@ -226,14 +257,19 @@ def checkerboard_coefficient(alpha: float, beta: float, n_grid: int) -> Periodic
 
 
 def save_coefficient(coeff: PeriodicCoefficient, path) -> None:
-    """Write the channel array to a .npy path, else the text format: the
-    header 'dim n_grid channels', then one cell per line, row-major."""
+    """Write the stacked channel array, a zero channel as zeros, to a .npy
+    path, else the text format: the header 'dim n_grid channels', then one
+    cell per line, row-major."""
+    stacked = np.zeros((len(coeff.channels),) + (coeff.n_grid,) * coeff.dim)
+    for k, c in enumerate(coeff.channels):
+        if c is not None:
+            stacked[k] = c
     if Path(path).suffix == ".npy":
-        np.save(path, coeff.channels)
+        np.save(path, stacked)
         return
-    cols = coeff.channels.reshape(len(coeff.channels), -1).T
+    cols = stacked.reshape(len(stacked), -1).T
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{coeff.dim} {coeff.n_grid} {len(coeff.channels)}\n")
+        fh.write(f"{coeff.dim} {coeff.n_grid} {len(stacked)}\n")
         for row in cols:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
@@ -263,13 +299,16 @@ def _table_rows(lines: list[str]) -> np.ndarray:
 def load_coefficient(path) -> PeriodicCoefficient:
     """Read a coefficient file: a .npy channel array, else the text format.
 
-    Either way the result is the channel array and nothing else, and the
+    Either way the result holds the channels and nothing else, and the
     header is checked before the data are read: a .npy header's dtype and
     shape against the bytes after it, a text header's dim, n_grid and
-    channel count.  The table is then read VALIDATE_BLOCK // 16 lines at a
-    time: ``np.loadtxt`` parses each distinct line of the chunk once (the
-    whole chunk when no line repeats its neighbour), and the chunk's rows
-    are gathered straight into the preallocated channels.  So no
+    channel count.  A .npy file's channels are views of its one array.  A
+    text table is read VALIDATE_BLOCK // 16 lines at a time:
+    ``np.loadtxt`` parses each distinct line of the chunk once (the whole
+    chunk when no line repeats its neighbour), and the chunk's rows are
+    written straight into the channels.  A channel's n_grid^dim array is
+    allocated, as zeros, at the first chunk that holds a nonzero value in
+    it, so a channel that is zero in every cell never gets one.  So no
     field-sized table is held, and a piecewise-constant field's few
     distinct rows are parsed a few times a chunk, not once a cell.  Blank
     lines and '#' comments are skipped as by ``np.loadtxt``, whose values
@@ -306,7 +345,8 @@ def load_coefficient(path) -> PeriodicCoefficient:
         cells = n ** dim
         # a row takes 2 bytes a float or more (the header's newline covers a last
         # row without one): a shorter file is parsed, for the refusal, not stored
-        flat = None if Path(path).stat().st_size < 2 * count * cells else np.empty((count, cells))
+        store = Path(path).stat().st_size >= 2 * count * cells
+        flat = [None] * count  # a channel is allocated at its first nonzero value
         rows, cols = 0, 0  # table rows read so far, and the floats per row
         while True:
             try:  # a byte that is not UTF-8 raises while the lines are read
@@ -322,13 +362,19 @@ def load_coefficient(path) -> PeriodicCoefficient:
                 raise ValidationError(f"{bad} (the number of columns changed from "
                                       f"{cols} to {block.shape[1]} after row {rows})")
             cols = block.shape[1]
-            if flat is not None and cols == count and rows + len(block) <= cells:
-                flat[:, rows:rows + len(block)] = block.T
+            if store and cols == count and rows + len(block) <= cells:
+                for k in np.flatnonzero(block.any(axis=0)):
+                    if flat[k] is None:
+                        flat[k] = np.zeros(cells)
+                for k, c in enumerate(flat):
+                    if c is not None:
+                        c[rows:rows + len(block)] = block[:, k]
             rows += len(block)
     if (rows, cols) != (cells, count):
         raise ValidationError(
             f"expected {cells} rows of {count} floats, got shape {(rows, cols)}")
-    return PeriodicCoefficient(dim=dim, n_grid=n, channels=flat.reshape((count,) + (n,) * dim))
+    return PeriodicCoefficient(dim=dim, n_grid=n, channels=[
+        None if c is None else c.reshape((n,) * dim) for c in flat])
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +440,14 @@ def _sweep(out: np.ndarray, flux, slots: int) -> None:
 
     A slab holds at most VALIDATE_BLOCK cells (at least one plane).
     ``flux(a, b, work)`` returns the dim components of w on the cells of
-    planes [a, b); ``work`` holds ``slots`` >= dim scratch fields of the
-    slab's shape, and the first dim of them are the sweep's own once flux
-    has returned.  Node plane j takes (T - U)[j] + (T + U)[j - 1], where U
-    is the in-plane adjoint of component 0 and T the sum of the others';
-    each slab writes its planes and carries the plane it owes the next,
-    and the last slab's carry is added to plane 0.  On a grid of one block
-    the sweep is the whole-grid slice stencil.
+    planes [a, b), None for a component that is 0 there; ``work`` holds
+    ``slots`` >= dim scratch fields of the slab's shape, and the first dim
+    of them are the sweep's own once flux has returned.  Node plane j
+    takes (T - U)[j] + (T + U)[j - 1], where U is the in-plane adjoint of
+    component 0 and T the sum of the others'; each slab writes its planes
+    and carries the plane it owes the next, and the last slab's carry is
+    added to plane 0.  On a grid of one block the sweep is the whole-grid
+    slice stencil.
     """
     dim, n = out.ndim, len(out)
     step = max(1, VALIDATE_BLOCK // out[0].size)
@@ -414,11 +461,18 @@ def _sweep(out: np.ndarray, flux, slots: int) -> None:
         w = flux(a, b, work[:, :b - a])
         t, u, tmp = work[:3, :b - a] if dim > 2 else (*work[:2, :b - a], None)
         for ax in range(1, dim):
+            if w[ax] is None:  # a zero component adds nothing
+                if ax == 1:
+                    t[...] = 0.0
+                continue
             other = [s for s in sums if s[1] != ax] + [(np.subtract, ax, -1)]
             _chain(w[ax], other, t if ax == 1 else u, tmp)
             if ax > 1:
                 t += u
-        _chain(w[0], sums, u, tmp)
+        if w[0] is None:
+            u[...] = 0.0
+        else:
+            _chain(w[0], sums, u, tmp)
         np.subtract(t, u, out=out[a:b])
         np.add(t, u, out=t)
         out[a + 1:b] += t[:-1]
@@ -429,8 +483,9 @@ def _sweep(out: np.ndarray, flux, slots: int) -> None:
 
 
 def _adjoint(w, out: np.ndarray) -> np.ndarray:
-    """out = G0^T w for the dim cell fields w (any sequence of them)."""
-    _sweep(out, lambda a, b, work: [c[a:b] for c in w], len(w))
+    """out = G0^T w for the dim cell fields w (any sequence of them, None
+    for a zero field)."""
+    _sweep(out, lambda a, b, work: [None if c is None else c[a:b] for c in w], len(w))
     return out
 
 
@@ -439,12 +494,16 @@ def _stiffness(coeff: PeriodicCoefficient, p: np.ndarray, out: np.ndarray) -> li
 
     Per slab: G0 p from views of p (differences and sums across the
     planes, then the in-plane stencils), A applied from views of the
-    channels (no gather), and the adjoint written into out by ``_sweep``.
-    b_j . p = sum_cells (A G0 p)_j for b_j = G0^T A e_j: the flux, summed per slab.
+    channels (no gather, and no product with a zero channel), and the
+    adjoint written into out by ``_sweep``.  b_j . p = sum_cells (A G0 p)_j
+    for b_j = G0^T A e_j: the flux, summed per slab.
     """
     dim = coeff.dim
     sums = [(np.add, o, 1) for o in range(1, dim)]
     flux_sums = np.zeros(dim)
+    # row i of A: the (j, channel) of its entries that are not 0 everywhere
+    rows = [[(j, c) for j in range(dim) if (c := coeff.entry(i, j)) is not None]
+            for i in range(dim)]
 
     def flux(a, b, work):
         g, q = work[:dim], work[dim:]
@@ -454,19 +513,17 @@ def _stiffness(coeff: PeriodicCoefficient, p: np.ndarray, out: np.ndarray) -> li
         _chain(q[0], sums, g[0], tmp)
         for ax in range(1, dim):
             _chain(q[1], [(np.subtract, ax, 1)] + [s for s in sums if s[1] != ax], g[ax], tmp)
-        # q_i = sum_j A_ij g_j, the next q as the product buffer; the last
-        # q takes the products in place, as g is not read again
-        for i in range(dim):
-            if i < dim - 1:
-                np.multiply(coeff.entry(i, 0)[a:b], g[0], out=q[i])
-                for j in range(1, dim):
-                    q[i] += np.multiply(coeff.entry(i, j)[a:b], g[j], out=q[i + 1])
-            else:
-                for j in range(dim):
-                    g[j] *= coeff.entry(i, j)[a:b]
-                np.add(g[0], g[1], out=q[i])
-                for j in range(2, dim):
-                    q[i] += g[j]
+        # q_i = sum_j A_ij g_j over the present A_ij, the next q as the
+        # product buffer; the last q takes its products in g, as g is not
+        # read again.  A dropped product is an exact zero, so q is unchanged
+        for i, row in enumerate(rows):
+            if not row:
+                q[i] = 0.0
+                continue
+            (j, c), *rest = row
+            np.multiply(c[a:b], g[j], out=q[i])
+            for j, c in rest:
+                q[i] += np.multiply(c[a:b], g[j], out=q[i + 1] if i < dim - 1 else g[j])
         np.add(flux_sums, q.sum(axis=tuple(range(1, dim + 1))), out=flux_sums)
         return q
 
@@ -530,8 +587,8 @@ def _rhs(coeff: PeriodicCoefficient, i: int, out: np.ndarray) -> np.ndarray:
     """out = b_i = G0^T A e_i, the right-hand side for axis e_i.
 
     Column i of A is read off the channels by the adjoint half of the
-    sweep.  G0^T of the constant field delta e_i vanishes, so b_i is the
-    same for every delta of the schedule.
+    sweep, a zero channel skipped.  G0^T of the constant field delta e_i
+    vanishes, so b_i is the same for every delta of the schedule.
     """
     return _adjoint([coeff.entry(j, i) for j in range(coeff.dim)], out)
 
@@ -705,11 +762,12 @@ def homogenize_general(coeff: PeriodicCoefficient,
     deltas = cfg.deltas()
     dim = coeff.dim
     cells = coeff.n_grid ** dim
-    mean_a = np.empty((dim, dim))
-    for k, (i, j) in enumerate(_triu_indices(dim)):
-        mean_a[i, j] = mean_a[j, i] = coeff.channels[k].mean()
+    mean_a = np.zeros((dim, dim))
+    for c, (i, j) in zip(coeff.channels, _triu_indices(dim)):
+        if c is not None:
+            mean_a[i, j] = mean_a[j, i] = c.mean()
     tau = cfg.tol * max(1.0, float(np.abs(mean_a).max()))
-    rhs = np.empty(coeff.channels.shape[1:])  # each axis's b_i, then its CG residual
+    rhs = np.empty((coeff.n_grid,) * dim)  # each axis's b_i, then its CG residual
     operator = functools.partial(_stiffness, coeff)
     inv_sym = _precond_inverse(dim, coeff.n_grid)
     table = np.empty((len(deltas), dim, dim))

@@ -13,9 +13,9 @@ limit forms do not depend on it); it lies below 32767.9375, where h.csv
 would exceed N_MAX samples.  ``u`` names a test function, exactly one of
 ``sin_1`` ... ``sin_9`` or ``bump`` (``sin_1`` by default, see
 ``anomalous.PROFILES``); for counterexample anything else is the path of a
-CSV of 16 to 524,288 (N_MAX) samples, and ``n`` is then its sample count.
-``parse_config`` reads such a CSV once, and no more than N_MAX + 1 of its
-data lines.
+CSV of 16 to 524,288 (N_MAX) samples, one a line, and ``n`` is then its
+sample count.  ``parse_config`` reads such a CSV once, and no more than
+N_MAX + 1 of its data lines; a line with a comma is refused unparsed.
 Every key is checked before any output is written and all failures are
 reported together; a key the table does not list is an error.
 ``parse_config`` returns the effective document, defaults filled in, and
@@ -94,17 +94,29 @@ def _file(value) -> str:
 
 
 def _read_u_csv(path: str) -> np.ndarray:
-    """The samples of a u CSV.  At most N_MAX + 1 data lines (lines with
-    something besides a comment) are read, so a longer file is refused
-    with memory bounded by N_MAX, not by the file."""
+    """The samples of a u CSV, one per data line (a line with something
+    besides a comment).  A data line that holds a comma is refused before
+    any line is parsed, and at most N_MAX + 1 data lines are read, so a
+    longer file is refused with memory bounded by N_MAX, not by the file."""
+    def data_lines(fh):
+        for number, line in enumerate(fh, 1):
+            value = line.partition("#")[0]
+            if "," in value:
+                raise ValidationError(
+                    f"{path} holds more than one value on line {number}: one sample a line")
+            if value.strip():
+                yield line
+
     with open(path, encoding="utf-8") as fh:
-        lines = (line for line in fh if line.partition("#")[0].strip())
+        lines = data_lines(fh)
         try:
             first = next(lines, None)
             if first is not None:
                 samples = np.loadtxt(
                     itertools.chain([first], itertools.islice(lines, anomalous.N_MAX)),
                     delimiter=",", dtype=float, ndmin=1)
+        except ValidationError:
+            raise
         except ValueError as exc:
             raise ValidationError(f"{path} is not numeric: {exc}") from None
     if first is None:

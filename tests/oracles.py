@@ -187,14 +187,26 @@ def cell_gradient_adjoint(w, h: float) -> np.ndarray:
     return out
 
 
+def dense_entry(coeff: cell.PeriodicCoefficient, i: int, j: int) -> np.ndarray:
+    """Entry (i, j) of every cell: its channel, or zeros for a channel kept as None."""
+    c = coeff.entry(i, j)
+    return np.zeros((coeff.n_grid,) * coeff.dim) if c is None else c
+
+
+def stacked_channels(coeff: cell.PeriodicCoefficient) -> np.ndarray:
+    """All dim (dim + 1) / 2 channels as one array, zeros for those kept as None."""
+    return np.stack([dense_entry(coeff, i, j) for i, j in cell._triu_indices(coeff.dim)])
+
+
 def apply_coeff(coeff: cell.PeriodicCoefficient, w: np.ndarray) -> np.ndarray:
-    """sum_j A_ij w_j per cell for a component-major field w, A read off its channels."""
+    """sum_j A_ij w_j per cell for a component-major field w, A read off its
+    channels, every product formed (a zero channel's too)."""
     out = np.empty(w.shape)
     term = np.empty(w.shape[1:])
     for i in range(coeff.dim):
-        np.multiply(coeff.entry(i, 0), w[0], out=out[i])
+        np.multiply(dense_entry(coeff, i, 0), w[0], out=out[i])
         for j in range(1, coeff.dim):
-            out[i] += np.multiply(coeff.entry(i, j), w[j], out=term)
+            out[i] += np.multiply(dense_entry(coeff, i, j), w[j], out=term)
     return out
 
 
@@ -204,7 +216,7 @@ def full_samples(coeff: cell.PeriodicCoefficient) -> np.ndarray:
     out = np.empty((coeff.n_grid,) * dim + (dim, dim))
     for i in range(dim):
         for j in range(dim):
-            out[..., i, j] = coeff.entry(i, j)
+            out[..., i, j] = dense_entry(coeff, i, j)
     return out
 
 

@@ -1,6 +1,7 @@
 """Tests for the regularized periodic cell solver."""
 
 import functools
+import itertools
 import json
 import tracemalloc
 
@@ -10,7 +11,8 @@ import pytest
 from homoglab import cell, cli, laminate
 from homoglab.errors import ConvergenceError, ValidationError
 from oracles import (apply_coeff, cell_gradient, cell_gradient_adjoint, energy_of_field,
-                     full_samples, gradient_scale, psd_refusal, solve_cell_problem)
+                     full_samples, gradient_scale, psd_refusal, solve_cell_problem,
+                     stacked_channels)
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -61,15 +63,39 @@ def cold_tensor(co, delta, cfg):
     return t
 
 
+def mean_abs(co):
+    """|mean A|, the largest entry of the cell mean in absolute value."""
+    return np.abs(stacked_channels(co).mean(axis=tuple(range(1, co.dim + 1)))).max()
+
+
 def certified_tol(co, cfg):
     """tau = tol max(1, |mean A|): every entry of every A*_delta is within it."""
-    return cfg.tol * max(1.0, np.abs(co.channels.mean(axis=tuple(range(1, co.dim + 1)))).max())
+    return cfg.tol * max(1.0, mean_abs(co))
 
 
 def random_psd_coefficient(dim, n, seed):
     b = np.random.default_rng(seed).normal(size=(n,) * dim + (dim, dim))
     samples = np.einsum("...ki,...kj->...ij", b, b)
     return cell.PeriodicCoefficient(dim=dim, n_grid=n, samples=samples)
+
+
+def diagonal_voxels(dim, n, seed):
+    """A diagonal field of 8^dim voxels refined to n: each diagonal entry is
+    0 with probability 0.3, else uniform in [1, 4], so |mean A| >= 1."""
+    rng = np.random.default_rng(seed)
+    shape = (8,) * dim + (dim,)
+    d = np.where(rng.random(shape) < 0.3, 0.0, rng.uniform(1.0, 4.0, shape))
+    for ax in range(dim):
+        d = np.repeat(d, n // 8, axis=ax)
+    return cell.PeriodicCoefficient(dim=dim, n_grid=n, samples=d[..., None] * np.eye(dim))
+
+
+def with_zero_arrays(co):
+    """co with every channel an array, a zero one as zeros: the products a
+    skipped channel would have added are formed again."""
+    full = cell.PeriodicCoefficient(dim=co.dim, n_grid=co.n_grid, channels=stacked_channels(co))
+    object.__setattr__(full, "channels", tuple(stacked_channels(co)))
+    return full
 
 
 def test_coefficient_validation():
@@ -95,7 +121,7 @@ def test_nonsymmetric_samples_are_refused():
 @pytest.mark.parametrize("form", ["samples", "channels"])
 def test_nonfinite_samples_are_refused(value, form):
     co = random_psd_coefficient(2, 8, 8)
-    arrays = {"samples": full_samples(co), "channels": co.channels.copy()}
+    arrays = {"samples": full_samples(co), "channels": stacked_channels(co)}
     arrays[form][(0,) * arrays[form].ndim] = value
     with pytest.raises(ValidationError, match="non-finite"):
         cell.PeriodicCoefficient(dim=2, n_grid=8, **{form: arrays[form]})
@@ -108,7 +134,7 @@ def test_non_psd_cell_in_last_validation_block_is_caught(monkeypatch, block):
     monkeypatch.setattr(cell, "VALIDATE_BLOCK", block)
     n = 32
     assert n ** 3 > block
-    channels = cell.constant_coefficient(np.eye(3), 3, n).channels.copy()
+    channels = stacked_channels(cell.constant_coefficient(np.eye(3), 3, n))
     channels[3, -1, -1, -1] = -1e-3  # a22 of the last cell
     with pytest.raises(ValidationError, match="smallest eigenvalue -1.000e-03"):
         cell.PeriodicCoefficient(dim=3, n_grid=n, channels=channels)
@@ -196,7 +222,8 @@ def test_coefficient_holds_only_its_channels():
     # I would add 3, and whole-field operator temporaries about as much
     co = random_psd_coefficient(3, 8, 1)
     assert set(vars(co)) == {"dim", "n_grid", "channels"}
-    assert co.channels.shape == (6, 8, 8, 8) and co.channels.flags.c_contiguous
+    assert len(co.channels) == 6
+    assert all(c.shape == (8, 8, 8) and c.flags.c_contiguous for c in co.channels)
     np.testing.assert_array_equal(co.entry(2, 0), co.channels[2])
     n = 32
     co = random_psd_coefficient(3, n, 5)
@@ -209,6 +236,28 @@ def test_coefficient_holds_only_its_channels():
     finally:
         tracemalloc.stop()
     assert peak <= 6.5 * 8 * n ** 3, f"peak {peak / (8 * n ** 3):.2f} n^3 doubles"
+
+
+def test_zero_channels_keep_no_array():
+    # a channel that is zero in every cell is kept as None, whether the
+    # field comes as samples, as a stacked array or as a sequence of
+    # channels; a sequence's arrays are kept, not copied
+    co = diagonal_voxels(3, 8, 1)
+    kept = [False, True, True, False, True, False]
+    assert [c is None for c in co.channels] == kept
+    assert co.entry(0, 1) is None and co.entry(2, 1) is None
+    again = cell.PeriodicCoefficient(dim=3, n_grid=8, channels=stacked_channels(co))
+    assert [c is None for c in again.channels] == kept
+    listed = cell.PeriodicCoefficient(dim=3, n_grid=8, channels=list(co.channels))
+    assert all(a is b for a, b in zip(listed.channels, co.channels))
+    with pytest.raises(ValidationError, match=r"channels must hold 6 arrays of shape "
+                                              r"\(8, 8, 8\) or None"):
+        cell.PeriodicCoefficient(dim=3, n_grid=8, channels=list(co.channels)[:5])
+    # a field that is 0 everywhere keeps no array, passes the PSD check,
+    # and its A*_delta is delta I
+    zero = cell.PeriodicCoefficient(dim=2, n_grid=4, channels=[None] * 3)
+    res = cell.homogenize_general(zero)
+    np.testing.assert_array_equal(res.tensors, [d * I2 for d in res.deltas])
 
 
 def test_constant_coefficient_zero_corrector():
@@ -334,6 +383,80 @@ def test_frame_covariance_axis_permutation_and_reflection():
     assert e_r == pytest.approx(base, rel=1e-8)
 
 
+@pytest.mark.parametrize("field", ["diagonal", "random"])
+def test_frame_covariance_3d_axis_permutations(field):
+    # the sweep treats axis 0 unlike the others, so each of the six axis
+    # orders runs every axis through another stencil path; the discrete
+    # cell problem is exact under permutations, so A* permutes with the
+    # field to within the certified tau on each side.  The diagonal field
+    # keeps no off-diagonal channel (the products are skipped), the random
+    # one all six
+    co = diagonal_voxels(3, 8, 9) if field == "diagonal" else random_psd_coefficient(3, 8, 9)
+    assert sum(c is None for c in co.channels) == (3 if field == "diagonal" else 0)
+    samples = full_samples(co)
+    cfg = cell.SolverConfig()
+    tau = certified_tol(co, cfg)
+    base = cell.homogenize_general(co, cfg).tensors
+    for perm in itertools.permutations(range(3)):
+        p = np.eye(3)[list(perm)]
+        moved = np.einsum("ab,...bc,dc->...ad", p, samples.transpose(perm + (3, 4)), p)
+        co_p = cell.PeriodicCoefficient(dim=3, n_grid=8, samples=moved)
+        for t, t_p in zip(base, cell.homogenize_general(co_p, cfg).tensors):
+            assert np.abs(t_p - p @ t @ p.T).max() <= 2 * tau, perm
+
+
+@pytest.mark.parametrize("field", ["voxels-3d", "voxels-2d", "board"])
+def test_power_of_two_scaling_is_exact(field):
+    # A -> 2A with delta -> 2 delta scales every step of the solver by a
+    # power of two, tau too as |mean A| >= 1: each tensor doubles bit for
+    # bit, with the same iteration table
+    co = {"voxels-3d": lambda: diagonal_voxels(3, 16, 4),
+          "voxels-2d": lambda: diagonal_voxels(2, 32, 4),
+          "board": lambda: e2e2_checkerboard(64)}[field]()
+    assert mean_abs(co) >= 1.0
+    twice = cell.PeriodicCoefficient(dim=co.dim, n_grid=co.n_grid,
+                                     channels=2.0 * stacked_channels(co))
+    cfg = cell.SolverConfig()
+    res = cell.homogenize_general(co, cfg)
+    res2 = cell.homogenize_general(twice, cell.SolverConfig(delta0=2.0 * cfg.delta0))
+    assert res.iterations.max() > 10
+    np.testing.assert_array_equal(np.array(res2.tensors), 2.0 * np.array(res.tensors))
+    np.testing.assert_array_equal(res2.iterations, res.iterations)
+    np.testing.assert_array_equal(res2.widths, 2.0 * res.widths)
+    np.testing.assert_array_equal(res2.residuals, res.residuals)
+
+
+@pytest.mark.parametrize("field", ["voxels-2d", "voxels-3d", "zero-row-3d", "board",
+                                   "rank-two-laminate-3d"])
+def test_skipped_channels_change_no_bit(field):
+    # a channel that is zero in every cell gets no array, and the sweep, the
+    # right-hand sides and mean(A) skip it: against the same field with
+    # every channel an array of its values, the operator and the right-hand
+    # sides are equal (a dropped product can only flip the sign of a zero
+    # sum), the read-out and every result bit-identical
+    co = {"voxels-2d": lambda: diagonal_voxels(2, 32, 6),
+          "voxels-3d": lambda: diagonal_voxels(3, 16, 6),
+          "zero-row-3d": lambda: cell.PeriodicCoefficient(
+              dim=3, n_grid=8, samples=np.einsum("i,j,...->...ij", [0.0, 1.0, 1.0],
+                                                 [0.0, 1.0, 1.0], np.ones((8, 8, 8)))
+              + full_samples(diagonal_voxels(3, 8, 6)) * np.diag([0.0, 1.0, 1.0])),
+          "board": lambda: e2e2_checkerboard(32),
+          "rank-two-laminate-3d": lambda: cell.laminate_coefficient(
+              rank_two([0.0, 1.0, 0.0]), rank_two([1.0, 0.0, 1.0]), 0.5, 3, 16)}[field]()
+    full = with_zero_arrays(co)
+    assert any(c is None for c in co.channels)
+    assert all(c is not None for c in full.channels)
+    p = np.random.default_rng(7).normal(size=(co.n_grid,) * co.dim)
+    outs = [np.empty_like(p), np.empty_like(p)]
+    assert cell._stiffness(co, p, outs[0]) == cell._stiffness(full, p, outs[1])
+    np.testing.assert_array_equal(outs[0], outs[1])
+    for i in range(co.dim):
+        np.testing.assert_array_equal(cell._rhs(co, i, outs[0]), cell._rhs(full, i, outs[1]))
+    res, ref = cell.homogenize_general(co), cell.homogenize_general(full)
+    for name in ("tensors", "estimate", "iterations", "widths", "residuals"):
+        assert np.asarray(getattr(res, name)).tobytes() == np.asarray(getattr(ref, name)).tobytes()
+
+
 def test_homogenize_general_constant():
     m = np.array([[2.0, 0.3], [0.3, 1.0]])
     co = cell.constant_coefficient(m, 2, 16)
@@ -396,7 +519,7 @@ def test_off_diagonals_match_polarization(dim, n):
 
 def half_void(dim, n, seed):
     """random_psd_coefficient with A = 0 on the slab x1 < 1/2."""
-    channels = random_psd_coefficient(dim, n, seed).channels.copy()
+    channels = stacked_channels(random_psd_coefficient(dim, n, seed))
     channels[:, : n // 2] = 0.0
     return cell.PeriodicCoefficient(dim=dim, n_grid=n, channels=channels)
 
@@ -508,7 +631,7 @@ def test_krylov_run_of_k_iterations_preconditions_k_times(monkeypatch, coeff, ax
     # and the laminate's converge exactly, and the board's b_2 vanishes, so
     # that run takes no iteration (one rfft per application)
     cfg = cell.SolverConfig()
-    rhs = cell._rhs(coeff, axis, np.empty(coeff.channels.shape[1:]))
+    rhs = cell._rhs(coeff, axis, np.empty((coeff.n_grid,) * coeff.dim))
     inv_sym = cell._precond_inverse(coeff.dim, coeff.n_grid)
     calls = []
     rfft = np.fft.rfft
@@ -712,18 +835,38 @@ def test_load_coefficient_peak_memory_3d(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert co.channels.shape == (6, n, n, n)
+    assert [c.shape for c in co.channels] == [(n, n, n)] * 6
     assert peak <= 9.5 * 8 * n ** 3, f"peak {peak / (8 * n ** 3):.2f} n^3 doubles"
+
+
+def test_load_diagonal_text_field_peak_memory_3d(tmp_path):
+    # a diagonal field's off-diagonal channels are never allocated: loading
+    # a 64^3 one peaks at its 3 n^3 doubles and the work of a block
+    # (measured 3.22; with every channel allocated the peak was 6.39)
+    n = 64
+    path = tmp_path / "coeff.txt"
+    cell.save_coefficient(diagonal_voxels(3, n, 3), path)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        co = cell.load_coefficient(path)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert [c is None for c in co.channels] == [False, True, True, False, True, False]
+    assert peak <= 3.5 * 8 * n ** 3, f"peak {peak / (8 * n ** 3):.2f} n^3 doubles"
 
 
 def test_homogenize_grid_run_peak_memory_3d(tmp_path):
     # the whole CLI run on a 64^3 text laminate, the preconditioner symbol
-    # built inside it; a block is 1/16 of the grid.  Measured 9.9 n^3
-    # doubles: the coefficient's 6, the CG fields r (the right-hand side), p
-    # and z, the symbol and the slab work (one CG iteration per axis, so no
-    # FFT runs beside z).  Holding all 3 right-hand sides it was 12.9; with
-    # the whole text table parsed at once, the symbol read off an impulse
-    # field and np.roll operators, 18.5
+    # built inside it; a block is 1/16 of the grid.  Measured 7.97 n^3
+    # doubles: the coefficient's 4 nonzero channels (a12 and a23 are zero
+    # in every cell and get no array), the CG fields r (the right-hand
+    # side), p and z, the symbol and the slab work (one CG iteration per
+    # axis, so no FFT runs beside z).  With all 6 channels stored it was
+    # 9.97; holding all 3 right-hand sides as well, 12.9; with the whole
+    # text table parsed at once, the symbol read off an impulse field and
+    # np.roll operators, 18.5
     n = 64
     assert cell.VALIDATE_BLOCK <= n ** 3 // 8
     rows = [" ".join(repr(float(a[i, j])) for i in range(3) for j in range(i, 3)) + "\n"
@@ -744,7 +887,7 @@ def test_homogenize_grid_run_peak_memory_3d(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 10.4 * 8 * n ** 3, f"peak {peak / (8 * n ** 3):.2f} n^3 doubles"
+    assert peak <= 8.4 * 8 * n ** 3, f"peak {peak / (8 * n ** 3):.2f} n^3 doubles"
 
 
 def test_coefficient_file_round_trip(tmp_path):
@@ -756,7 +899,7 @@ def test_coefficient_file_round_trip(tmp_path):
     cell.save_coefficient(co, path)
     again = cell.load_coefficient(path)
     assert again.dim == 3 and again.n_grid == 4
-    np.testing.assert_array_equal(again.channels, co.channels)
+    np.testing.assert_array_equal(stacked_channels(again), stacked_channels(co))
     np.testing.assert_array_equal(full_samples(again), samples)
 
 
@@ -767,12 +910,12 @@ def test_npy_coefficient_file_round_trip(tmp_path):
     assert np.load(path).shape == (3, 8, 8)
     again = cell.load_coefficient(path)
     assert again.dim == 2 and again.n_grid == 8
-    np.testing.assert_array_equal(again.channels, co.channels)
+    np.testing.assert_array_equal(stacked_channels(again), stacked_channels(co))
 
 
 def test_npy_coefficient_file_is_validated(tmp_path):
     path = tmp_path / "coeff.npy"
-    channels = cell.constant_coefficient(np.eye(2), 2, 4).channels.copy()
+    channels = stacked_channels(cell.constant_coefficient(np.eye(2), 2, 4))
     channels[0, 1, 2] = -1.0
     np.save(path, channels)
     with pytest.raises(ValidationError, match="PSD"):
@@ -838,7 +981,8 @@ def test_text_table_skips_blank_and_comment_lines(tmp_path, monkeypatch, block):
     path.write_text(header + "".join(rows[:10]) + "\n# a comment\n   \n"
                     + "".join(rows[10:30]) + "\n" * 7 + rows[30].rstrip("\n")
                     + "  # trailing\n" + "".join(rows[31:]) + "\n")
-    np.testing.assert_array_equal(cell.load_coefficient(path).channels, co.channels)
+    np.testing.assert_array_equal(stacked_channels(cell.load_coefficient(path)),
+                                  stacked_channels(co))
 
 
 @pytest.mark.parametrize("block", TEXT_BLOCKS)
@@ -903,8 +1047,9 @@ def test_text_table_matches_loadtxt_of_the_whole_table(tmp_path, monkeypatch, fi
     path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
     oracle = np.loadtxt(path, skiprows=1)
     again = cell.load_coefficient(path)
-    np.testing.assert_array_equal(again.channels, oracle.T.reshape(co.channels.shape))
-    np.testing.assert_array_equal(again.channels, co.channels)
+    np.testing.assert_array_equal(stacked_channels(again),
+                                  oracle.T.reshape(stacked_channels(co).shape))
+    np.testing.assert_array_equal(stacked_channels(again), stacked_channels(co))
 
 
 @pytest.mark.parametrize("block", TEXT_BLOCKS)
@@ -914,8 +1059,8 @@ def test_text_table_row_spellings_give_the_same_cell(tmp_path, monkeypatch, bloc
     spellings = ["1 0 1\n", "1.0 0.0 1.0\n", "1\t0\t1\n", "1 0 1 # c\n"]
     path = tmp_path / "coeff.txt"
     path.write_text("2 8 3\n" + "".join(spellings[k % 4] for k in range(64)))
-    np.testing.assert_array_equal(cell.load_coefficient(path).channels,
-                                  cell.constant_coefficient(I2, 2, 8).channels)
+    np.testing.assert_array_equal(stacked_channels(cell.load_coefficient(path)),
+                                  stacked_channels(cell.constant_coefficient(I2, 2, 8)))
 
 
 @pytest.mark.parametrize("field", ["laminate", "checkerboard"])
@@ -937,9 +1082,45 @@ def test_text_table_parses_each_distinct_line_once(tmp_path, monkeypatch, field)
 
     monkeypatch.setattr(np, "loadtxt", counted)
     again = cell.load_coefficient(path)
-    np.testing.assert_array_equal(again.channels, co.channels)
+    np.testing.assert_array_equal(stacked_channels(again), stacked_channels(co))
     chunks = -(-co.n_grid ** co.dim // (cell.VALIDATE_BLOCK // 16))
     assert 0 < sum(parsed) <= 2 * chunks
+
+
+@pytest.mark.parametrize("block", TEXT_BLOCKS)
+def test_text_channel_nonzero_only_in_the_last_row(tmp_path, monkeypatch, block):
+    # a12 is zero in every chunk but the last row's: its channel is
+    # allocated at that row, and the table is np.loadtxt's of the whole file
+    monkeypatch.setattr(cell, "VALIDATE_BLOCK", block)
+    path = tmp_path / "coeff.txt"
+    path.write_text("2 8 3\n" + "1 0 2\n" * 63 + "1 0.5 2\n")
+    co = cell.load_coefficient(path)
+    oracle = np.loadtxt(path, skiprows=1)
+    np.testing.assert_array_equal(stacked_channels(co), oracle.T.reshape(3, 8, 8))
+    assert np.flatnonzero(co.entry(0, 1)).tolist() == [63]
+
+
+@pytest.mark.parametrize("suffix", [".txt", ".npy"])
+def test_diagonal_field_round_trip(tmp_path, suffix):
+    # every channel is written, a zero one as zeros, so neither format
+    # changes: the .npy file is np.save's of the stacked channels, the text
+    # file writes 0.0 in the zero columns; loading gives back the same
+    # channels and drops the zero ones again.  A text file's channels each
+    # own their n^dim array; a .npy file's are views of the one array read
+    co = diagonal_voxels(3, 8, 5)
+    path = tmp_path / ("coeff" + suffix)
+    cell.save_coefficient(co, path)
+    if suffix == ".npy":
+        np.save(tmp_path / "oracle.npy", stacked_channels(co))
+        assert path.read_bytes() == (tmp_path / "oracle.npy").read_bytes()
+    else:
+        rows = path.read_text().splitlines()[1:]
+        assert all(row.split()[k] == "0.0" for row in rows for k in (1, 2, 4))
+    again = cell.load_coefficient(path)
+    assert [c is None for c in again.channels] == [c is None for c in co.channels]
+    np.testing.assert_array_equal(stacked_channels(again), stacked_channels(co))
+    if suffix == ".txt":
+        assert all(c.base.nbytes == c.nbytes for c in again.channels if c is not None)
 
 
 @pytest.mark.parametrize("block", TEXT_BLOCKS)

@@ -563,6 +563,31 @@ def test_u_csv_above_n_max_is_refused_unread(tmp_path):
     assert peak < 2 * 8 * (anomalous.N_MAX + 1)
 
 
+@pytest.mark.parametrize("values", [16, 4 * anomalous.N_MAX])
+def test_u_csv_line_of_several_values_is_refused_unparsed(tmp_path, capsys, values):
+    # one sample a line: a line with a comma is refused as it is read, so
+    # neither a one-line field of 16 values nor an 8 MB line of 4 N_MAX
+    # values reaches np.loadtxt, which peaked at 97.9 MB on the latter; the
+    # peak is now about twice the line (measured 17.0 MB)
+    path = tmp_path / "u.csv"
+    path.write_text(",".join(["0.0"] * values) + "\n")
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"command": "counterexample", "output_dir": str(out),
+                                  "parameters": {"c": 2.0, "theta": 0.5, "u": str(path)}})
+    tracemalloc.start()
+    try:
+        code = cli.main(["counterexample", "--config", str(cfg)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert err == (f"validation error: parameters.u: {path} holds more than one value "
+                   "on line 1: one sample a line")
+    assert not out.exists()
+    assert peak < 2.5 * path.stat().st_size + 2 ** 20, f"peak {peak / 1e6:.1f} MB"
+
+
 def test_counterexample_csv_named_like_a_profile(tmp_path, monkeypatch):
     # only sin_1 ... sin_9 and bump are names, so sin_wave.csv is a CSV path
     # and runs as the same samples named wave.csv do
