@@ -23,6 +23,7 @@ import itertools
 import math
 import operator
 import warnings
+from collections.abc import Sequence
 from dataclasses import InitVar, dataclass
 from pathlib import Path
 
@@ -112,63 +113,58 @@ class PeriodicCoefficient:
     a33), either as one C-contiguous n^dim array or, for a channel that is
     zero in every cell, as None: no array is kept for it.  Cell (i, j, ...)
     covers [i h, (i+1) h) x ... with h = 1/n and is sampled at its center.
-    ``channels`` may be given as one stacked array of shape (dim (dim + 1)
-    / 2,) + (n,)*dim, whose zero channels are then dropped, or as a
-    sequence of that many (n,)*dim arrays or None.  Full per-cell matrices
-    may be given instead as ``samples``, shape (n,)*dim + (dim, dim); only
-    their nonzero channels are built, and the matrices are not kept.
+    ``channels`` is given as a sequence of dim (dim + 1) / 2 arrays of
+    shape (n,)*dim or None, in that order; a stacked array of shape
+    (dim (dim + 1) / 2,) + (n,)*dim is one, as it iterates over its
+    channels.  A float C-contiguous channel is kept as given, any other is
+    copied.  Full per-cell matrices may be given instead as ``samples``,
+    shape (n,)*dim + (dim, dim): their upper-triangle channels are copied
+    out, and the matrices are not kept.  Either way a channel that is zero
+    in every cell is dropped.
     """
 
     dim: int
     n_grid: int
-    channels: tuple | np.ndarray | None = None
+    channels: Sequence | None = None
     samples: InitVar[np.ndarray | None] = None
 
     def __post_init__(self, samples):
         _check_grid(self.dim, self.n_grid)
-        n = self.n_grid
         if (samples is None) == (self.channels is None):
             raise ValidationError("give exactly one of channels and samples")
-        grid = (n,) * self.dim
+        grid = (self.n_grid,) * self.dim
         pairs = _triu_indices(self.dim)
+        mirrored = []  # the (upper, lower) views of the off-diagonal samples
         if samples is not None:
             a = np.asarray(samples, dtype=float)
             if a.shape != grid + (self.dim, self.dim):
                 raise ValidationError(
                     f"samples must have shape {grid + (self.dim, self.dim)}, got {a.shape}")
-            # min and max are NaN or infinite exactly when some entry is
-            lo, hi = float(a.min()), float(a.max())
-            if not (np.isfinite(lo) and np.isfinite(hi)):
-                raise ValidationError("samples contain non-finite values")
-            scale = max(1.0, hi, -lo)
-            for i, j in pairs:
-                if i < j and np.abs(a[..., i, j] - a[..., j, i]).max() > 1e-12 * scale:
-                    raise ValidationError("samples are not symmetric to 1e-12 relative")
-            chans = [a[..., i, j].copy() if a[..., i, j].any() else None for i, j in pairs]
+            chans = [a[..., i, j] for i, j in pairs]
+            mirrored = [(a[..., i, j], a[..., j, i]) for i, j in pairs if i < j]
         else:
-            if isinstance(self.channels, (list, tuple)):
-                chans = [None if c is None else np.ascontiguousarray(c, dtype=float)
-                         for c in self.channels]
-                got = [None if c is None else c.shape for c in chans]
-                if len(chans) != len(pairs) or any(g not in (None, grid) for g in got):
-                    raise ValidationError(f"channels must hold {len(pairs)} arrays of "
-                                          f"shape {grid} or None, got {got}")
-            else:
-                a = np.ascontiguousarray(self.channels, dtype=float)
-                if a.shape != (len(pairs),) + grid:
-                    raise ValidationError(
-                        f"channels must have shape {(len(pairs),) + grid}, got {a.shape}")
-                chans = list(a)
-            # a missing channel is 0 in every cell; min and max are NaN or
-            # infinite exactly when some entry is, and 0 both only for a
-            # zero channel
-            bounds = [(0.0, 0.0) if c is None else (float(c.min()), float(c.max()))
-                      for c in chans]
-            lo, hi = min(b[0] for b in bounds), max(b[1] for b in bounds)
-            if not (np.isfinite(lo) and np.isfinite(hi)):
-                raise ValidationError("samples contain non-finite values")
-            scale = max(1.0, hi, -lo)
-            chans = [None if b == (0.0, 0.0) else c for c, b in zip(chans, bounds)]
+            # a scalar is read as a sequence of one channel, which is too few
+            given = self.channels if np.iterable(self.channels) else [self.channels]
+            chans = [None if c is None else np.asarray(c, dtype=float) for c in given]
+            got = [None if c is None else c.shape for c in chans]
+            if len(chans) != len(pairs) or any(g not in (None, grid) for g in got):
+                raise ValidationError(f"channels must hold {len(pairs)} arrays of "
+                                      f"shape {grid} or None, got {got}")
+        # One pass over the channels, and the lower triangle of samples: a
+        # missing channel is 0 in every cell; min and max are NaN or
+        # infinite exactly when some entry is, and 0 both only for a zero
+        # channel, which is dropped.  The rest are kept C-contiguous.
+        # np.min and np.max pass a NaN bound on, where min and max may not.
+        bounds = [(0.0, 0.0) if c is None else (float(c.min()), float(c.max()))
+                  for c in chans + [low for _, low in mirrored]]
+        lo, hi = float(np.min(bounds)), float(np.max(bounds))
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValidationError("samples contain non-finite values")
+        scale = max(1.0, hi, -lo)
+        if any(np.abs(up - low).max() > 1e-12 * scale for up, low in mirrored):
+            raise ValidationError("samples are not symmetric to 1e-12 relative")
+        chans = [None if b == (0.0, 0.0) else np.ascontiguousarray(c)
+                 for c, b in zip(chans, bounds)]
         # A block of cells at a time, so no temporary is field-sized: LDL^T
         # of A + (tol / 2) I certifies a cell's eigenvalues >= -tol, and only
         # the cells it leaves go to eigvalsh, which decides them and gives
@@ -177,7 +173,7 @@ class PeriodicCoefficient:
         tol = 1e-10 * scale
         flat = [None if c is None else c.reshape(-1) for c in chans]
         lowest = np.inf
-        for start in range(0, n ** self.dim, VALIDATE_BLOCK):
+        for start in range(0, math.prod(grid), VALIDATE_BLOCK):
             part = [None if c is None else c[start:start + VALIDATE_BLOCK] for c in flat]
             keep = ~_certified(part, self.dim, 0.5 * tol)
             if keep.any():
@@ -259,19 +255,21 @@ def checkerboard_coefficient(alpha: float, beta: float, n_grid: int) -> Periodic
 def save_coefficient(coeff: PeriodicCoefficient, path) -> None:
     """Write the stacked channel array, a zero channel as zeros, to a .npy
     path, else the text format: the header 'dim n_grid channels', then one
-    cell per line, row-major."""
-    stacked = np.zeros((len(coeff.channels),) + (coeff.n_grid,) * coeff.dim)
-    for k, c in enumerate(coeff.channels):
-        if c is not None:
-            stacked[k] = c
+    cell per line, row-major, each value its shortest round-trip repr and
+    a zero channel's as 0.0, written VALIDATE_BLOCK cells at a time."""
+    grid = (coeff.n_grid,) * coeff.dim
     if Path(path).suffix == ".npy":
-        np.save(path, stacked)
+        np.save(path, np.array([np.zeros(grid) if c is None else c for c in coeff.channels]))
         return
-    cols = stacked.reshape(len(stacked), -1).T
+    flat = [None if c is None else c.reshape(-1) for c in coeff.channels]
+    cells = math.prod(grid)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{coeff.dim} {coeff.n_grid} {len(stacked)}\n")
-        for row in cols:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        fh.write(f"{coeff.dim} {coeff.n_grid} {len(flat)}\n")
+        for start in range(0, cells, VALIDATE_BLOCK):
+            size = min(VALIDATE_BLOCK, cells - start)
+            cols = [itertools.repeat("0.0", size) if c is None
+                    else map(repr, c[start:start + size].tolist()) for c in flat]
+            fh.write("\n".join(map(" ".join, zip(*cols))) + "\n")
 
 
 def _table_rows(lines: list[str]) -> np.ndarray:
@@ -302,7 +300,8 @@ def load_coefficient(path) -> PeriodicCoefficient:
     Either way the result holds the channels and nothing else, and the
     header is checked before the data are read: a .npy header's dtype and
     shape against the bytes after it, a text header's dim, n_grid and
-    channel count.  A .npy file's channels are views of its one array.  A
+    channel count.  A .npy file is mapped, and each channel that is nonzero
+    somewhere is copied out into its own C-contiguous float array.  A
     text table is read VALIDATE_BLOCK // 16 lines at a time:
     ``np.loadtxt`` parses each distinct line of the chunk once (the whole
     chunk when no line repeats its neighbour), and the chunk's rows are
@@ -317,7 +316,7 @@ def load_coefficient(path) -> PeriodicCoefficient:
     """
     if Path(path).suffix == ".npy":
         fmt = np.lib.format
-        try:  # np.load allocates the header's shape before it reads the data
+        try:  # np.load maps the header's shape, so it is checked against the file first
             with open(path, "rb") as fh:
                 version = fmt.read_magic(fh)
                 shape, _, dtype = (fmt.read_array_header_1_0 if version == (1, 0)
@@ -325,13 +324,18 @@ def load_coefficient(path) -> PeriodicCoefficient:
                 data = Path(path).stat().st_size - fh.tell()
         except (ValueError, EOFError) as exc:
             raise ValidationError(f"{path} is not a .npy array: {exc}") from None
-        if (dtype.kind not in "iuf" or len(shape) not in (3, 4)
+        # the grid is read off the header, as no zero channel reaches the
+        # constructor's shape check
+        if (dtype.kind not in "iuf" or len(shape) not in (3, 4) or len(set(shape[1:])) != 1
                 or math.prod(shape) * dtype.itemsize > data):
             raise ValidationError(
                 f"{path} must hold a real array of shape (channels,) + (n,)*dim, "
                 f"got {dtype} {shape} with {data} bytes of data")
-        return PeriodicCoefficient(dim=len(shape) - 1, n_grid=shape[-1],
-                                   channels=np.load(path, allow_pickle=False))
+        # the file is mapped, not read: only the channels nonzero somewhere
+        # are copied out, each into its own array
+        table = np.load(path, mmap_mode="r", allow_pickle=False)
+        return PeriodicCoefficient(dim=len(shape) - 1, n_grid=shape[-1], channels=[
+            np.array(c, dtype=float, order="C") if c.any() else None for c in table])
     bad = "coefficient file must start with 'dim n_grid channels' and then hold floats"
     with open(path, "r", encoding="utf-8") as fh:
         try:

@@ -127,10 +127,14 @@ def _read_u_csv(path: str) -> np.ndarray:
 
 
 def _u_field(value, n: int) -> anomalous.SampledField:
-    """The test function named value at n points, or the u CSV at value."""
+    """The test function named value at n points, or the u CSV at value,
+    which must still hold the n samples ``parse_config`` counted."""
     if value in anomalous.PROFILES:
         return anomalous.SampledField.from_function(anomalous.test_function(value), n)
-    return anomalous.SampledField(_read_u_csv(value))
+    field = anomalous.SampledField(_read_u_csv(value))
+    if field.n != n:
+        raise ValidationError(f"parameters.n: u holds {field.n} samples, not {n}")
+    return field
 
 
 def _kept(validate):

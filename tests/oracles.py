@@ -6,9 +6,10 @@ reciprocal-kernel decomposition, the transform of h, the dense Green
 kernel), the laminate's ker(A*) and V as null spaces of pairs of phase
 vectors mapped to their means, a cold single-direction cell solve, by a
 plain CG of its own, whose energy comes from an independent quadrature of
-the corrector field, or the grid coefficient's PSD check as eigvalsh of
-every cell.  The corrector solve's operators are whole-grid ``np.roll``
-stencils, not the package's slab sweep.
+the corrector field, the grid coefficient's PSD check as eigvalsh of
+every cell, or its text file written a row at a time.  The corrector
+solve's operators are whole-grid ``np.roll`` stencils, not the package's
+slab sweep.
 """
 
 from __future__ import annotations
@@ -196,6 +197,16 @@ def dense_entry(coeff: cell.PeriodicCoefficient, i: int, j: int) -> np.ndarray:
 def stacked_channels(coeff: cell.PeriodicCoefficient) -> np.ndarray:
     """All dim (dim + 1) / 2 channels as one array, zeros for those kept as None."""
     return np.stack([dense_entry(coeff, i, j) for i, j in cell._triu_indices(coeff.dim)])
+
+
+def save_text_coefficient(coeff: cell.PeriodicCoefficient, path) -> None:
+    """The text format written one row at a time from the stacked channels,
+    a zero channel as zeros, each value through ``repr``."""
+    stacked = stacked_channels(coeff)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{coeff.dim} {coeff.n_grid} {len(stacked)}\n")
+        for row in stacked.reshape(len(stacked), -1).T:
+            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
 def apply_coeff(coeff: cell.PeriodicCoefficient, w: np.ndarray) -> np.ndarray:

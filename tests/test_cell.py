@@ -11,8 +11,8 @@ import pytest
 from homoglab import cell, cli, laminate
 from homoglab.errors import ConvergenceError, ValidationError
 from oracles import (apply_coeff, cell_gradient, cell_gradient_adjoint, energy_of_field,
-                     full_samples, gradient_scale, psd_refusal, solve_cell_problem,
-                     stacked_channels)
+                     full_samples, gradient_scale, psd_refusal, save_text_coefficient,
+                     solve_cell_problem, stacked_channels)
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -106,7 +106,8 @@ def test_coefficient_validation():
         cell.PeriodicCoefficient(dim=2, n_grid=4, samples=bad)
     with pytest.raises(ValidationError, match="exactly one"):
         cell.PeriodicCoefficient(dim=2, n_grid=4)
-    with pytest.raises(ValidationError, match=r"channels must have shape \(3, 4, 4\)"):
+    # a stacked array is a sequence of its channels: here one too many
+    with pytest.raises(ValidationError, match=r"channels must hold 3 arrays of shape \(4, 4\)"):
         cell.PeriodicCoefficient(dim=2, n_grid=4, channels=np.zeros((4, 4, 4)))
 
 
@@ -125,6 +126,44 @@ def test_nonfinite_samples_are_refused(value, form):
     arrays[form][(0,) * arrays[form].ndim] = value
     with pytest.raises(ValidationError, match="non-finite"):
         cell.PeriodicCoefficient(dim=2, n_grid=8, **{form: arrays[form]})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("k", range(6))
+def test_nonfinite_value_in_any_channel_is_refused(tmp_path, value, k):
+    # a NaN bound is carried to the finite check from any channel, not
+    # only from the first (the builtin min and max may drop it), whether
+    # the channels are given or read from a file
+    stacked = stacked_channels(random_psd_coefficient(3, 4, 9))
+    stacked[k, 1, 2, 3] = value
+    with pytest.raises(ValidationError, match="^samples contain non-finite values$"):
+        cell.PeriodicCoefficient(dim=3, n_grid=4, channels=list(stacked))
+    for suffix in (".npy", ".txt"):
+        path = tmp_path / ("coeff" + suffix)
+        if suffix == ".npy":
+            np.save(path, stacked)
+        else:
+            np.savetxt(path, stacked.reshape(6, -1).T, header="3 4 6", comments="")
+        with pytest.raises(ValidationError, match="^samples contain non-finite values$"):
+            cell.load_coefficient(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_nonfinite_lower_triangle_of_samples_is_refused(value, dim):
+    # only the upper-triangle channels are kept, but the lower triangle is
+    # bounded with them, so a non-finite entry there is refused as such and
+    # not as an asymmetry
+    samples = full_samples(random_psd_coefficient(dim, 4, 8))
+    samples[(1,) * dim + (dim - 1, 0)] = value
+    with pytest.raises(ValidationError, match="^samples contain non-finite values$"):
+        cell.PeriodicCoefficient(dim=dim, n_grid=4, samples=samples)
+
+
+@pytest.mark.parametrize("value", [0.0, 5.0, np.float64(1.0), np.array(2.0)])
+def test_scalar_channels_are_refused(value):
+    with pytest.raises(ValidationError, match=r"channels must hold 3 arrays of shape \(4, 4\)"):
+        cell.PeriodicCoefficient(dim=2, n_grid=4, channels=value)
 
 
 @pytest.mark.parametrize("block", [cell.VALIDATE_BLOCK, 1000])
@@ -857,6 +896,25 @@ def test_load_diagonal_text_field_peak_memory_3d(tmp_path):
     assert peak <= 3.5 * 8 * n ** 3, f"peak {peak / (8 * n ** 3):.2f} n^3 doubles"
 
 
+def test_load_diagonal_npy_field_memory_3d(tmp_path):
+    # a .npy file is mapped, and only its nonzero channels are copied out:
+    # loading a 64^3 diagonal field holds its 3 n^3 doubles (6.00 when the
+    # channels were views of the whole array read), and peaks the same
+    n = 64
+    path = tmp_path / "coeff.npy"
+    cell.save_coefficient(diagonal_voxels(3, n, 3), path)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        co = cell.load_coefficient(path)
+        held, peak = (m - start for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert [c is None for c in co.channels] == [False, True, True, False, True, False]
+    assert held <= 3.5 * 8 * n ** 3, f"held {held / (8 * n ** 3):.2f} n^3 doubles"
+    assert peak <= 3.5 * 8 * n ** 3, f"peak {peak / (8 * n ** 3):.2f} n^3 doubles"
+
+
 def test_homogenize_grid_run_peak_memory_3d(tmp_path):
     # the whole CLI run on a 64^3 text laminate, the preconditioner symbol
     # built inside it; a block is 1/16 of the grid.  Measured 7.97 n^3
@@ -913,6 +971,20 @@ def test_npy_coefficient_file_round_trip(tmp_path):
     np.testing.assert_array_equal(stacked_channels(again), stacked_channels(co))
 
 
+@pytest.mark.parametrize("layout", ["fortran", "integer"])
+def test_npy_memory_order_and_dtype_load_alike(tmp_path, layout):
+    # a Fortran-ordered or integer file loads as the C-ordered float one,
+    # each channel a C-contiguous float array
+    stacked = stacked_channels(diagonal_voxels(3, 8, 2)).round()
+    np.save(tmp_path / "c.npy", stacked)
+    np.save(tmp_path / "other.npy", {"fortran": np.asfortranarray(stacked),
+                                     "integer": stacked.astype(np.int32)}[layout])
+    want, got = (cell.load_coefficient(tmp_path / name) for name in ("c.npy", "other.npy"))
+    assert [c is None for c in got.channels] == [c is None for c in want.channels]
+    np.testing.assert_array_equal(stacked_channels(got), stacked_channels(want))
+    assert all(c.dtype == float and c.flags.c_contiguous for c in got.channels if c is not None)
+
+
 def test_npy_coefficient_file_is_validated(tmp_path):
     path = tmp_path / "coeff.npy"
     channels = stacked_channels(cell.constant_coefficient(np.eye(2), 2, 4))
@@ -921,7 +993,12 @@ def test_npy_coefficient_file_is_validated(tmp_path):
     with pytest.raises(ValidationError, match="PSD"):
         cell.load_coefficient(path)
     np.save(path, channels[:2])
-    with pytest.raises(ValidationError, match="channels must have shape"):
+    with pytest.raises(ValidationError, match="channels must hold 3 arrays"):
+        cell.load_coefficient(path)
+    # the grid is checked in the header, also where every channel is zero
+    # and none reaches the constructor
+    np.save(path, np.zeros((3, 4, 8)))
+    with pytest.raises(ValidationError, match=r"real array .* \(3, 4, 8\)"):
         cell.load_coefficient(path)
     np.save(path, channels.astype(complex))
     with pytest.raises(ValidationError, match="real array"):
@@ -1105,8 +1182,9 @@ def test_diagonal_field_round_trip(tmp_path, suffix):
     # every channel is written, a zero one as zeros, so neither format
     # changes: the .npy file is np.save's of the stacked channels, the text
     # file writes 0.0 in the zero columns; loading gives back the same
-    # channels and drops the zero ones again.  A text file's channels each
-    # own their n^dim array; a .npy file's are views of the one array read
+    # channels and drops the zero ones again.  Either way each channel
+    # owns its n^dim array: a text file's is allocated whole, a .npy
+    # file's copied out of the mapped file
     co = diagonal_voxels(3, 8, 5)
     path = tmp_path / ("coeff" + suffix)
     cell.save_coefficient(co, path)
@@ -1119,8 +1197,26 @@ def test_diagonal_field_round_trip(tmp_path, suffix):
     again = cell.load_coefficient(path)
     assert [c is None for c in again.channels] == [c is None for c in co.channels]
     np.testing.assert_array_equal(stacked_channels(again), stacked_channels(co))
-    if suffix == ".txt":
-        assert all(c.base.nbytes == c.nbytes for c in again.channels if c is not None)
+    assert all((c if c.base is None else c.base).nbytes == c.nbytes
+               for c in again.channels if c is not None)
+
+
+@pytest.mark.parametrize("block", TEXT_BLOCKS)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_text_writer_matches_row_writer(tmp_path, monkeypatch, block, dim):
+    # the block writer's bytes are the row writer's, on a field with a zero
+    # channel and with -0.0 entries, which repr keeps as -0.0
+    monkeypatch.setattr(cell, "VALIDATE_BLOCK", block)
+    co = diagonal_voxels(dim, 8, 4)
+    chans = list(co.channels)
+    chans[0] = chans[0].copy()
+    chans[0].reshape(-1)[::3] = -0.0
+    chans[-1] = chans[-1] + 1.0 / 3.0
+    co = cell.PeriodicCoefficient(dim=dim, n_grid=8, channels=chans)
+    assert co.channels[1] is None and np.signbit(co.channels[0]).any()
+    cell.save_coefficient(co, tmp_path / "block.txt")
+    save_text_coefficient(co, tmp_path / "row.txt")
+    assert (tmp_path / "block.txt").read_bytes() == (tmp_path / "row.txt").read_bytes()
 
 
 @pytest.mark.parametrize("block", TEXT_BLOCKS)

@@ -546,6 +546,23 @@ def test_counterexample_csv_reports_its_sample_count(tmp_path, capsys, monkeypat
         assert len((out / "u0_branches.csv").read_text().splitlines()) == 64 + 1
 
 
+def test_u_csv_rewritten_after_parse_config_is_refused(tmp_path):
+    # parse_config counts a CSV's samples into n, and the run reads the file
+    # again: a file rewritten in between, with 64 samples where 16 were
+    # counted, is refused at run time and nothing is written
+    path = tmp_path / "u.csv"
+    np.savetxt(path, np.sin(np.pi * np.linspace(0.0, 1.0, 16)))
+    out = tmp_path / "out"
+    config = cli.parse_config(json.dumps({"command": "counterexample", "output_dir": str(out),
+                                          "parameters": {"c": 2.0, "theta": 0.5,
+                                                         "u": str(path)}}))
+    assert config["parameters"]["n"] == 16
+    np.savetxt(path, np.sin(np.pi * np.linspace(0.0, 1.0, 64)))
+    with pytest.raises(ValidationError, match="^parameters.n: u holds 64 samples, not 16$"):
+        cli.run(config)
+    assert not out.exists()
+
+
 def test_u_csv_above_n_max_is_refused_unread(tmp_path):
     # a CSV of 4 N_MAX lines is refused after N_MAX + 1 of them: the peak is
     # bounded by the 8 (N_MAX + 1) bytes of samples that may be held, not
